@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caputo_quad import power_rule_residual
-from .chern import chern_weyl, exterior_derivative, lemma_forms
+from .chern import adapted_form, c0_representative, chern_weyl, exterior_derivative, lemma_forms
 from .errors import FractionalDomainError
 from .expr import Signomial, coeff_distance
 from .fedosov import (
@@ -74,6 +74,22 @@ DEFAULT_TOLERANCES = {
     Tier.CLASSICAL: 1e-8,
     Tier.ORACLE: 1e-6,
 }
+
+# Every name a suite section can emit; a config tolerance must name one of them.
+CHECK_NAMES = frozenset({
+    "caputo_power_rule",
+    "algebra_delta_squared", "algebra_hodge_identity", "algebra_delta_derivation",
+    "algebra_wick_associativity", "algebra_graded_jacobi",
+    "geometry_metric_compat", "geometry_j_compat", "geometry_inverses", "geometry_j_squared",
+    "geometry_theta_compat", "geometry_torsion_blocks", "geometry_curvature_antisym",
+    "geometry_acp", "geometry_anholonomy", "geometry_nijenhuis",
+    "fedosov_comf_delta", "fedosov_comf_dsq", "fedosov_delta_torsion",
+    "fedosov_delta_curvature", "fedosov_r_residual", "fedosov_gauge", "fedosov_dsq_probe",
+    "star_c0_exact", "star_sigma_tau", "star_unit_neutral", "star_c1_bracket",
+    "fedosov_flat_section", "star_associativity",
+    "chern_d_squared", "chern_d_gamma", "chern_kappa_identity", "chern_flat_zero",
+    "chern_theta_d_omega",
+})
 
 
 @dataclass
@@ -328,25 +344,24 @@ def star_checks(state: FedosovState, f, g, order, points, mode, tolerances):
 
 
 def chern_checks(bundle: GeometryBundle, machine: FedosovMachine, points, probes_scalar, mode, tolerances):
-    from .chern import AdaptedForm, c0_representative
-
     alpha = bundle.ctx.alpha
+    dim = bundle.ctx.dim
     args = (alpha, mode, tolerances)
     out = []
     gamma = chern_weyl(bundle)
-    mu, lam, kappa = lemma_forms(bundle)
+    mu, lam, kappa = lemma_forms(machine)
 
     def dd():
         worst = 0.0
         for fsig in probes_scalar:
-            zero_form = AdaptedForm(0, bundle.ctx.dim, {(): fsig} if not fsig.is_zero else {})
-            ddf = exterior_derivative(exterior_derivative(zero_form, bundle), bundle)
+            zero_form = WickElement.from_signomial(fsig)
+            ddf = exterior_derivative(exterior_derivative(zero_form, machine), machine)
             worst = max(worst, ddf.sample_norm(points))
         return worst
 
     val, note = _contained(dd)
     out.append(_decide("chern_d_squared", Tier.CLASSICAL, val, *args, default=1e-10, note=note))
-    val, note = _contained(lambda: exterior_derivative(gamma, bundle).sample_norm(points))
+    val, note = _contained(lambda: exterior_derivative(gamma, machine).sample_norm(points))
     out.append(_decide("chern_d_gamma", Tier.CLASSICAL, val, *args, note=note))
     lhs = kappa + lam.scale(1j) - gamma.scale(0.5j)
     out.append(_decide("chern_kappa_identity", Tier.CLASSICAL, lhs.sample_norm(points), *args))
@@ -356,19 +371,14 @@ def chern_checks(bundle: GeometryBundle, machine: FedosovMachine, points, probes
         )
         out.append(_decide("chern_flat_zero", Tier.EXACT, flat_resid, *args, default=0.0))
     if bundle.ctx.classical:
-        comps = {}
-        for i, c in enumerate(lagrange_one_form(bundle.spec)):
-            if not c.is_zero:
-                comps[(i,)] = c
-        domega = exterior_derivative(AdaptedForm(1, bundle.ctx.dim, comps), bundle)
-        theta = AdaptedForm.build(
-            2,
-            bundle.ctx.dim,
+        omega = adapted_form(dim, [((i,), c) for i, c in enumerate(lagrange_one_form(bundle.spec))])
+        domega = exterior_derivative(omega, machine)
+        theta = adapted_form(
+            dim,
             [
                 ((a, b), bundle.symp.theta_lower[a][b])
-                for a in range(bundle.ctx.dim)
-                for b in range(a + 1, bundle.ctx.dim)
-                if not bundle.symp.theta_lower[a][b].is_zero
+                for a in range(dim)
+                for b in range(a + 1, dim)
             ],
         )
         out.append(

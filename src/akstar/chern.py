@@ -1,6 +1,9 @@
 """Characteristic forms from the curvature and torsion traces.
 
-The curvature-trace 2-form
+A differential form is a Wick element with v = 0 and z = 0: its terms are
+keyed ``(0, (0,) * dim, A)`` with ``A`` the strictly increasing tuple of
+co-frame labels, so forms share the Wick element's accumulation, scaling
+and norms.  The curvature-trace 2-form
 
     gamma = -(1/4) J^a'_t R^t_{a' a b} e^a ^ e^b
 
@@ -17,127 +20,36 @@ satisfy kappa + i lam = (i/2) gamma identically, and the zero-degree
 class datum is the representative -(1/(2i)) gamma.  Only the representative
 is computed; no cohomology machinery exists at this scale.
 
-The exterior derivative on the nonholonomic co-frame uses the anholonomy
-realization d e^g = -(1/2) w^g_{ab} e^a ^ e^b, so d^2 = 0 is assertable at
-alpha = 1 only and measured otherwise.
+The exterior derivative is D-check (``FedosovMachine.dconn_apply``) on the
+v = 0, z = 0 part: the frame derivative of the coefficients plus the
+anholonomy realization d e^g = -(1/2) w^g_{ab} e^a ^ e^b, so d^2 = 0 is
+assertable at alpha = 1 only and measured otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import MalformedInputError
 from .expr import Signomial
+from .fedosov import FedosovMachine
 from .geometry import GeometryBundle
-from .wick import sort_word
+from .wick import WickElement
 
 
-@dataclass(frozen=True)
-class AdaptedForm:
-    """Differential form with signomial components on the adapted co-frame.
-
-    ``components`` maps strictly increasing index tuples of length
-    ``degree`` to coefficients; missing keys are zero.
-    """
-
-    degree: int
-    dim: int
-    components: dict
-
-    def __post_init__(self):
-        for key in self.components:
-            if len(key) != self.degree or list(key) != sorted(set(key)):
-                raise MalformedInputError(f"bad form key {key} for degree {self.degree}")
-
-    @classmethod
-    def zero(cls, degree: int, dim: int) -> "AdaptedForm":
-        return cls(degree, dim, {})
-
-    @classmethod
-    def build(cls, degree: int, dim: int, entries) -> "AdaptedForm":
-        """Accumulate (index word, coefficient) pairs with sign tracking."""
-        comps: dict = {}
-        for word, coeff in entries:
-            if coeff.is_zero:
-                continue
-            srt = sort_word(tuple(word))
-            if srt is None:
-                continue
-            sign, key = srt
-            c = coeff.scale(sign) if sign < 0 else coeff
-            if key in comps:
-                s = comps[key] + c
-                if s.is_zero:
-                    del comps[key]
-                else:
-                    comps[key] = s
-            else:
-                comps[key] = c
-        return cls(degree, dim, comps)
-
-    def __add__(self, other: "AdaptedForm") -> "AdaptedForm":
-        if self.degree != other.degree or self.dim != other.dim:
-            raise MalformedInputError("form shape mismatch")
-        comps = dict(self.components)
-        for key, c in other.components.items():
-            if key in comps:
-                s = comps[key] + c
-                if s.is_zero:
-                    del comps[key]
-                else:
-                    comps[key] = s
-            else:
-                comps[key] = c
-        return AdaptedForm(self.degree, self.dim, comps)
-
-    def __sub__(self, other: "AdaptedForm") -> "AdaptedForm":
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: complex) -> "AdaptedForm":
-        if factor == 0:
-            return AdaptedForm.zero(self.degree, self.dim)
-        return AdaptedForm(
-            self.degree, self.dim, {k: c.scale(factor) for k, c in self.components.items()}
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def coeff_norm(self) -> float:
-        return max((c.max_abs_coeff() for c in self.components.values()), default=0.0)
-
-    def sample_norm(self, points) -> float:
-        worst = 0.0
-        for c in self.components.values():
-            for p in points:
-                worst = max(worst, abs(c.eval_at(p)))
-        return worst
+def adapted_form(dim: int, entries) -> WickElement:
+    """Sum of (co-frame index word, coefficient) terms, with sign tracking."""
+    zero_z = (0,) * dim
+    out = WickElement.zero(dim)
+    for word, coeff in entries:
+        out = out + WickElement.from_term(dim, 0, zero_z, word, coeff)
+    return out
 
 
-def exterior_derivative(form: AdaptedForm, bundle: GeometryBundle) -> AdaptedForm:
-    """d on the adapted co-frame: frame gradient plus structure-function part."""
-    dim = bundle.ctx.dim
-    entries = []
-    for key, coeff in form.components.items():
-        for al in range(dim):
-            d = bundle.e(coeff, al)
-            if not d.is_zero:
-                entries.append(((al,) + key, d))
-        for m, g in enumerate(key):
-            rest = key[:m] + key[m + 1:]
-            msign = -1.0 if m % 2 else 1.0
-            for a in range(dim):
-                for b in range(a + 1, dim):
-                    w = bundle.anholonomy[g][a][b]
-                    if w.is_zero:
-                        continue
-                    entries.append(((a, b) + rest, (w * coeff).scale(-msign)))
-    return AdaptedForm.build(form.degree + 1, dim, entries)
+def exterior_derivative(form: WickElement, machine: FedosovMachine) -> WickElement:
+    """d on the adapted co-frame: D-check acting on a v = 0, z = 0 element."""
+    return machine.dconn_apply(form)
 
 
-def chern_weyl(bundle: GeometryBundle) -> AdaptedForm:
-    """Curvature-trace 2-form gamma."""
+def _curvature_trace(bundle: GeometryBundle) -> WickElement:
+    """The 2-form J^a'_t R^t_{a' a b} e^a ^ e^b behind both gamma and kappa."""
     dim = bundle.ctx.dim
     J = bundle.symp.J
     entries = []
@@ -152,12 +64,18 @@ def chern_weyl(bundle: GeometryBundle) -> AdaptedForm:
                     if not r.is_zero:
                         acc = acc + r.scale(J[ap][t])
             if not acc.is_zero:
-                entries.append(((a, b), acc.scale(-0.25)))
-    return AdaptedForm.build(2, dim, entries)
+                entries.append(((a, b), acc))
+    return adapted_form(dim, entries)
 
 
-def lemma_forms(bundle: GeometryBundle):
+def chern_weyl(bundle: GeometryBundle) -> WickElement:
+    """Curvature-trace 2-form gamma."""
+    return _curvature_trace(bundle).scale(-0.25)
+
+
+def lemma_forms(machine: FedosovMachine):
     """The (mu, lam, kappa) triple built from torsion and curvature traces."""
+    bundle = machine.bundle
     dim = bundle.ctx.dim
     J = bundle.symp.J
     mu_entries = []
@@ -172,27 +90,13 @@ def lemma_forms(bundle: GeometryBundle):
                     acc = acc + tt.scale(J[ap][t])
         if not acc.is_zero:
             mu_entries.append(((b,), acc.scale(1.0 / 6.0)))
-    mu = AdaptedForm.build(1, dim, mu_entries)
-    lam = exterior_derivative(mu, bundle)
-
-    kappa_entries = []
-    for g in range(dim):
-        for b in range(g + 1, dim):
-            acc = Signomial.zero(dim)
-            for t in range(dim):
-                for gp in range(dim):
-                    if J[gp][t] == 0.0:
-                        continue
-                    r = bundle.curvature.full[t][gp][g][b]
-                    if not r.is_zero:
-                        acc = acc + r.scale(J[gp][t])
-            if not acc.is_zero:
-                kappa_entries.append(((g, b), acc.scale(-0.125j)))
-    kappa = AdaptedForm.build(2, dim, kappa_entries) - lam.scale(1j)
+    mu = adapted_form(dim, mu_entries)
+    lam = exterior_derivative(mu, machine)
+    kappa = _curvature_trace(bundle).scale(-0.125j) - lam.scale(1j)
     return mu, lam, kappa
 
 
-def c0_representative(gamma: AdaptedForm) -> AdaptedForm:
+def c0_representative(gamma: WickElement) -> WickElement:
     """Representative 2-form of the zero-degree class datum: -(1/(2i)) gamma.
 
     Only the representative is emitted; extracting the de Rham class is out

@@ -163,6 +163,8 @@ def parse_config_dict(raw: dict) -> RunSpec:
     if not isinstance(tolerances, dict):
         _fail("/tolerances", "expected an object of name -> threshold")
     for name, v in tolerances.items():
+        if name not in checklib.CHECK_NAMES:
+            _fail(f"/tolerances/{name}", "unknown check name")
         if not isinstance(v, (int, float)) or v < 0:
             _fail(f"/tolerances/{name}", "threshold must be a nonnegative number")
     tolerances = {k: float(v) for k, v in tolerances.items()}

@@ -230,13 +230,10 @@ class FedosovMachine:
 
     # -- operator-identity residuals -------------------------------------------
 
-    def _ad(self, x: WickElement, y: WickElement) -> WickElement:
-        return self.algebra.commutator(x, y)
-
     def comf_delta_residual(self, probe: WickElement, points=None) -> float:
         """[D-check, delta] - (i/v) ad(T-hat) on a probe."""
         lhs = self.dconn_apply(delta(probe)) + delta(self.dconn_apply(probe))
-        comm = self._ad(self.t_hat, probe)
+        comm = self.algebra.commutator(self.t_hat, probe)
         scale = self.t_hat.coeff_norm() * probe.coeff_norm()
         rhs = comm.scale(1j).div_v(scale) if not comm.is_zero else comm
         return _norm(lhs - rhs, points)
@@ -244,7 +241,7 @@ class FedosovMachine:
     def comf_dsq_residual(self, probe: WickElement, points=None) -> float:
         """D-check^2 + (i/v) ad(R-hat) on a probe."""
         lhs = self.dconn_apply(self.dconn_apply(probe))
-        comm = self._ad(self.r_hat, probe)
+        comm = self.algebra.commutator(self.r_hat, probe)
         scale = self.r_hat.coeff_norm() * probe.coeff_norm()
         rhs = comm.scale(-1j).div_v(scale) if not comm.is_zero else comm
         return _norm(lhs - rhs, points)
@@ -318,16 +315,6 @@ class FedosovMachine:
 
 def _norm(w: WickElement, points=None) -> float:
     return w.coeff_norm() if points is None else w.sample_norm(points)
-
-
-def torsion_element(bundle: GeometryBundle) -> WickElement:
-    """(deg_s, deg_a) = (1, 2) element pairing torsion against theta."""
-    return FedosovMachine(bundle).t_hat
-
-
-def curvature_element(bundle: GeometryBundle) -> WickElement:
-    """(deg_s, deg_a) = (2, 2) element pairing curvature against theta."""
-    return FedosovMachine(bundle).r_hat
 
 
 @dataclass
@@ -454,9 +441,6 @@ class StarCoefficients:
 
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def series_eval(self, point, v: complex) -> complex:
-        return sum(c.eval_at(point) * v ** r for r, c in enumerate(self.coeffs))
 
 
 def star(f: Signomial, g: Signomial, state: FedosovState, order: int) -> StarCoefficients:

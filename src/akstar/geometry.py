@@ -133,7 +133,7 @@ class TorsionTensor:
     The classical component tables (T^i_{ja} = C^i_{ja}, T^a_{ij} =
     Omega^a_{ij}, T^a_{ib} = e_b N^a_i - L^a_{bi}) list the same data with
     the argument pair in the opposite order, i.e. they equal
-    ``full[g][b][a]``; the named accessors below return them in table
+    ``full[g][b][a]``; the named accessor below returns T^i_{ja} in table
     convention.  Both h-h->h and v-v->v parts vanish identically.
     """
 
@@ -145,14 +145,6 @@ class TorsionTensor:
     def h_mixed(self, i: int, j: int, a: int) -> Signomial:
         """Table component T^i_{ja} (equals the cross C coefficient)."""
         return self.full[i][self._n() + a][j]
-
-    def v_hh(self, a: int, i: int, j: int) -> Signomial:
-        """Table component T^a_{ij} (the N-connection curvature)."""
-        return self.full[self._n() + a][j][i]
-
-    def v_hv(self, a: int, i: int, b: int) -> Signomial:
-        """Table component T^a_{ib} = e_b N^a_i - L^a_{bi}."""
-        return self.full[self._n() + a][self._n() + b][i]
 
 
 @dataclass(frozen=True)
@@ -166,12 +158,6 @@ class CurvatureTensor:
 
     full: list
     n: int
-
-    def r_block(self, i, h, j, k):
-        return self.full[i][h][j][k]
-
-    def p_block(self, i, j, k, a):
-        return self.full[i][j][k][self.n + a]
 
     def s_block(self, a, b, c, d):
         n = self.n

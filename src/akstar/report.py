@@ -32,9 +32,10 @@ def matrix_terms(mat) -> list:
 
 
 def form_components(form) -> list:
+    # forms are Wick elements with v = 0 and z = 0; key[2] is the co-frame index tuple
     return [
-        {"idx": list(key), "terms": signomial_terms(coeff)}
-        for key, coeff in sorted(form.components.items())
+        {"idx": list(key[2]), "terms": signomial_terms(coeff)}
+        for key, coeff in sorted(form.terms.items())
     ]
 
 

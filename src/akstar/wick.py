@@ -67,10 +67,9 @@ def sort_word(word):
             w[j - 1], w[j] = w[j], w[j - 1]
             sign = -sign
             j -= 1
+        # the prefix is sorted, so a repeated index always stops next to its twin
         if j > 0 and w[j - 1] == w[j]:
             return None
-    if len(w) >= 1 and any(w[i] == w[i + 1] for i in range(len(w) - 1)):
-        return None
     return sign, tuple(w)
 
 
@@ -352,9 +351,6 @@ class WickAlgebra:
         out = out + self.product(yo, xo)
         return out
 
-    def ad(self, x: WickElement):
-        return lambda y: self.commutator(x, y)
-
 
 def _accum(store: dict, key, coeff: Signomial):
     if key in store:
@@ -365,12 +361,3 @@ def _accum(store: dict, key, coeff: Signomial):
             store[key] = s
     else:
         store[key] = coeff
-
-
-def wick_product(x: WickElement, y: WickElement, lam) -> WickElement:
-    """One-shot product; prefer a shared :class:`WickAlgebra` in loops."""
-    return WickAlgebra(lam).product(x, y)
-
-
-def graded_commutator(x: WickElement, y: WickElement, lam) -> WickElement:
-    return WickAlgebra(lam).commutator(x, y)

@@ -52,6 +52,16 @@ def cross_lagrangian():
     return Signomial.from_terms(4, [(1.0, [0, 2, 2, 0]), (1.0, [2, 0, 0, 2])])
 
 
+def quartic_lagrangian():
+    """L = y^4 (n = 1) — non-zero torsion, so mu, lam and kappa are non-zero."""
+    return Signomial.from_terms(2, [(1.0, [0, 4])])
+
+
+def w4_lagrangian():
+    """L = x1^2 x2 y1^3 + x1 x2 y2^2 (n = 2) — non-zero torsion, curvature and Omega."""
+    return Signomial.from_terms(4, [(1.0, [2, 1, 3, 0]), (1.0, [1, 1, 0, 2])])
+
+
 def make_spec(kind, n, alpha):
     ctx = AlphaContext(alpha=alpha, n=n)
     if kind == "flat":
@@ -61,6 +71,12 @@ def make_spec(kind, n, alpha):
     elif kind == "cross":
         assert n == 2
         L = cross_lagrangian()
+    elif kind == "y4":
+        assert n == 1
+        L = quartic_lagrangian()
+    elif kind == "w4":
+        assert n == 2
+        L = w4_lagrangian()
     else:
         raise ValueError(kind)
     return LagrangianSpec(L=L, ctx=ctx, regularity_points=sample_points(n))

@@ -195,7 +195,7 @@ def test_criterion_4_integer_limit_operator_suite():
             worst = max(worst, m.delta_curvature_residual(pts))
             worst = max(worst, nijenhuis_residual(b, pts))
             gamma = chern_weyl(b)
-            worst = max(worst, exterior_derivative(gamma, b).sample_norm(pts))
+            worst = max(worst, exterior_derivative(gamma, m).sample_norm(pts))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-8 and elapsed < 30.0
     report_line(4, ok, f"integer-limit operator suite, worst {worst:.2e}, {elapsed:.2f} s")
@@ -349,18 +349,18 @@ def test_criterion_7_fractional_end_to_end():
 def test_criterion_8_chern_layer():
     b_flat = make_bundle("flat", 1, 1.0)
     gamma = chern_weyl(b_flat)
-    mu, lam, kappa = lemma_forms(b_flat)
+    mu, lam, kappa = lemma_forms(FedosovMachine(b_flat))
     flat_zero = (
         gamma.is_zero and mu.is_zero and lam.is_zero and kappa.is_zero
     )
     b = make_bundle("coupled", 1, 1.0)
     pts = sample_points(1)
-    dgamma = exterior_derivative(chern_weyl(b), b).sample_norm(pts)
+    dgamma = exterior_derivative(chern_weyl(b), FedosovMachine(b)).sample_norm(pts)
     worst_kappa = 0.0
     for kind, n, alpha in (("coupled", 1, 1.0), ("coupled", 1, 0.5), ("flat", 1, 0.5)):
         bb = make_bundle(kind, n, alpha)
         g2 = chern_weyl(bb)
-        m2, l2, k2 = lemma_forms(bb)
+        m2, l2, k2 = lemma_forms(FedosovMachine(bb))
         resid = (k2 + l2.scale(1j) - g2.scale(0.5j)).sample_norm(sample_points(n))
         worst_kappa = max(worst_kappa, resid)
     ok = flat_zero and dgamma < 1e-8 and worst_kappa < 1e-8

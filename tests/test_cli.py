@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from akstar.checks import CHECK_NAMES
 from akstar.cli import (
     EXIT_CHECK_FAILED,
     EXIT_COMPUTE_ERROR,
@@ -69,6 +70,23 @@ def test_pointer_paths_in_errors():
         parse_config_dict(flat_config(tolerances={"x": -1.0}))
     with pytest.raises(ConfigError, match="/unknown"):
         parse_config_dict(flat_config(unknown=3))
+
+
+def test_unknown_tolerance_name_rejected(tmp_path):
+    # a misspelled check name would otherwise gate nothing, silently
+    with pytest.raises(ConfigError, match="/tolerances/fedosov_r_residul"):
+        parse_config_dict(flat_config(tolerances={"fedosov_r_residul": 1e-40}))
+    with pytest.raises(ConfigError, match="/tolerances/fedosov_r_residual"):
+        parse_config_dict(flat_config(tolerances={"fedosov_r_residual": -1.0}))
+    path = write_config(tmp_path, flat_config(tolerances={"fedosov_r_residul": 1e-40}))
+    assert main(["run", "--config", path], stream=io.StringIO()) == EXIT_CONFIG_ERROR
+
+
+def test_check_names_match_emitted_checks():
+    emitted = set()
+    for cfg in (flat_config(mode="diagnostic"), flat_config(alpha=0.45, mode="diagnostic", truncation_order=3)):
+        emitted |= {c["name"] for c in run_pipeline(parse_config_dict(cfg))["checks"]}
+    assert emitted == CHECK_NAMES
 
 
 # -- pipeline ------------------------------------------------------------------
