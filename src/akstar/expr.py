@@ -19,6 +19,14 @@ puts the numerator Gamma at a pole and raises
 :class:`~akstar.errors.FractionalDomainError`; a pole in the denominator
 makes the term vanish instead.
 
+Input is validated once, where raw terms enter (:meth:`Signomial.from_terms`,
+``partial``, ``caputo``, ``reciprocal``): coefficients must be finite,
+exponent vectors the right length and finite, and exponents are snapped to
+the decimal grid.  ``+``, ``*`` and ``scale`` trust that their operands are
+already canonical and neither re-validate nor re-snap them (a product
+snaps only its new exponent sums); a result coefficient or exponent sum
+that overflows to inf or NaN raises :class:`~akstar.errors.MalformedInputError`.
+
 Evaluation is defined only at points with strictly positive coordinates.
 Values are immutable after construction and every operation is pure, so
 instances are safe to share between threads.
@@ -29,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Sequence
 
 from scipy.special import gammaln, gammasgn
@@ -80,6 +89,7 @@ def power_rule_factor(p: float, alpha: float) -> float:
 
 
 def _canonical(dim: int, items: Iterable[tuple[complex, Sequence[float]]]) -> dict:
+    """Validate, snap and merge raw ``(coefficient, exponents)`` items."""
     merged: dict[ExponentVector, complex] = {}
     for coef, exps in items:
         c = complex(coef)
@@ -97,13 +107,66 @@ def _canonical(dim: int, items: Iterable[tuple[complex, Sequence[float]]]) -> di
             key.append(_snap(e))
         key = tuple(key)
         merged[key] = merged.get(key, 0j) + c
+    return _drop_debris(merged)
+
+
+def _finite_magnitudes(coefs: Iterable[complex]) -> list[float]:
+    """|c| for each coefficient; raises if any is non-finite.
+
+    Finite operands can still overflow under ``+``, ``*`` or ``scale``; an
+    infinite coefficient would make the dead-zone floor infinite and erase
+    every term, so it is an error instead.
+    """
+    try:
+        mags = list(map(abs, coefs))
+    except OverflowError:
+        raise MalformedInputError("coefficient magnitude overflows a float") from None
+    # the sum is NaN if any magnitude is NaN and inf if any is inf
+    if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
+        raise MalformedInputError("non-finite coefficient (arithmetic overflow)")
+    return mags
+
+
+def _drop_debris(merged: dict) -> dict:
+    """Drop coefficients at or below DEAD_ZONE times the largest one.
+
+    Returns ``merged`` itself when nothing is dropped, so callers pass a
+    dict of their own.
+    """
     if not merged:
         return {}
-    top = max(abs(c) for c in merged.values())
+    mags = _finite_magnitudes(merged.values())
+    top = max(mags)
     if top == 0.0:
         return {}
     floor = DEAD_ZONE * top
-    return {k: c for k, c in merged.items() if abs(c) > floor}
+    if min(mags) > floor:
+        return merged
+    return {k: c for (k, c), m in zip(merged.items(), mags) if m > floor}
+
+
+_SNAP_MEMO_SIZE = 1 << 16
+
+
+class _SnapMemo(dict):
+    """``_snap`` memoized on its float argument, an exponent sum of a product.
+
+    A run meets few distinct sums (39 in 2.4 M lookups for W4 ``star`` to
+    order 2, 464 in 0.9 M over the 20-config fractional sweep), and a dict
+    hit is cheaper than ``round`` or an ``lru_cache`` call.  The memo is
+    cleared at ``_SNAP_MEMO_SIZE`` entries so that it stays bounded.
+    """
+
+    def __missing__(self, value: float) -> float:
+        if not math.isfinite(value):
+            raise MalformedInputError(f"non-finite exponent sum {value!r}")
+        if len(self) >= _SNAP_MEMO_SIZE:
+            self.clear()
+        snapped = self[value] = _snap(value)
+        return snapped
+
+
+_snap_sum = _SnapMemo().__getitem__
 
 
 class Signomial:
@@ -159,9 +222,13 @@ class Signomial:
 
     def __add__(self, other: "Signomial") -> "Signomial":
         self._require_same_dim(other)
-        items = [(c, k) for k, c in self.terms.items()]
-        items += [(c, k) for k, c in other.terms.items()]
-        return Signomial(self.dim, _canonical(self.dim, items))
+        # operands are canonical, so keys need no snapping or validation;
+        # 0j + c is _canonical's arithmetic (it turns an imaginary -0.0 into
+        # 0.0), kept so that sums stay bit-identical
+        merged = {k: 0j + c for k, c in self.terms.items()}
+        for k, c in other.terms.items():
+            merged[k] = merged.get(k, 0j) + c
+        return Signomial(self.dim, _drop_debris(merged))
 
     def __sub__(self, other: "Signomial") -> "Signomial":
         return self + (-other)
@@ -172,11 +239,12 @@ class Signomial:
     def __mul__(self, other):
         if isinstance(other, Signomial):
             self._require_same_dim(other)
-            items = []
+            merged: dict[ExponentVector, complex] = {}
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
-                    items.append((c1 * c2, [a + b for a, b in zip(k1, k2)]))
-            return Signomial(self.dim, _canonical(self.dim, items))
+                    key = tuple(map(_snap_sum, map(add, k1, k2)))
+                    merged[key] = merged.get(key, 0j) + c1 * c2
+            return Signomial(self.dim, _drop_debris(merged))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -187,7 +255,9 @@ class Signomial:
             raise MalformedInputError(f"non-finite scale factor {factor!r}")
         if c == 0:
             return Signomial.zero(self.dim)
-        return Signomial(self.dim, {k: v * c for k, v in self.terms.items()})
+        terms = {k: v * c for k, v in self.terms.items()}
+        _finite_magnitudes(terms.values())
+        return Signomial(self.dim, terms)
 
     # -- differentiation ---------------------------------------------------
 

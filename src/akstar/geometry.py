@@ -133,18 +133,11 @@ class TorsionTensor:
     The classical component tables (T^i_{ja} = C^i_{ja}, T^a_{ij} =
     Omega^a_{ij}, T^a_{ib} = e_b N^a_i - L^a_{bi}) list the same data with
     the argument pair in the opposite order, i.e. they equal
-    ``full[g][b][a]``; the named accessor below returns T^i_{ja} in table
-    convention.  Both h-h->h and v-v->v parts vanish identically.
+    ``full[g][b][a]``; T^i_{ja} is ``full[i][n + a][j]``.  Both h-h->h and
+    v-v->v parts vanish identically.
     """
 
     full: list
-
-    def _n(self) -> int:
-        return len(self.full) // 2
-
-    def h_mixed(self, i: int, j: int, a: int) -> Signomial:
-        """Table component T^i_{ja} (equals the cross C coefficient)."""
-        return self.full[i][self._n() + a][j]
 
 
 @dataclass(frozen=True)
@@ -157,11 +150,6 @@ class CurvatureTensor:
     """
 
     full: list
-    n: int
-
-    def s_block(self, a, b, c, d):
-        n = self.n
-        return self.full[n + a][n + b][n + c][n + d]
 
 
 @dataclass(frozen=True)
@@ -436,7 +424,7 @@ def curvature(
                             acc = acc - wab * dconn.gamma(t, s, f)
                     full[t][f][a][b] = acc
                     full[t][f][b][a] = -acc
-    return CurvatureTensor(full=full, n=ctx.n)
+    return CurvatureTensor(full=full)
 
 
 def almost_symplectic(metric: MetricBlocks, ctx: AlphaContext) -> AlmostSymplectic:

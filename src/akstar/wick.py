@@ -159,22 +159,6 @@ class WickElement:
             return WickElement.zero(self.dim)
         return WickElement(self.dim, {k: c.scale(factor) for k, c in self.terms.items()})
 
-    def mul_signomial(self, s: Signomial) -> "WickElement":
-        if s.is_zero:
-            return WickElement.zero(self.dim)
-        out = {}
-        for key, c in self.terms.items():
-            p = c * s
-            if not p.is_zero:
-                out[key] = p
-        return WickElement(self.dim, out)
-
-    def mul_v(self, power: int) -> "WickElement":
-        return WickElement(
-            self.dim,
-            {(v + power, z, a): c for (v, z, a), c in self.terms.items()},
-        )
-
     def div_v(self, scale: float = 0.0) -> "WickElement":
         """Divide by the formal parameter.
 

@@ -70,6 +70,29 @@ def test_add_and_mul_examples():
     assert prod.terms == {(2.0, 0.0): 1 + 0j, (0.0, 2.0): -1 + 0j}
 
 
+def test_overflow_raises_instead_of_erasing():
+    # an infinite coefficient would make the dead-zone floor infinite and
+    # drop every term, the finite ones included
+    big = Signomial.constant(2, 1e308)
+    with pytest.raises(MalformedInputError):
+        big + big
+    with pytest.raises(MalformedInputError):
+        Signomial.constant(2, 1e200) * Signomial.constant(2, 1e200)
+    with pytest.raises(MalformedInputError):
+        # (1e200 + 1e200i)^2 has real part inf - inf = NaN
+        Signomial.constant(2, 1e200 + 1e200j) * Signomial.constant(2, 1e200 + 1e200j)
+    with pytest.raises(MalformedInputError):
+        # the exponent sum overflows, not the coefficient
+        sig(2, (1.0, [1e308, 0])) * sig(2, (1.0, [1e308, 0]))
+    with pytest.raises(MalformedInputError):
+        big.scale(10.0)
+    with pytest.raises(MalformedInputError):
+        sig(2, (1e308, [1, 0]), (1e308, [1, 0]), (1.0, [0, 1]))
+    with pytest.raises(MalformedInputError):
+        sig(2, (1.5e308 + 1.5e308j, [0, 0]))  # finite parts, magnitude overflows
+    assert (big + big.scale(-0.5)).terms == {(0.0, 0.0): 5e307 + 0j}
+
+
 def test_dim_mismatch_rejected():
     with pytest.raises(MalformedInputError):
         Signomial.coordinate(2, 0) + Signomial.coordinate(4, 0)
@@ -261,3 +284,57 @@ def test_ring_laws(a, b, c):
     assert coeff_distance((a + b) + c, a + (b + c)) <= 1e-12 * scale
     assert coeff_distance(a * b, b * a) <= 1e-12 * scale ** 2
     assert coeff_distance(a * (b + c), a * b + a * c) <= 1e-11 * scale ** 2
+
+
+# -- exactness of the canonical-operand kernel -------------------------------
+#
+# ``+`` and ``*`` skip re-validating and re-snapping their canonical operands;
+# they must still return exactly what ``from_terms`` makes of the raw items,
+# in the same key order and with the same float bits (signed zeros included),
+# because term order feeds every later float sum.
+
+# sums such as 0.1 + 0.2 land off the decimal grid and must be snapped
+snapping_exponents = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45, 0.55, 1 / 3, 1.0, 2.5, -0.45])
+# values that cancel into the dead zone (0.1 + 0.2 - 0.3) or to zero
+cancelling_coeffs = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.1, 0.2, -0.3, 1j, -1j, 1e-14, 0.5 - 0.5j]),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def snapping_signomials(draw):
+    # negation leaves -0.0 parts, which from_terms never makes
+    terms = st.tuples(cancelling_coeffs, st.tuples(snapping_exponents, snapping_exponents))
+    s = Signomial.from_terms(2, draw(st.lists(terms, max_size=6)))
+    return -s if draw(st.booleans()) else s
+
+
+def exact(s):
+    return repr(list(s.terms.items()))
+
+
+def raw_items(s):
+    return [(c, k) for k, c in s.terms.items()]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(snapping_signomials(), snapping_signomials(), cancelling_coeffs)
+def test_kernel_matches_from_terms_exactly(a, b, k):
+    assert exact(a + b) == exact(Signomial.from_terms(2, raw_items(a) + raw_items(b)))
+    cross = [
+        (c1 * c2, [x + y for x, y in zip(k1, k2)])
+        for k1, c1 in a.terms.items()
+        for k2, c2 in b.terms.items()
+    ]
+    assert exact(a * b) == exact(Signomial.from_terms(2, cross))
+    scaled = a.scale(k)
+    if k == 0:
+        assert scaled.is_zero
+    else:
+        assert exact(scaled) == repr([(e, c * k) for e, c in a.terms.items()])
+
+
+def test_product_snaps_exponent_sums():
+    p = sig(2, (1.0, [0.1, 0.45])) * sig(2, (1.0, [0.2, -0.45]))
+    assert repr(list(p.terms)) == "[(0.3, 0.0)]"

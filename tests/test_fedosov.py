@@ -93,7 +93,7 @@ def test_hodge_identity_worked_example():
 
 
 def test_sigma_keeps_v_series():
-    w = WickElement.unit(2).mul_v(3).scale(2.0) + WickElement.z_var(2, 0)
+    w = WickElement.from_term(2, 3, (0, 0), (), Signomial.constant(2, 2.0)) + WickElement.z_var(2, 0)
     series = sigma_series(w)
     assert set(series) == {3}
     assert series[3].terms == {(0.0, 0.0): 2 + 0j}
@@ -213,7 +213,7 @@ def test_curvature_element_grading_on_asymmetric_blocks():
              for f in range(2)] for t in range(2)]
     full[1][1][0][1] = full[1][1][0][1].scale(2.0)
     full[1][1][1][0] = full[1][1][1][0].scale(2.0)
-    doctored = dataclasses.replace(b, curvature=CurvatureTensor(full=full, n=1))
+    doctored = dataclasses.replace(b, curvature=CurvatureTensor(full=full))
     m = FedosovMachine(doctored)
     assert not m.r_hat.is_zero
     assert m.r_hat.total_degrees() == {2}

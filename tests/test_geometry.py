@@ -245,8 +245,7 @@ def test_torsion_pure_blocks_vanish(kind, alpha):
 
 def test_torsion_fractional_single_component():
     b = make_bundle("flat", 1, 0.5)
-    t = b.torsion.h_mixed(0, 0, 0)  # table component T^x_{xy}
-    assert t is b.torsion.full[0][1][0]
+    t = b.torsion.full[0][1][0]  # table component T^x_{xy}
     assert t.terms.keys() == {(0.0, -0.5)}
     assert t.terms[(0.0, -0.5)] == pytest.approx(C_VYY, rel=1e-12)
     others = [
@@ -283,7 +282,7 @@ def test_curvature_flat_config_zero():
 def test_curvature_s_block_zero_for_n1():
     for alpha in ALPHAS:
         b = make_bundle("coupled", 1, alpha)
-        assert b.curvature.s_block(0, 0, 0, 0).is_zero
+        assert b.curvature.full[1][1][1][1].is_zero  # S^y_{yyy}
 
 
 @pytest.mark.parametrize("kind,alpha", [("coupled", 1.0), ("coupled", 0.5), ("cross", 1.0)])

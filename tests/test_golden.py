@@ -1,9 +1,14 @@
-"""Golden reports: ``akstar run`` must keep reproducing the stored reports.
+"""Golden reports: ``akstar run`` and ``akstar star`` must keep reproducing
+the stored reports.
 
 Each ``tests/golden/<name>.config.json`` sits next to the report
 ``<name>.json`` written from it by
 
     akstar run --config tests/golden/<name>.config.json --out tests/golden/<name>.json
+
+except the star reports (``STAR_NAMES``), written by
+
+    akstar star --order 1 --config tests/golden/<name>.config.json > tests/golden/<name>.json
 
 Structure, strings, integers, exit codes and check statuses must match
 exactly; a float may move by at most 1e-12 * max(1, |reference|).  Rewrite
@@ -23,6 +28,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # y^4 and coupled n = 2 classically, x^2 y^3 and x^2 y^2 fractionally, and
 # x^2 y^2 at alpha = 0.6, which aborts at a Gamma pole with a partial report
 NAMES = ("y4_a1", "coupled2_a1", "x2y3_a0.7", "x2y2_a0.45", "x2y2_a0.6")
+# W4 (n = 2, non-zero T, R and Omega, so r and the contractions are non-trivial)
+STAR_NAMES = ("w4_star_o1",)
 
 
 def assert_matches(ref, got, where="report"):
@@ -47,6 +54,15 @@ def test_golden_report(name):
     out = io.StringIO()
     code = main(["run", "--config", str(GOLDEN / f"{name}.config.json")], stream=out)
     assert code == ref["status"]["exit_code"]
+    assert_matches(ref, json.loads(out.getvalue()))
+
+
+@pytest.mark.parametrize("name", STAR_NAMES)
+def test_golden_star(name):
+    ref = json.loads((GOLDEN / f"{name}.json").read_text())
+    out = io.StringIO()
+    code = main(["star", "--order", "1", "--config", str(GOLDEN / f"{name}.config.json")], stream=out)
+    assert code == 0
     assert_matches(ref, json.loads(out.getvalue()))
 
 

@@ -125,9 +125,9 @@ def test_lowest_v_antisymmetric_part_is_theta_contraction(alpha):
         ga = [Signomial.from_terms(2, [(complex(rng.normal()), [0, rng.integers(3)])]) for _ in range(2)]
         a = WickElement.zero(2)
         g = WickElement.zero(2)
-        for i in range(2):
-            a = a + WickElement.z_var(2, i).mul_signomial(fa[i])
-            g = g + WickElement.z_var(2, i).mul_signomial(ga[i])
+        for i, z in enumerate(((1, 0), (0, 1))):
+            a = a + WickElement.from_term(2, 0, z, (), fa[i])
+            g = g + WickElement.from_term(2, 0, z, (), ga[i])
         comm = alg.commutator(a, g)
         expect = WickElement.zero(2)
         for i in range(2):
@@ -135,7 +135,7 @@ def test_lowest_v_antisymmetric_part_is_theta_contraction(alpha):
                 th = b.symp.theta_upper[i][j]
                 if th.is_zero:
                     continue
-                expect = expect + WickElement.from_signomial(th * fa[i] * ga[j]).mul_v(1).scale(1j)
+                expect = expect + WickElement.from_term(2, 1, (0, 0), (), (th * fa[i] * ga[j]).scale(1j))
         assert (comm - expect).coeff_norm() <= 1e-12
 
 
@@ -213,4 +213,6 @@ def test_div_v_guard():
     w = WickElement.unit(2)
     with pytest.raises(Exception):
         w.div_v()
-    assert (WickElement.unit(2).mul_v(2).div_v() - WickElement.unit(2).mul_v(1)).coeff_norm() == 0.0
+    one = Signomial.constant(2, 1.0)
+    v2 = WickElement.from_term(2, 2, (0, 0), (), one)
+    assert (v2.div_v() - WickElement.from_term(2, 1, (0, 0), (), one)).coeff_norm() == 0.0
