@@ -321,8 +321,8 @@ def _norm(w: WickElement, points=None) -> float:
 class FedosovState:
     """Solved recursion data: r per total degree plus equation defects.
 
-    Safe to share once solved; the only mutation is an idempotent memo of
-    the summed element.
+    Safe to share once solved; the only mutation is an idempotent memo:
+    the summed element and the tau lifts computed so far.
     """
 
     machine: FedosovMachine
@@ -330,6 +330,7 @@ class FedosovState:
     r_components: dict
     residuals: dict
     _r_total: WickElement | None = field(default=None, repr=False)
+    _tau_memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def bundle(self) -> GeometryBundle:
@@ -359,16 +360,21 @@ class FedosovState:
 # ---------------------------------------------------------------------------
 
 
-def flat_d(w: WickElement, state: FedosovState) -> WickElement:
-    """D-hat = -delta + D-check - (i/v) ad(r)."""
+def flat_d(w: WickElement, state: FedosovState, max_deg=None) -> WickElement:
+    """D-hat = -delta + D-check - (i/v) ad(r), through Deg ``max_deg`` if given.
+
+    Dividing by v lowers Deg by 2, so the commutator is capped at
+    ``max_deg + 2``.
+    """
     machine = state.machine
     out = -delta(w) + machine.dconn_apply(w)
     r = state.r_total()
     if not r.is_zero and not w.is_zero:
-        comm = machine.algebra.commutator(r, w)
+        cap = None if max_deg is None else max_deg + 2
+        comm = machine.algebra.commutator(r, w, max_deg=cap)
         if not comm.is_zero:
             out = out - comm.scale(1j).div_v(r.coeff_norm() * w.coeff_norm())
-    return out
+    return out if max_deg is None else out.truncate(max_deg)
 
 
 def flat_d_squared_residual(probe: WickElement, state: FedosovState, points=None) -> float:
@@ -385,13 +391,13 @@ def flat_d_squared_residual(probe: WickElement, state: FedosovState, points=None
     if not degs:
         return 0.0
     bound = max(degs) + state.K - 1
-    first = flat_d(probe, state).truncate(bound + 1)
+    first = flat_d(probe, state, max_deg=bound + 1)
     # of the top slice only -delta reaches the reported window; applying
     # the full operator there would differentiate coefficients whose fate
     # is to be discarded
     top = first.component(bound + 1)
-    val = flat_d(first.truncate(bound), state) - delta(top)
-    return _norm(val.truncate(bound), points)
+    val = flat_d(first.truncate(bound), state, max_deg=bound) - delta(top)
+    return _norm(val, points)
 
 
 def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
@@ -418,17 +424,22 @@ def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
 
 
 def tau_lift(f: Signomial, state: FedosovState, order: int) -> WickElement:
-    comps = tau_components(f, state, order)
-    out = WickElement.zero(state.machine.dim)
-    for k in sorted(comps):
-        out = out + comps[k]
+    # repr tells -0.0 from 0.0 apart, which reports serialize differently
+    key = (order, repr(list(f.terms.items())))
+    out = state._tau_memo.get(key)
+    if out is None:
+        comps = tau_components(f, state, order)
+        out = WickElement.zero(state.machine.dim)
+        for k in sorted(comps):
+            out = out + comps[k]
+        state._tau_memo[key] = out
     return out
 
 
 def flat_section_residual(f: Signomial, state: FedosovState, order: int, points=None) -> float:
     """Defect of D-hat tau(f) = 0 through Deg ``order - 1``."""
     lift = tau_lift(f, state, order)
-    return _norm(flat_d(lift, state).truncate(order - 1), points)
+    return _norm(flat_d(lift, state, max_deg=order - 1), points)
 
 
 @dataclass(frozen=True)
@@ -459,7 +470,8 @@ def star(f: Signomial, g: Signomial, state: FedosovState, order: int) -> StarCoe
         )
     tf = tau_lift(f, state, lift_deg) if lift_deg else WickElement.from_signomial(f)
     tg = tau_lift(g, state, lift_deg) if lift_deg else WickElement.from_signomial(g)
-    series = sigma_series(state.machine.algebra.product(tf, tg))
+    prod = state.machine.algebra.product(tf, tg, max_deg=lift_deg, sigma_only=True)
+    series = sigma_series(prod)
     dim = state.machine.dim
     coeffs = tuple(series.get(r, Signomial.zero(dim)) for r in range(order + 1))
     return StarCoefficients(f=f, g=g, coeffs=coeffs)

@@ -15,14 +15,20 @@ The fiberwise product twists multiplication by the tensor
             (d_{z^a1} ... d_{z^ar} a) (d_{z^b1} ... d_{z^br} b),
 
 a finite sum because fiber derivatives eventually annihilate either
-factor.  Form factors multiply by wedge with sign tracking; there is no
-artificial truncation here — the formal-parameter cut happens in the
-flat-connection layer.
+factor.  Form factors multiply by wedge with sign tracking.
+
+Deg is additive under this product: a contraction trades two units of
+deg_s for one power of v, so every output of a term pair has the Deg sum
+of the pair.  ``product`` and ``commutator`` therefore accept a degree cap
+that skips a pair before its contraction patterns are enumerated, and
+``product`` a sigma-projection that keeps only the deg_s = deg_a = 0 part.
+Both return exactly the uncapped result restricted to the kept keys: each
+kept key receives the same additions in the same order.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, inf
 
 from .errors import MalformedInputError
 from .expr import Signomial
@@ -278,12 +284,30 @@ class WickAlgebra:
 
         yield from rec(0, list(row_budget), list(col_budget), [], 0)
 
-    def product(self, x: WickElement, y: WickElement) -> WickElement:
+    def product(
+        self, x: WickElement, y: WickElement, *, max_deg=None, sigma_only=False
+    ) -> WickElement:
+        """x o y; with ``max_deg`` only its terms of Deg <= max_deg, with
+        ``sigma_only`` only its deg_s = deg_a = 0 terms.
+
+        A pair whose Deg sum exceeds ``max_deg`` is skipped whole.  The
+        sigma-projection keeps the 0-form pairs with equal deg_s and, of
+        those, the fully contracting patterns.
+        """
         out: dict = {}
         dim = self.dim
-        for (v1, z1, a1), c1 in x.terms.items():
+        cap = inf if max_deg is None else max_deg
+        xs, ys = x.terms.items(), y.terms.items()
+        if sigma_only:
+            xs = [t for t in xs if not t[0][2]]
+            ys = [t for t in ys if not t[0][2]]
+        ys = [(key, c, 2 * key[0] + sum(key[1]), sum(key[1])) for key, c in ys]
+        for (v1, z1, a1), c1 in xs:
             s1 = sum(z1)
-            for (v2, z2, a2), c2 in y.terms.items():
+            room = cap - 2 * v1 - s1
+            for (v2, z2, a2), c2, deg2, s2 in ys:
+                if deg2 > room or (sigma_only and s2 != s1):
+                    continue
                 merged = wedge_merge(a1, a2)
                 if merged is None:
                     continue
@@ -291,12 +315,14 @@ class WickAlgebra:
                 base = c1 * c2
                 if base.is_zero:
                     continue
-                if s1 == 0 or sum(z2) == 0:
+                if s1 == 0 or s2 == 0:
                     # no contraction possible beyond r = 0
                     key = (v1 + v2, tuple(p + q for p, q in zip(z1, z2)), forms)
                     _accum(out, key, base.scale(wsign) if wsign < 0 else base)
                     continue
                 for ks, r in self._patterns(z1, z2):
+                    if sigma_only and r != s1:
+                        continue
                     rows = [0] * dim
                     cols = [0] * dim
                     denom = 1
@@ -324,15 +350,20 @@ class WickAlgebra:
                         z1[i] - rows[i] + z2[i] - cols[i] for i in range(dim)
                     )
                     _accum(out, (v1 + v2 + r, zkey, forms), coeff)
-        return WickElement(dim, {k: c for k, c in out.items() if not c.is_zero})
+        return WickElement(dim, out)
 
-    def commutator(self, x: WickElement, y: WickElement) -> WickElement:
-        """deg_a-graded commutator, extended bilinearly off homogeneity."""
+    def commutator(self, x: WickElement, y: WickElement, *, max_deg=None) -> WickElement:
+        """deg_a-graded commutator, extended bilinearly off homogeneity;
+        with ``max_deg`` only its terms of Deg <= max_deg."""
         xe, xo = x.split_form_parity()
         ye, yo = y.split_form_parity()
-        out = self.product(x, y)
-        out = out - self.product(ye, xe) - self.product(ye, xo) - self.product(yo, xe)
-        out = out + self.product(yo, xo)
+
+        def prod(a, b):
+            return self.product(a, b, max_deg=max_deg)
+
+        out = prod(x, y)
+        out = out - prod(ye, xe) - prod(ye, xo) - prod(yo, xe)
+        out = out + prod(yo, xo)
         return out
 
 

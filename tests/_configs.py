@@ -104,3 +104,8 @@ def probe_fields(n):
     e2[n] = 2.0
     probes.append(Signomial.from_terms(dim, [(1.0, e2)]))
     return probes
+
+
+def exact(x):
+    """Terms of a Signomial or WickElement with key order and coefficient bits."""
+    return repr(list(x.terms.items()))

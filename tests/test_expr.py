@@ -13,6 +13,8 @@ from akstar.errors import (
 )
 from akstar.expr import AlphaContext, Signomial, coeff_distance, power_rule_factor
 
+from _configs import exact
+
 # frozen Gamma ratios, cross-checked against the quadrature oracle below
 TWO_OVER_GAMMA_2P5 = 1.50450555612735        # Gamma(3)/Gamma(2.5)
 ONE_OVER_GAMMA_1P5 = 1.1283791670955126      # Gamma(2)/Gamma(1.5)
@@ -308,10 +310,6 @@ def snapping_signomials(draw):
     terms = st.tuples(cancelling_coeffs, st.tuples(snapping_exponents, snapping_exponents))
     s = Signomial.from_terms(2, draw(st.lists(terms, max_size=6)))
     return -s if draw(st.booleans()) else s
-
-
-def exact(s):
-    return repr(list(s.terms.items()))
 
 
 def raw_items(s):

@@ -23,7 +23,7 @@ from akstar.fedosov import (
 )
 from akstar.wick import WickElement
 
-from _configs import make_bundle, sample_points
+from _configs import exact, make_bundle, sample_points
 
 ALPHAS_FRACTIONAL = (0.3, 0.45, 0.9)
 
@@ -359,6 +359,24 @@ def test_flat_d_squared_fractional_diagnostic(alpha):
     assert finite >= 1
 
 
+@pytest.mark.parametrize("kind,alpha", [("y4", 1.0), ("flat", 0.45)])
+def test_capped_flat_d_is_exact_truncation(kind, alpha):
+    st = machine(kind, 1, alpha).solve_r(3, strict=False)
+    assert not st.r_total().is_zero
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(12):
+        w = rand_wick(rng, 2)
+        try:
+            full = flat_d(w, st)
+        except FractionalDomainError:
+            continue
+        for d in range(max(full.total_degrees(), default=0) + 1):
+            assert exact(flat_d(w, st, max_deg=d)) == exact(full.truncate(d))
+        checked += 1
+    assert checked >= 6
+
+
 # -- lift -------------------------------------------------------------------------------
 
 
@@ -401,6 +419,31 @@ def test_flat_section_residual_classical():
     st = machine("coupled", 1, 1.0).solve_r(7)
     for f in (Signomial.coordinate(2, 0), Signomial.coordinate(2, 1)):
         assert flat_section_residual(f, st, 6) < 1e-9
+
+
+def test_tau_lift_memo_keeps_signed_zeros_apart():
+    st = machine("y4", 1, 1.0).solve_r(3)
+    y = Signomial.coordinate(2, 1)
+    lift = tau_lift(y, st, 3)
+    assert tau_lift(y, st, 3) is lift
+    assert exact(tau_lift(y, st, 2)) == exact(lift.truncate(2))
+    # equal values whose zeros differ in sign, and reports serialize -0.0
+    plus, minus = y.scale(-1j), y.scale(1j).scale(-1)
+    assert plus.terms == minus.terms and repr(plus.terms) != repr(minus.terms)
+    tau_lift(plus, st, 3)
+    fresh = machine("y4", 1, 1.0).solve_r(3)
+    assert exact(tau_lift(minus, st, 3)) == exact(tau_lift(minus, fresh, 3))
+    assert exact(tau_lift(minus, st, 3)) != exact(tau_lift(plus, st, 3))
+
+
+def test_tau_lift_failures_are_not_memoised():
+    st = machine("flat", 1, 0.45).solve_r(3, strict=False)
+    x = Signomial.coordinate(2, 0)
+    for _ in range(2):
+        with pytest.raises(FractionalDomainError):
+            tau_lift(x, st, 4)
+        with pytest.raises(MalformedInputError):
+            tau_lift(x, st, 5)
 
 
 def test_tau_order_guard():
@@ -510,6 +553,20 @@ def test_star_fractional_first_order():
     anti = sc.coeffs[1] - rev.coeffs[1]
     expect = poisson_bracket(x, y, st.bundle).scale(1j)
     assert coeff_distance(anti, expect) < 1e-10
+
+
+def test_star_equals_sigma_of_full_product_exactly():
+    # star asks for the sigma-projected product capped at Deg 2 * order
+    st = machine("y4", 1, 1.0).solve_r(3)
+    x = Signomial.coordinate(2, 0)
+    y = Signomial.coordinate(2, 1)
+    for f, g in ((x, y), (y * y, x), (x * y, y)):
+        full = st.machine.algebra.product(tau_lift(f, st, 4), tau_lift(g, st, 4))
+        series = sigma_series(full)
+        assert max(series) > 2  # the full product runs past the order kept
+        expect = [series.get(r, Signomial.zero(2)) for r in range(3)]
+        got = star(f, g, st, 2).coeffs
+        assert [exact(c) for c in got] == [exact(c) for c in expect]
 
 
 def test_star_order_guard():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from akstar.expr import Signomial
+from akstar.fedosov import sigma
 from akstar.wick import (
     WickAlgebra,
     WickElement,
@@ -12,7 +13,7 @@ from akstar.wick import (
     wedge_merge,
 )
 
-from _configs import make_bundle
+from _configs import exact, make_bundle
 
 ALPHAS = (0.3, 0.5, 0.9, 1.0)
 
@@ -184,6 +185,53 @@ def test_graded_jacobi_seeded(alpha):
         term2 = alg.commutator(b, alg.commutator(c, a)).scale((-1.0) ** (pb * pa))
         term3 = alg.commutator(c, alg.commutator(a, b)).scale((-1.0) ** (pc * pb))
         assert (term1 + term2 + term3).coeff_norm() <= 1e-12
+
+
+# -- degree cap and sigma-projection --------------------------------------------
+
+
+def rand_pair(rng, dim):
+    # each factor gets a 0-form part, so the sigma-projection has pairs to keep
+    def one():
+        return rand_element(rng, dim, max_v=2) + rand_element(rng, dim, max_forms=0)
+
+    return one(), one()
+
+
+CAP_CASES = [("y4", 1, 1.0), ("y4", 1, 0.45), ("coupled", 2, 1.0), ("coupled", 2, 0.45)]
+
+
+@pytest.mark.parametrize("kind,n,alpha", CAP_CASES)
+def test_degree_cap_is_exact_truncation(kind, n, alpha):
+    alg = algebra(alpha, kind, n)
+    rng = np.random.default_rng(31)
+    cut = 0
+    for _ in range(12):
+        x, y = rand_pair(rng, 2 * n)
+        full = alg.product(x, y)
+        comm = alg.commutator(x, y)
+        for d in range(max(full.total_degrees() | comm.total_degrees()) + 1):
+            capped = alg.product(x, y, max_deg=d)
+            assert exact(capped) == exact(full.truncate(d))
+            assert exact(alg.commutator(x, y, max_deg=d)) == exact(comm.truncate(d))
+            cut += 0 < len(capped.terms) < len(full.terms)
+    assert cut >= 20
+
+
+@pytest.mark.parametrize("kind,n,alpha", CAP_CASES)
+def test_sigma_projected_product_is_exact_sigma(kind, n, alpha):
+    alg = algebra(alpha, kind, n)
+    rng = np.random.default_rng(37)
+    kept = 0
+    for _ in range(12):
+        x, y = rand_pair(rng, 2 * n)
+        full = sigma(alg.product(x, y))
+        assert exact(alg.product(x, y, sigma_only=True)) == exact(full)
+        for d in range(max(full.total_degrees(), default=0) + 1):
+            got = alg.product(x, y, max_deg=d, sigma_only=True)
+            assert exact(got) == exact(full.truncate(d))
+        kept += not full.is_zero
+    assert kept >= 6
 
 
 def test_commutator_of_even_element_with_itself_vanishes():
