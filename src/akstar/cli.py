@@ -10,7 +10,8 @@ Subcommands:
 * ``star --config PATH --order K`` — star-product coefficients only.
 
 Exit codes: 0 all pass, 1 invariant failure (strict mode), 2 computation
-domain error (a partial report is still emitted), 3 configuration error.
+domain error (``run`` still emits every finished section and names the
+stage that failed in ``error.stage``), 3 configuration error.
 """
 
 from __future__ import annotations
@@ -256,218 +257,184 @@ def _geometry_section(bundle: GeometryBundle) -> dict:
     }
 
 
-def run_pipeline(spec: RunSpec) -> dict:
-    """Execute every stage and assemble the report dictionary.
+# Stage names in run order.  ``check`` and ``star`` run a subset in the
+# same order, together with the stages it reads (geometry, recursion).
+STAGES = (
+    "caputo",
+    "geometry",
+    "algebra",
+    "geometry-checks",
+    "recursion",
+    "fedosov-checks",
+    "star",
+    "chern",
+)
+CHECK_STAGES = {
+    "caputo": ("caputo",),
+    "algebra": ("geometry", "algebra"),
+    "geometry": ("geometry", "geometry-checks"),
+    "fedosov": ("geometry", "recursion", "fedosov-checks"),
+}
+STAR_STAGES = ("geometry", "recursion", "star")
 
-    Raises EngineError subclasses on computation failures; the caller is
-    responsible for wrapping partial output.
+
+class Pipeline:
+    """The stages of one invocation over one configuration, in order.
+
+    Each stage adds its report section and its check results as it
+    finishes, and ``stage`` names the stage in progress, so after a
+    computation failure ``finish(err)`` still reports every finished
+    section and says where the run stopped.
     """
-    report: dict = {
-        "engine": {"name": "akstar", "version": __version__},
-        "provenance": {
-            "config_sha256": reportlib.config_digest(spec.canonical),
-            "seed": spec.seed,
-        },
-        "config": spec.canonical,
-    }
-    results = []
-    points = spec.sample_points
-    ctx = spec.ctx
 
-    if spec.alpha < 1.0:
-        results.extend(checklib.caputo_checks(spec.alpha, spec.mode, spec.tolerances))
+    def __init__(self, spec: RunSpec, star_order: int | None = None, star_checks: bool = True):
+        self.spec = spec
+        ctx = spec.ctx
+        if star_order is None:
+            # full depth classically; first order for alpha < 1, where
+            # deeper lifts can leave the differentiable class
+            star_order = (spec.truncation_order + 1) // 2 if ctx.classical else 1
+        self.star_order = star_order
+        self.star_checks = star_checks
+        self.scalar_probes = [Signomial.constant(ctx.dim, 1.0)] + [
+            Signomial.coordinate(ctx.dim, i) for i in range(ctx.dim)
+        ] + [spec.observable_f, spec.observable_g]
+        self.results = []
+        self.stage = None
+        self.report = {
+            "engine": {"name": "akstar", "version": __version__},
+            "provenance": {
+                "config_sha256": reportlib.config_digest(spec.canonical),
+                "seed": spec.seed,
+            },
+            "config": spec.canonical,
+        }
 
-    lag_spec = LagrangianSpec(L=spec.lagrangian, ctx=ctx, regularity_points=points)
-    bundle = build_geometry(lag_spec)
-    report["geometry"] = _geometry_section(bundle)
+    def run(self, stages) -> dict:
+        for self.stage in stages:
+            getattr(self, "_" + self.stage.replace("-", "_"))()
+        return self.finish()
 
-    results.extend(
-        checklib.algebra_checks(bundle, seed=spec.seed, mode=spec.mode, tolerances=spec.tolerances)
-    )
+    def finish(self, err: EngineError | None = None) -> dict:
+        """Add the check list and the status; with ``err``, the abort too."""
+        spec = self.spec
+        failed = sorted(r.name for r in self.results if r.status == "fail")
+        if err is not None:
+            self.report["error"] = {
+                "type": type(err).__name__,
+                "message": str(err),
+                "stage": self.stage,
+            }
+            exit_code = EXIT_COMPUTE_ERROR
+        elif failed and spec.mode == "strict":
+            exit_code = EXIT_CHECK_FAILED
+        else:
+            exit_code = EXIT_OK
+        self.report["checks"] = [reportlib.check_entry(r) for r in self.results]
+        self.report["status"] = {"mode": spec.mode, "exit_code": exit_code, "failed": failed}
+        return self.report
 
-    dim = ctx.dim
-    scalar_probes = [Signomial.constant(dim, 1.0)] + [
-        Signomial.coordinate(dim, i) for i in range(dim)
-    ] + [spec.observable_f, spec.observable_g]
-    results.extend(
-        checklib.geometry_checks(bundle, points, scalar_probes, spec.mode, spec.tolerances)
-    )
+    def _caputo(self):
+        spec = self.spec
+        if spec.alpha < 1.0:
+            self.results.extend(checklib.caputo_checks(spec.alpha, spec.mode, spec.tolerances))
 
-    machine = FedosovMachine(bundle)
-    state = machine.solve_r(spec.truncation_order, strict=False)
-    report["fedosov"] = {
-        "truncation_order": spec.truncation_order,
-        "r_residuals": {str(d): v for d, v in sorted(state.residuals.items())},
-        "r_term_counts": {
-            str(d): len(state.r_components[d].terms) for d in sorted(state.r_components)
-        },
-        "gauge_residual": state.gauge_residual(),
-    }
-    probes = make_probes(bundle, seed=spec.seed, count=8)
-    results.extend(
-        checklib.fedosov_checks(machine, state, points, probes, spec.mode, spec.tolerances)
-    )
+    def _geometry(self):
+        spec = self.spec
+        self.bundle = build_geometry(
+            LagrangianSpec(L=spec.lagrangian, ctx=spec.ctx, regularity_points=spec.sample_points)
+        )
+        self.report["geometry"] = _geometry_section(self.bundle)
 
-    # star order: full depth classically; first order for alpha < 1, where
-    # deeper lifts can leave the differentiable class
-    if ctx.classical:
-        star_order = (spec.truncation_order + 1) // 2
-    else:
-        star_order = 1
-    star_results, coeffs = checklib.star_checks(
-        state, spec.observable_f, spec.observable_g, star_order, points, spec.mode, spec.tolerances
-    )
-    results.extend(star_results)
-    report["star"] = {
-        "order": star_order,
-        "f": reportlib.signomial_terms(spec.observable_f),
-        "g": reportlib.signomial_terms(spec.observable_g),
-        "coefficients": [
-            {"r": r, "terms": reportlib.star_terms(c)} for r, c in enumerate(coeffs.coeffs)
-        ],
-    }
+    def _algebra(self):
+        spec = self.spec
+        self.results.extend(
+            checklib.algebra_checks(self.bundle, spec.seed, spec.mode, spec.tolerances)
+        )
 
-    chern_results, forms = checklib.chern_checks(
-        bundle, machine, points, scalar_probes, spec.mode, spec.tolerances
-    )
-    results.extend(chern_results)
-    report["chern"] = {
-        name: reportlib.form_components(form) for name, form in sorted(forms.items())
-    }
-    report["chern"]["note"] = (
-        "c0 entry is the representative 2-form -(1/(2i)) gamma; no cohomology "
-        "class extraction is performed"
-    )
+    def _geometry_checks(self):
+        spec = self.spec
+        self.results.extend(
+            checklib.geometry_checks(
+                self.bundle, spec.sample_points, self.scalar_probes, spec.mode, spec.tolerances
+            )
+        )
 
-    failed = sorted(r.name for r in results if r.status == "fail")
-    exit_code = EXIT_CHECK_FAILED if (failed and spec.mode == "strict") else EXIT_OK
-    report["checks"] = [reportlib.check_entry(r) for r in results]
-    report["status"] = {
-        "mode": spec.mode,
-        "exit_code": exit_code,
-        "failed": failed,
-    }
-    return report
+    def _recursion(self):
+        k = max(self.spec.truncation_order, 2 * self.star_order - 1)
+        self.machine = FedosovMachine(self.bundle)
+        self.state = state = self.machine.solve_r(k, strict=False)
+        self.report["fedosov"] = {
+            "truncation_order": k,
+            "r_residuals": {str(d): v for d, v in sorted(state.residuals.items())},
+            "r_term_counts": {
+                str(d): len(state.r_components[d].terms) for d in sorted(state.r_components)
+            },
+            "gauge_residual": state.gauge_residual(),
+        }
+
+    def _fedosov_checks(self):
+        spec = self.spec
+        probes = make_probes(self.bundle, seed=spec.seed, count=8)
+        self.results.extend(
+            checklib.fedosov_checks(
+                self.machine, self.state, spec.sample_points, probes, spec.mode, spec.tolerances
+            )
+        )
+
+    def _star(self):
+        spec = self.spec
+        f, g, order = spec.observable_f, spec.observable_g, self.star_order
+        if self.star_checks:
+            results, coeffs = checklib.star_checks(
+                self.state, f, g, order, spec.sample_points, spec.mode, spec.tolerances
+            )
+            self.results.extend(results)
+        else:
+            coeffs = star(f, g, self.state, order)
+        self.report["star"] = {
+            "order": order,
+            "f": reportlib.signomial_terms(f),
+            "g": reportlib.signomial_terms(g),
+            "coefficients": [
+                {"r": r, "terms": reportlib.star_terms(c)} for r, c in enumerate(coeffs.coeffs)
+            ],
+        }
+
+    def _chern(self):
+        spec = self.spec
+        results, forms = checklib.chern_checks(
+            self.bundle, self.machine, spec.sample_points, self.scalar_probes, spec.mode,
+            spec.tolerances,
+        )
+        self.results.extend(results)
+        chern = {name: reportlib.form_components(form) for name, form in sorted(forms.items())}
+        chern["note"] = (
+            "c0 entry is the representative 2-form -(1/(2i)) gamma; no cohomology "
+            "class extraction is performed"
+        )
+        self.report["chern"] = chern
 
 
-def _partial_report(spec: RunSpec, err: EngineError) -> dict:
-    return {
-        "engine": {"name": "akstar", "version": __version__},
-        "provenance": {
-            "config_sha256": reportlib.config_digest(spec.canonical),
-            "seed": spec.seed,
-        },
-        "config": spec.canonical,
-        "error": {"type": type(err).__name__, "message": str(err)},
-        "status": {"mode": spec.mode, "exit_code": EXIT_COMPUTE_ERROR, "failed": []},
-    }
+def run_pipeline(spec: RunSpec, pipeline: Pipeline | None = None) -> dict:
+    """Run every stage and return the report.
+
+    A computation failure propagates as an EngineError; ``pipeline``, when
+    given, then holds the sections finished before it.
+    """
+    return (pipeline or Pipeline(spec)).run(STAGES)
 
 
 def _emit(report: dict, fmt: str, out_path: str | None, stream) -> None:
     if fmt == "json":
-        blob = reportlib.emit_json(report)
-        if out_path:
-            with open(out_path, "wb") as fh:
-                fh.write(blob)
-        else:
-            stream.write(blob.decode("utf-8"))
+        text = reportlib.emit_json(report).decode("utf-8")
     else:
         text = reportlib.emit_text(report)
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            stream.write(text)
-
-
-def _cmd_run(args, stream) -> int:
-    spec = parse_config(args.config)
-    if args.order is not None:
-        raw = dict(spec.canonical)
-        raw["truncation_order"] = args.order
-        spec = parse_config_dict(raw)
-    try:
-        report = run_pipeline(spec)
-    except EngineError as err:
-        if isinstance(err, ConfigError):
-            raise
-        _emit(_partial_report(spec, err), args.format, args.out, stream)
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
-    _emit(report, args.format, args.out, stream)
-    return report["status"]["exit_code"]
-
-
-def _cmd_check(args, stream) -> int:
-    spec = parse_config(args.config)
-    points = spec.sample_points
-    results = []
-    try:
-        if args.group == "caputo":
-            if spec.alpha >= 1.0:
-                print("caputo check needs a fractional alpha", file=sys.stderr)
-                return EXIT_CONFIG_ERROR
-            results = checklib.caputo_checks(spec.alpha, spec.mode, spec.tolerances)
-        else:
-            lag_spec = LagrangianSpec(L=spec.lagrangian, ctx=spec.ctx, regularity_points=points)
-            bundle = build_geometry(lag_spec)
-            if args.group == "algebra":
-                results = checklib.algebra_checks(bundle, spec.seed, spec.mode, spec.tolerances)
-            elif args.group == "geometry":
-                dim = spec.ctx.dim
-                scalar_probes = [Signomial.constant(dim, 1.0)] + [
-                    Signomial.coordinate(dim, i) for i in range(dim)
-                ]
-                results = checklib.geometry_checks(
-                    bundle, points, scalar_probes, spec.mode, spec.tolerances
-                )
-            else:  # fedosov
-                machine = FedosovMachine(bundle)
-                state = machine.solve_r(spec.truncation_order, strict=False)
-                probes = make_probes(bundle, seed=spec.seed, count=8)
-                results = checklib.fedosov_checks(
-                    machine, state, points, probes, spec.mode, spec.tolerances
-                )
-    except EngineError as err:
-        if isinstance(err, ConfigError):
-            raise
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
-    for r in results:
-        val = "pole" if r.value is None else f"{r.value:.3e}"
-        thr = "-" if r.threshold is None else f"{r.threshold:.1e}"
-        stream.write(f"{r.name:<28} {r.status:<10} value {val:>10}  tol {thr}\n")
-    failed = [r.name for r in results if r.status == "fail"]
-    return EXIT_CHECK_FAILED if (failed and spec.mode == "strict") else EXIT_OK
-
-
-def _cmd_star(args, stream) -> int:
-    spec = parse_config(args.config)
-    order = args.order if args.order is not None else (spec.truncation_order + 1) // 2
-    try:
-        lag_spec = LagrangianSpec(
-            L=spec.lagrangian, ctx=spec.ctx, regularity_points=spec.sample_points
-        )
-        bundle = build_geometry(lag_spec)
-        machine = FedosovMachine(bundle)
-        k_state = max(spec.truncation_order, 2 * order - 1, 2)
-        state = machine.solve_r(k_state, strict=False)
-        coeffs = star(spec.observable_f, spec.observable_g, state, order)
-    except EngineError as err:
-        if isinstance(err, ConfigError):
-            raise
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
-    payload = {
-        "order": order,
-        "f": reportlib.signomial_terms(spec.observable_f),
-        "g": reportlib.signomial_terms(spec.observable_g),
-        "coefficients": [
-            {"r": r, "terms": reportlib.star_terms(c)} for r, c in enumerate(coeffs.coeffs)
-        ],
-    }
-    stream.write(reportlib.emit_json(payload).decode("utf-8"))
-    return EXIT_OK
+    if out_path:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        stream.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,17 +463,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, stream=None) -> int:
     stream = stream or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args, stream)
-        if args.command == "check":
-            return _cmd_check(args, stream)
-        return _cmd_star(args, stream)
+        spec = parse_config(args.config)
+        if args.command == "run" and args.order is not None:
+            raw = dict(spec.canonical)
+            raw["truncation_order"] = args.order
+            spec = parse_config_dict(raw)
+        if args.command == "star" and args.order is not None and args.order < 0:
+            _fail("--order", "order must be nonnegative")
+        if args.command == "check" and args.group == "caputo" and spec.alpha >= 1.0:
+            _fail("/alpha", "the caputo check needs a fractional alpha")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+
+    if args.command == "star":
+        order = args.order if args.order is not None else (spec.truncation_order + 1) // 2
+        pipeline = Pipeline(spec, star_order=order, star_checks=False)
+    else:
+        pipeline = Pipeline(spec)
+    try:
+        if args.command == "run":
+            report = run_pipeline(spec, pipeline)
+        elif args.command == "check":
+            report = pipeline.run(CHECK_STAGES[args.group])
+        else:
+            report = pipeline.run(STAR_STAGES)
+    except EngineError as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        report = pipeline.finish(err)
+
+    if args.command == "run":
+        _emit(report, args.format, args.out, stream)
+    elif args.command == "check":
+        for entry in report["checks"]:
+            stream.write(reportlib.check_line(entry) + "\n")
+    elif "star" in report:
+        stream.write(reportlib.emit_json(report["star"]).decode("utf-8"))
+    return report["status"]["exit_code"]
 
 
 def entrypoint() -> None:

@@ -59,8 +59,11 @@ def emit_json(report: dict) -> bytes:
     return json.dumps(report, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
-def parse_report(blob: bytes) -> dict:
-    return json.loads(blob.decode("utf-8"))
+def check_line(entry: dict) -> str:
+    """One check as a fixed-width line, without its note."""
+    val = "pole" if entry["value"] is None else f"{entry['value']:.3e}"
+    thr = "-" if entry["threshold"] is None else f"{entry['threshold']:.1e}"
+    return f"{entry['name']:<28} {entry['status']:<10} value {val:>10}  tol {thr}"
 
 
 def emit_text(report: dict) -> str:
@@ -85,17 +88,14 @@ def emit_text(report: dict) -> str:
         lines.append(f"star coefficients through v^{len(strsec['coefficients']) - 1}")
     lines.append("checks:")
     for entry in report.get("checks", []):
-        val = "pole" if entry["value"] is None else f"{entry['value']:.3e}"
-        thr = "-" if entry["threshold"] is None else f"{entry['threshold']:.1e}"
         note = f"  ({entry['note']})" if entry["note"] else ""
-        lines.append(
-            f"  {entry['name']:<28} {entry['status']:<10} value {val:>10}  tol {thr}{note}"
-        )
+        lines.append(f"  {check_line(entry)}{note}")
     status = report.get("status", {})
     lines.append(
         f"result: exit {status.get('exit_code')}"
         + (f"  failed: {', '.join(status['failed'])}" if status.get("failed") else "")
     )
     if "error" in report:
-        lines.append(f"error: {report['error']['type']}: {report['error']['message']}")
+        err = report["error"]
+        lines.append(f"error: {err['type']}: {err['message']} (stage {err['stage']})")
     return "\n".join(lines) + "\n"

@@ -113,12 +113,6 @@ class WickElement:
         return cls(s.dim, {key: s})
 
     @classmethod
-    def z_var(cls, dim: int, index: int) -> "WickElement":
-        z = [0] * dim
-        z[index] = 1
-        return cls.from_term(dim, 0, tuple(z), (), Signomial.constant(dim, 1.0))
-
-    @classmethod
     def from_term(cls, dim, v_power, z_degrees, form_indices, coeff: Signomial) -> "WickElement":
         if coeff.is_zero:
             return cls.zero(dim)
@@ -230,14 +224,6 @@ class WickElement:
         for (v, z, a), c in sorted(self.terms.items()):
             bits.append(f"v^{v} z{list(z)} e{list(a)} * {c!r}")
         return "<wick " + (" + ".join(bits) if bits else "0") + ">"
-
-
-def gradings(w: WickElement) -> dict:
-    """Per-term (deg_v, deg_s, deg_a, Deg) bookkeeping."""
-    return {
-        key: (key[0], sum(key[1]), len(key[2]), 2 * key[0] + sum(key[1]))
-        for key in w.terms
-    }
 
 
 class WickAlgebra:

@@ -2,6 +2,7 @@
 
 from akstar.expr import AlphaContext, Signomial
 from akstar.geometry import GeometryBundle, LagrangianSpec, build_geometry
+from akstar.wick import WickElement
 
 SAMPLE_POINTS_1 = (
     (1.0, 1.0),
@@ -109,3 +110,9 @@ def probe_fields(n):
 def exact(x):
     """Terms of a Signomial or WickElement with key order and coefficient bits."""
     return repr(list(x.terms.items()))
+
+
+def z_var(dim, index):
+    """The fiber coordinate z^index as a Wick element."""
+    z = tuple(int(i == index) for i in range(dim))
+    return WickElement.from_term(dim, 0, z, (), Signomial.constant(dim, 1.0))

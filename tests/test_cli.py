@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,9 @@ from akstar.cli import (
     run_pipeline,
 )
 from akstar.errors import ConfigError
-from akstar.report import emit_json, emit_text, parse_report
+from akstar.report import emit_json, emit_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def flat_config(**over):
@@ -140,7 +143,7 @@ def test_report_is_deterministic():
 
 def test_report_round_trip():
     rep = run_pipeline(parse_config_dict(flat_config()))
-    assert parse_report(emit_json(rep)) == json.loads(json.dumps(rep))
+    assert json.loads(emit_json(rep)) == json.loads(json.dumps(rep))
 
 
 def test_text_report_one_line_per_check():
@@ -167,7 +170,7 @@ def test_cmd_run_exit_zero(tmp_path):
     path = write_config(tmp_path, flat_config())
     code = main(["run", "--config", path], stream=out)
     assert code == EXIT_OK
-    rep = parse_report(out.getvalue().encode())
+    rep = json.loads(out.getvalue())
     assert rep["status"]["exit_code"] == EXIT_OK
 
 
@@ -176,7 +179,7 @@ def test_cmd_run_writes_file(tmp_path):
     out_path = tmp_path / "report.json"
     code = main(["run", "--config", path, "--out", str(out_path)], stream=io.StringIO())
     assert code == EXIT_OK
-    rep = parse_report(out_path.read_bytes())
+    rep = json.loads(out_path.read_bytes())
     assert rep["engine"]["name"] == "akstar"
 
 
@@ -193,7 +196,7 @@ def test_cmd_run_order_override(tmp_path):
     path = write_config(tmp_path, flat_config(truncation_order=2))
     code = main(["run", "--config", path, "--order", "4"], stream=out)
     assert code == EXIT_OK
-    rep = parse_report(out.getvalue().encode())
+    rep = json.loads(out.getvalue())
     assert rep["config"]["truncation_order"] == 4
 
 
@@ -210,9 +213,13 @@ def test_exit_code_compute_error_with_partial_report(tmp_path):
     out = io.StringIO()
     code = main(["run", "--config", path], stream=out)
     assert code == EXIT_COMPUTE_ERROR
-    rep = parse_report(out.getvalue().encode())
+    rep = json.loads(out.getvalue())
     assert rep["error"]["type"] == "ExpressionClassError"
     assert rep["status"]["exit_code"] == EXIT_COMPUTE_ERROR
+    # the Hessian is inverted while the geometry is built: nothing finished
+    assert rep["error"]["stage"] == "geometry"
+    assert "geometry" not in rep
+    assert rep["checks"] == []
 
 
 def test_exit_code_compute_error_alpha_half_class_exit(tmp_path):
@@ -223,8 +230,14 @@ def test_exit_code_compute_error_alpha_half_class_exit(tmp_path):
     out = io.StringIO()
     code = main(["run", "--config", path], stream=out)
     assert code == EXIT_COMPUTE_ERROR
-    rep = parse_report(out.getvalue().encode())
+    rep = json.loads(out.getvalue())
     assert rep["error"]["type"] == "FractionalDomainError"
+    # the sections finished before the recursion stay in the report
+    assert rep["error"]["stage"] == "recursion"
+    assert "geometry" in rep
+    assert not {"fedosov", "star", "chern"} & set(rep)
+    prefixes = {c["name"].split("_")[0] for c in rep["checks"]}
+    assert prefixes == {"caputo", "algebra", "geometry"}
 
 
 def test_exit_code_check_failure(tmp_path):
@@ -250,9 +263,33 @@ def test_check_subcommands(tmp_path):
     assert "caputo_power_rule" in out.getvalue()
 
 
-def test_check_caputo_requires_fractional_alpha(tmp_path):
+def test_check_geometry_matches_run(tmp_path):
+    # the geometry checks probe the configured observables in both commands
+    cfg = json.loads((GOLDEN / "x2y2_a0.45.config.json").read_text())
+    cfg["observables"] = {"f": [{"c": 1, "exp": [3, 2]}], "g": [{"c": 1, "exp": [0, 3]}]}
+    path = write_config(tmp_path, cfg)
+    run_out, check_out = io.StringIO(), io.StringIO()
+    assert main(["run", "--config", path, "--format", "text"], stream=run_out) == EXIT_OK
+    assert main(["check", "geometry", "--config", path], stream=check_out) == EXIT_OK
+    run_lines = [
+        line.strip() for line in run_out.getvalue().splitlines() if line.startswith("  geometry_")
+    ]
+    assert len(run_lines) == 10
+    assert check_out.getvalue().splitlines() == run_lines
+
+
+def test_star_negative_order_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, flat_config())
+    out = io.StringIO()
+    assert main(["star", "--config", path, "--order", "-1"], stream=out) == EXIT_CONFIG_ERROR
+    assert out.getvalue() == ""
+    assert "--order" in capsys.readouterr().err
+
+
+def test_check_caputo_requires_fractional_alpha(tmp_path, capsys):
     path = write_config(tmp_path, flat_config())
     assert main(["check", "caputo", "--config", path], stream=io.StringIO()) == EXIT_CONFIG_ERROR
+    assert "/alpha" in capsys.readouterr().err
 
 
 def test_fractional_two_dim_pipeline():

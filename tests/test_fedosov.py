@@ -23,7 +23,7 @@ from akstar.fedosov import (
 )
 from akstar.wick import WickElement
 
-from _configs import exact, make_bundle, sample_points
+from _configs import exact, make_bundle, sample_points, z_var
 
 ALPHAS_FRACTIONAL = (0.3, 0.45, 0.9)
 
@@ -52,7 +52,7 @@ def rand_wick(rng, dim, max_s=4, max_forms=2):
 
 
 def test_delta_and_inverse_on_generators():
-    zx = WickElement.z_var(2, 0)
+    zx = z_var(2, 0)
     d = delta(zx)
     assert d.terms.keys() == {(0, (0, 0), (0,))}
     back = delta_inv(d)
@@ -93,7 +93,7 @@ def test_hodge_identity_worked_example():
 
 
 def test_sigma_keeps_v_series():
-    w = WickElement.from_term(2, 3, (0, 0), (), Signomial.constant(2, 2.0)) + WickElement.z_var(2, 0)
+    w = WickElement.from_term(2, 3, (0, 0), (), Signomial.constant(2, 2.0)) + z_var(2, 0)
     series = sigma_series(w)
     assert set(series) == {3}
     assert series[3].terms == {(0.0, 0.0): 2 + 0j}
@@ -120,7 +120,7 @@ def test_delta_is_graded_derivation(alpha):
 
 def test_dconn_flat_annihilates_fiber_generator():
     m = machine("flat", 1, 1.0)
-    assert m.dconn_apply(WickElement.z_var(2, 0)).is_zero
+    assert m.dconn_apply(z_var(2, 0)).is_zero
 
 
 def test_dconn_on_scalar_is_frame_gradient():
@@ -141,7 +141,7 @@ def test_dconn_transport_matches_independent_koszul_values():
     b = m.bundle
     p = (1.0, 1.0)
     h = 1e-6
-    got = m.dconn_apply(WickElement.z_var(2, 1))
+    got = m.dconn_apply(z_var(2, 1))
 
     def e_num(f, idx, at):
         up, dn = list(at), list(at)
@@ -330,7 +330,7 @@ def test_truncation_order_validated():
 
 def test_flat_d_on_flat_config():
     st = machine("flat", 1, 1.0).solve_r(3)
-    zx = WickElement.z_var(2, 0)
+    zx = z_var(2, 0)
     once = flat_d(zx, st)
     assert (once + delta(zx)).coeff_norm() == 0.0  # D-hat = -delta here
     assert flat_d(once, st).coeff_norm() == 0.0
@@ -384,7 +384,7 @@ def test_tau_of_coordinate_on_flat_config():
     st = machine("flat", 1, 1.0).solve_r(4)
     x = Signomial.coordinate(2, 0)
     lift = tau_lift(x, st, 4)
-    expect = WickElement.from_signomial(x) + WickElement.z_var(2, 0)
+    expect = WickElement.from_signomial(x) + z_var(2, 0)
     assert (lift - expect).coeff_norm() == 0.0
 
 

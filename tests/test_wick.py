@@ -8,12 +8,11 @@ from akstar.fedosov import sigma
 from akstar.wick import (
     WickAlgebra,
     WickElement,
-    gradings,
     sort_word,
     wedge_merge,
 )
 
-from _configs import exact, make_bundle
+from _configs import exact, make_bundle, z_var
 
 ALPHAS = (0.3, 0.5, 0.9, 1.0)
 
@@ -61,22 +60,23 @@ def test_sort_word():
 
 
 def test_grading_examples():
+    # (deg_v, deg_s, deg_a, Deg) of single-term elements
     dim = 2
-    v_term = WickElement.from_term(dim, 1, (0, 0), (), Signomial.constant(dim, 1.0))
-    assert list(gradings(v_term).values()) == [(1, 0, 0, 2)]
-
-    mixed = WickElement.from_term(dim, 0, (1, 1), (0,), Signomial.constant(dim, 1.0))
-    assert list(gradings(mixed).values()) == [(0, 2, 1, 2)]
-
-    z = WickElement.z_var(dim, 0)
-    assert list(gradings(z).values()) == [(0, 1, 0, 1)]
-    form = WickElement.from_term(dim, 0, (0, 0), (1,), Signomial.constant(dim, 1.0))
-    assert list(gradings(form).values()) == [(0, 0, 1, 0)]
+    one = Signomial.constant(dim, 1.0)
+    for w, expect in (
+        (WickElement.from_term(dim, 1, (0, 0), (), one), (1, 0, 0, 2)),
+        (WickElement.from_term(dim, 0, (1, 1), (0,), one), (0, 2, 1, 2)),
+        (z_var(dim, 0), (0, 1, 0, 1)),
+        (WickElement.from_term(dim, 0, (0, 0), (1,), one), (0, 0, 1, 0)),
+    ):
+        (key,) = w.terms
+        assert (key[0], sum(key[1]), len(key[2])) == expect[:3]
+        assert w.total_degrees() == {expect[3]}
 
 
 def test_homogeneity_detection():
     dim = 2
-    w = WickElement.z_var(dim, 0) + WickElement.z_var(dim, 1)
+    w = z_var(dim, 0) + z_var(dim, 1)
     assert w.total_degrees() == {1}
     w2 = w + WickElement.unit(dim)
     assert w2.total_degrees() == {0, 1}
@@ -100,7 +100,7 @@ def test_flat_zx_square():
     # z_x o z_x = z_x^2 + v/2 from the first-order contraction with
     # Lambda^{xx} = -i
     alg = algebra()
-    zx = WickElement.z_var(2, 0)
+    zx = z_var(2, 0)
     got = alg.product(zx, zx)
     expect = WickElement.from_term(2, 0, (2, 0), (), Signomial.constant(2, 1.0)) + \
         WickElement.from_term(2, 1, (0, 0), (), Signomial.constant(2, 0.5))
@@ -109,8 +109,8 @@ def test_flat_zx_square():
 
 def test_flat_commutator_is_iv_theta():
     alg = algebra()
-    zx = WickElement.z_var(2, 0)
-    zy = WickElement.z_var(2, 1)
+    zx = z_var(2, 0)
+    zy = z_var(2, 1)
     comm = alg.commutator(zx, zy)
     expect = WickElement.from_term(2, 1, (0, 0), (), Signomial.constant(2, 1j))
     assert (comm - expect).coeff_norm() <= 1e-14
@@ -251,8 +251,8 @@ def test_ad_of_unit_is_zero():
 
 def test_module_level_helpers():
     lam = make_bundle("flat", 1, 1.0).symp.lam
-    zx = WickElement.z_var(2, 0)
-    zy = WickElement.z_var(2, 1)
+    zx = z_var(2, 0)
+    zy = z_var(2, 1)
     comm = WickAlgebra(lam).commutator(zx, zy)
     assert (comm - WickElement.from_term(2, 1, (0, 0), (), Signomial.constant(2, 1j))).coeff_norm() <= 1e-14
 
