@@ -158,7 +158,7 @@ def algebra_checks(bundle: GeometryBundle, seed: int, mode, tolerances):
     rng = np.random.default_rng(seed)
 
     def rand_elem(max_s=3, max_forms=2):
-        out = WickElement.zero(dim)
+        terms = []
         for _ in range(int(rng.integers(1, 4))):
             v = int(rng.integers(0, 2))
             z = [0] * dim
@@ -171,8 +171,8 @@ def algebra_checks(bundle: GeometryBundle, seed: int, mode, tolerances):
                 complex(rng.normal(), rng.normal()),
                 [0.5 * int(rng.integers(3)) for _ in range(dim)],
             )
-            out = out + WickElement.from_term(dim, v, tuple(z), forms, coeff)
-        return out
+            terms.append((v, z, forms, coeff))
+        return WickElement.from_terms(dim, terms)
 
     w_dsq = w_hodge = w_deriv = w_assoc = w_jacobi = 0.0
     for _ in range(20):
@@ -323,15 +323,8 @@ def star_checks(state: FedosovState, f, g, order, points, mode, tolerances):
         def assoc():
             worst = 0.0
             for h in (f, g):
-                left_s = star_series(star(f, g, state, 2).coeffs, h, state, 2)
-                gh = star(g, h, state, 2)
-                right_s = [Signomial.zero(dim) for _ in range(3)]
-                for shift, coeff in enumerate(gh.coeffs[:3]):
-                    if coeff.is_zero:
-                        continue
-                    inner = star(f, coeff, state, 2 - shift)
-                    for r, c in enumerate(inner.coeffs):
-                        right_s[shift + r] = right_s[shift + r] + c
+                left_s = star_series(star(f, g, state, 2).coeffs, (h,), state, 2)
+                right_s = star_series((f,), star(g, h, state, 2).coeffs, state, 2)
                 for s in range(3):
                     d = left_s[s] - right_s[s]
                     if not d.is_zero:

@@ -37,10 +37,7 @@ from .wick import WickElement
 def adapted_form(dim: int, entries) -> WickElement:
     """Sum of (co-frame index word, coefficient) terms, with sign tracking."""
     zero_z = (0,) * dim
-    out = WickElement.zero(dim)
-    for word, coeff in entries:
-        out = out + WickElement.from_term(dim, 0, zero_z, word, coeff)
-    return out
+    return WickElement.from_terms(dim, ((0, zero_z, word, coeff) for word, coeff in entries))
 
 
 def exterior_derivative(form: WickElement, machine: FedosovMachine) -> WickElement:

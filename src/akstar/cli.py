@@ -7,7 +7,8 @@ Subcommands:
   characteristic forms) with the invariant suite;
 * ``check caputo|algebra|geometry|fedosov --config PATH`` — one section of
   the suite;
-* ``star --config PATH --order K`` — star-product coefficients only.
+* ``star --config PATH [--order K]`` — star-product coefficients only, by
+  default to the order ``run`` reports.
 
 Exit codes: 0 all pass, 1 invariant failure (strict mode), 2 computation
 domain error (``run`` still emits every finished section and names the
@@ -479,8 +480,7 @@ def main(argv=None, stream=None) -> int:
         return EXIT_CONFIG_ERROR
 
     if args.command == "star":
-        order = args.order if args.order is not None else (spec.truncation_order + 1) // 2
-        pipeline = Pipeline(spec, star_order=order, star_checks=False)
+        pipeline = Pipeline(spec, star_order=args.order, star_checks=False)
     else:
         pipeline = Pipeline(spec)
     try:

@@ -23,7 +23,13 @@ class ExpressionClassError(EngineError):
 
 
 class FractionalDomainError(EngineError):
-    """A Caputo power-rule application hit a Gamma pole in the numerator."""
+    """A Caputo power-rule application hit a Gamma pole in the numerator
+    (at the term with exponent vector ``exponents``, in ``coordinate``)."""
+
+    def __init__(self, message, coordinate=None, exponents=None):
+        super().__init__(message)
+        self.coordinate = coordinate
+        self.exponents = exponents
 
 
 class EvaluationDomainError(EngineError):

@@ -290,7 +290,9 @@ class Signomial:
                 fac = power_rule_factor(p, ctx.alpha)
             except FractionalDomainError as err:
                 raise FractionalDomainError(
-                    f"coordinate {coord}, term with exponents {list(exps)}: {err}"
+                    f"coordinate {coord}, term with exponents {list(exps)}: {err}",
+                    coordinate=coord,
+                    exponents=exps,
                 ) from None
             if fac == 0.0:
                 continue

@@ -48,39 +48,36 @@ from .wick import WickAlgebra, WickElement, sort_word, wedge_merge
 
 
 def delta(w: WickElement) -> WickElement:
-    out = WickElement.zero(w.dim)
-    for (v, z, forms), c in w.terms.items():
-        for g in range(w.dim):
-            if z[g] == 0:
-                continue
-            merged = wedge_merge((g,), forms)
-            if merged is None:
-                continue
-            sign, nf = merged
-            nz = list(z)
-            nz[g] -= 1
-            out = out + WickElement.from_term(
-                w.dim, v, tuple(nz), nf, c.scale(sign * z[g])
-            )
-    return out
+    def terms():
+        for (v, z, forms), c in w.terms.items():
+            for g in range(w.dim):
+                if z[g] == 0:
+                    continue
+                merged = wedge_merge((g,), forms)
+                if merged is None:
+                    continue
+                sign, nf = merged
+                nz = list(z)
+                nz[g] -= 1
+                yield v, nz, nf, c.scale(sign * z[g])
+
+    return WickElement.from_terms(w.dim, terms())
 
 
 def delta_inv(w: WickElement) -> WickElement:
-    out = WickElement.zero(w.dim)
-    for (v, z, forms), c in w.terms.items():
-        p = sum(z)
-        q = len(forms)
-        if p + q == 0:
-            continue
-        for m, g in enumerate(forms):
-            sign = -1.0 if m % 2 else 1.0
-            nz = list(z)
-            nz[g] += 1
-            nf = forms[:m] + forms[m + 1:]
-            out = out + WickElement.from_term(
-                w.dim, v, tuple(nz), nf, c.scale(sign / (p + q))
-            )
-    return out
+    def terms():
+        for (v, z, forms), c in w.terms.items():
+            p = sum(z)
+            q = len(forms)
+            if p + q == 0:
+                continue
+            for m, g in enumerate(forms):
+                sign = -1.0 if m % 2 else 1.0
+                nz = list(z)
+                nz[g] += 1
+                yield v, nz, forms[:m] + forms[m + 1:], c.scale(sign / (p + q))
+
+    return WickElement.from_terms(w.dim, terms())
 
 
 def sigma(w: WickElement) -> WickElement:
@@ -143,76 +140,68 @@ class FedosovMachine:
     def _torsion_element(self) -> WickElement:
         bundle = self.bundle
         dim = self.dim
-        out = WickElement.zero(dim)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                for g in range(dim):
-                    coeff = Signomial.zero(dim)
-                    for t in range(dim):
-                        th = bundle.symp.theta_lower[g][t]
-                        tt = bundle.torsion.full[t][a][b]
-                        if th.is_zero or tt.is_zero:
-                            continue
-                        coeff = coeff + th * tt
-                    if coeff.is_zero:
-                        continue
-                    z = [0] * dim
-                    z[g] = 1
-                    out = out + WickElement.from_term(dim, 0, tuple(z), (a, b), coeff)
-        return out
+
+        def terms():
+            for a in range(dim):
+                for b in range(a + 1, dim):
+                    for g in range(dim):
+                        coeff = Signomial.zero(dim)
+                        for t in range(dim):
+                            th = bundle.symp.theta_lower[g][t]
+                            tt = bundle.torsion.full[t][a][b]
+                            if th.is_zero or tt.is_zero:
+                                continue
+                            coeff = coeff + th * tt
+                        z = [0] * dim
+                        z[g] = 1
+                        yield 0, z, (a, b), coeff
+
+        return WickElement.from_terms(dim, terms())
 
     def _curvature_element(self) -> WickElement:
         bundle = self.bundle
         dim = self.dim
-        out = WickElement.zero(dim)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                for g in range(dim):
-                    for f in range(dim):
-                        coeff = Signomial.zero(dim)
-                        for t in range(dim):
-                            th = bundle.symp.theta_lower[g][t]
-                            rr = bundle.curvature.full[t][f][a][b]
-                            if th.is_zero or rr.is_zero:
-                                continue
-                            coeff = coeff + th * rr
-                        if coeff.is_zero:
-                            continue
-                        z = [0] * dim
-                        z[g] += 1
-                        z[f] += 1
-                        out = out + WickElement.from_term(
-                            dim, 0, tuple(z), (a, b), coeff.scale(0.5)
-                        )
-        return out
+
+        def terms():
+            for a in range(dim):
+                for b in range(a + 1, dim):
+                    for g in range(dim):
+                        for f in range(dim):
+                            coeff = Signomial.zero(dim)
+                            for t in range(dim):
+                                th = bundle.symp.theta_lower[g][t]
+                                rr = bundle.curvature.full[t][f][a][b]
+                                if th.is_zero or rr.is_zero:
+                                    continue
+                                coeff = coeff + th * rr
+                            z = [0] * dim
+                            z[g] += 1
+                            z[f] += 1
+                            yield 0, z, (a, b), coeff.scale(0.5)
+
+        return WickElement.from_terms(dim, terms())
 
     # -- connection lift -------------------------------------------------------
 
     def dconn_apply(self, w: WickElement) -> WickElement:
         """D-check: raises deg_a by one, preserves the total degree."""
         bundle = self.bundle
-        dim = self.dim
-        out = WickElement.zero(dim)
-        for (v, z, forms), c in w.terms.items():
-            for al in range(dim):
-                merged = wedge_merge((al,), forms)
-                if merged is None:
-                    continue
-                sign, nf = merged
-                base = bundle.e(c, al)
-                if not base.is_zero:
-                    out = out + WickElement.from_term(
-                        dim, v, z, nf, base.scale(sign)
-                    )
-                for tgt, src, gam in self.gamma_by_dir[al]:
-                    if z[tgt] == 0:
+
+        def terms():
+            for (v, z, forms), c in w.terms.items():
+                for al in range(self.dim):
+                    merged = wedge_merge((al,), forms)
+                    if merged is None:
                         continue
-                    coeff = (gam * c).scale(-sign * z[tgt])
-                    nz = list(z)
-                    nz[tgt] -= 1
-                    nz[src] += 1
-                    out = out + WickElement.from_term(dim, v, tuple(nz), nf, coeff)
-            if forms:
+                    sign, nf = merged
+                    yield v, z, nf, bundle.e(c, al).scale(sign)
+                    for tgt, src, gam in self.gamma_by_dir[al]:
+                        if z[tgt] == 0:
+                            continue
+                        nz = list(z)
+                        nz[tgt] -= 1
+                        nz[src] += 1
+                        yield v, nz, nf, (gam * c).scale(-sign * z[tgt])
                 for m, g in enumerate(forms):
                     rest = forms[:m] + forms[m + 1:]
                     msign = -1.0 if m % 2 else 1.0
@@ -223,10 +212,9 @@ class FedosovMachine:
                         if srt is None:
                             continue
                         ssign, nf = srt
-                        out = out + WickElement.from_term(
-                            dim, v, z, nf, (wgab * c).scale(-msign * ssign)
-                        )
-        return out
+                        yield v, z, nf, (wgab * c).scale(-msign * ssign)
+
+        return WickElement.from_terms(self.dim, terms())
 
     # -- operator-identity residuals -------------------------------------------
 
@@ -477,16 +465,19 @@ def star(f: Signomial, g: Signomial, state: FedosovState, order: int) -> StarCoe
     return StarCoefficients(f=f, g=g, coeffs=coeffs)
 
 
-def star_series(series_a: tuple, g: Signomial, state: FedosovState, order: int) -> tuple:
-    """Multiply a v-series of signomials by g on the right, v-bilinearly."""
+def star_series(series_a: tuple, series_b: tuple, state: FedosovState, order: int) -> tuple:
+    """Star product of two v-series of signomials through v^order, v-bilinearly."""
     dim = state.machine.dim
     out = [Signomial.zero(dim) for _ in range(order + 1)]
-    for shift, coeff in enumerate(series_a[: order + 1]):
-        if coeff.is_zero:
+    for i, a in enumerate(series_a[: order + 1]):
+        if a.is_zero:
             continue
-        inner = star(coeff, g, state, order - shift)
-        for r, c in enumerate(inner.coeffs):
-            out[shift + r] = out[shift + r] + c
+        for j, b in enumerate(series_b[: order + 1 - i]):
+            if b.is_zero:
+                continue
+            inner = star(a, b, state, order - i - j)
+            for r, c in enumerate(inner.coeffs):
+                out[i + j + r] = out[i + j + r] + c
     return tuple(out)
 
 

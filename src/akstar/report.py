@@ -60,10 +60,11 @@ def emit_json(report: dict) -> bytes:
 
 
 def check_line(entry: dict) -> str:
-    """One check as a fixed-width line, without its note."""
+    """One check as a fixed-width line, its note (if any) in parentheses."""
     val = "pole" if entry["value"] is None else f"{entry['value']:.3e}"
     thr = "-" if entry["threshold"] is None else f"{entry['threshold']:.1e}"
-    return f"{entry['name']:<28} {entry['status']:<10} value {val:>10}  tol {thr}"
+    note = f"  ({entry['note']})" if entry["note"] else ""
+    return f"{entry['name']:<28} {entry['status']:<10} value {val:>10}  tol {thr}{note}"
 
 
 def emit_text(report: dict) -> str:
@@ -88,8 +89,7 @@ def emit_text(report: dict) -> str:
         lines.append(f"star coefficients through v^{len(strsec['coefficients']) - 1}")
     lines.append("checks:")
     for entry in report.get("checks", []):
-        note = f"  ({entry['note']})" if entry["note"] else ""
-        lines.append(f"  {check_line(entry)}{note}")
+        lines.append(f"  {check_line(entry)}")
     status = report.get("status", {})
     lines.append(
         f"result: exit {status.get('exit_code')}"

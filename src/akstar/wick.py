@@ -17,18 +17,33 @@ The fiberwise product twists multiplication by the tensor
 a finite sum because fiber derivatives eventually annihilate either
 factor.  Form factors multiply by wedge with sign tracking.
 
+Elements are canonical in and canonical out.  Raw terms enter only
+through ``WickElement.from_terms`` (``from_term`` is its one-term form),
+which validates each key, sorts the co-frame word with its permutation
+sign and merges like keys; ``+``, ``-``, ``scale`` and the product trust
+canonical operands and build canonical results without re-checking them.
+The bare constructor is for those internal results only.
+
+The combinatorics of a term pair depend only on its fiber degrees, so
+``WickAlgebra`` keeps one contraction table entry per (z1, z2), filled on
+first use: per pattern r, the output fiber degrees, the integer weight
+(falling factorials), prod k! and the Lambda powers.  ``product`` applies
+``wsign * weight / denom * (i/2)^r`` and the Lambda powers one at a time,
+the arithmetic of a fresh enumeration in its order, so bits are unchanged.
+
 Deg is additive under this product: a contraction trades two units of
 deg_s for one power of v, so every output of a term pair has the Deg sum
 of the pair.  ``product`` and ``commutator`` therefore accept a degree cap
-that skips a pair before its contraction patterns are enumerated, and
-``product`` a sigma-projection that keeps only the deg_s = deg_a = 0 part.
-Both return exactly the uncapped result restricted to the kept keys: each
-kept key receives the same additions in the same order.
+that skips a pair before its contractions are looked up, and ``product``
+a sigma-projection that keeps only the deg_s = deg_a = 0 part.  Both
+return exactly the uncapped result restricted to the kept keys: each kept
+key receives the same additions in the same order.
 """
 
 from __future__ import annotations
 
 from math import factorial, inf
+from operator import add
 
 from .errors import MalformedInputError
 from .expr import Signomial
@@ -79,13 +94,6 @@ def sort_word(word):
     return sign, tuple(w)
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 class WickElement:
     """Finite formal sum with signomial coefficients; immutable by use."""
 
@@ -113,19 +121,32 @@ class WickElement:
         return cls(s.dim, {key: s})
 
     @classmethod
+    def from_terms(cls, dim, raw) -> "WickElement":
+        """Canonical element from raw ``(v, z, word, coeff)`` terms.
+
+        Each term is validated (v >= 0, ``dim`` non-negative fiber degrees),
+        its co-frame word sorted with the permutation sign (a repeated index
+        drops the term), and like keys merge in order through ``_accum``.
+        """
+        terms: dict = {}
+        for v_power, z_degrees, word, coeff in raw:
+            if coeff.is_zero:
+                continue
+            if v_power < 0:
+                raise MalformedInputError(f"negative formal-parameter power {v_power}")
+            if len(z_degrees) != dim or any(d < 0 for d in z_degrees):
+                raise MalformedInputError(f"bad fiber degrees {z_degrees}")
+            srt = sort_word(word)
+            if srt is None:
+                continue
+            sign, forms = srt
+            key = (int(v_power), tuple(int(d) for d in z_degrees), forms)
+            _accum(terms, key, coeff.scale(sign) if sign < 0 else coeff)
+        return cls(dim, terms)
+
+    @classmethod
     def from_term(cls, dim, v_power, z_degrees, form_indices, coeff: Signomial) -> "WickElement":
-        if coeff.is_zero:
-            return cls.zero(dim)
-        if v_power < 0:
-            raise MalformedInputError(f"negative formal-parameter power {v_power}")
-        if len(z_degrees) != dim or any(d < 0 for d in z_degrees):
-            raise MalformedInputError(f"bad fiber degrees {z_degrees}")
-        srt = sort_word(form_indices)
-        if srt is None:
-            return cls.zero(dim)
-        sign, forms = srt
-        key = (int(v_power), tuple(int(d) for d in z_degrees), forms)
-        return cls(dim, {key: coeff.scale(sign) if sign < 0 else coeff})
+        return cls.from_terms(dim, [(v_power, z_degrees, form_indices, coeff)])
 
     # -- linear structure ---------------------------------------------------
 
@@ -134,15 +155,7 @@ class WickElement:
             raise MalformedInputError("dimension mismatch in Wick sum")
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            cc = -c if negate else c
-            if key in terms:
-                s = terms[key] + cc
-                if s.is_zero:
-                    del terms[key]
-                else:
-                    terms[key] = s
-            else:
-                terms[key] = cc
+            _accum(terms, key, -c if negate else c)
         return WickElement(self.dim, terms)
 
     def __add__(self, other):
@@ -239,6 +252,10 @@ class WickAlgebra:
             if not lam[a][b].is_zero
         ]
         self._pow_cache: dict = {}
+        self._table: dict = {}
+        # one copy of each output fiber-degree tuple and each tuple of
+        # Lambda powers, shared by all table entries
+        self._shared: dict = {}
 
     def _lam_power(self, a: int, b: int, k: int) -> Signomial:
         if k == 1:
@@ -248,27 +265,40 @@ class WickAlgebra:
             self._pow_cache[key] = self._lam_power(a, b, k - 1) * self.lam[a][b]
         return self._pow_cache[key]
 
-    def _patterns(self, row_budget, col_budget):
-        """Yield (k per pair, r) contraction patterns within the budgets."""
+    def _contractions(self, z1, z2) -> tuple:
+        """Table entry for fiber degrees (z1, z2), built on first use: one
+        ``(r, z_out, weight, denom, lam_powers)`` tuple per pattern of k
+        contractions per pair, patterns in depth-first order over ``pairs``."""
+        entries = self._table.get((z1, z2))
+        if entries is not None:
+            return entries
+        entries = []
+        shared = self._shared
 
-        def rec(idx, rows, cols, ks, r):
+        def rec(idx, rows, cols, r, denom, powers):
+            # rows and cols hold the fiber degrees not yet contracted;
+            # powers lists the (a, b, k) with k > 0 so far
             if idx == len(self.pairs):
-                yield tuple(ks), r
+                weight = 1
+                for full, left in zip(z1 + z2, rows + cols):
+                    weight *= factorial(full) // factorial(left)
+                z_out = tuple(map(add, rows, cols))
+                if powers not in shared:
+                    shared[powers] = tuple(self._lam_power(*p) for p in powers)
+                entries.append((r, shared.setdefault(z_out, z_out), weight, denom, shared[powers]))
                 return
             a, b = self.pairs[idx]
-            cap = min(rows[a], cols[b])
-            for k in range(cap + 1):
-                if k:
-                    rows[a] -= k
-                    cols[b] -= k
-                ks.append(k)
-                yield from rec(idx + 1, rows, cols, ks, r + k)
-                ks.pop()
-                if k:
-                    rows[a] += k
-                    cols[b] += k
+            for k in range(min(rows[a], cols[b]) + 1):
+                rows[a] -= k
+                cols[b] -= k
+                more = ((a, b, k),) if k else ()
+                rec(idx + 1, rows, cols, r + k, denom * factorial(k), powers + more)
+                rows[a] += k
+                cols[b] += k
 
-        yield from rec(0, list(row_budget), list(col_budget), [], 0)
+        rec(0, list(z1), list(z2), 0, 1, ())
+        entries = self._table[(z1, z2)] = tuple(entries)
+        return entries
 
     def product(
         self, x: WickElement, y: WickElement, *, max_deg=None, sigma_only=False
@@ -281,7 +311,6 @@ class WickAlgebra:
         those, the fully contracting patterns.
         """
         out: dict = {}
-        dim = self.dim
         cap = inf if max_deg is None else max_deg
         xs, ys = x.terms.items(), y.terms.items()
         if sigma_only:
@@ -306,37 +335,16 @@ class WickAlgebra:
                     key = (v1 + v2, tuple(p + q for p, q in zip(z1, z2)), forms)
                     _accum(out, key, base.scale(wsign) if wsign < 0 else base)
                     continue
-                for ks, r in self._patterns(z1, z2):
+                for r, z_out, weight, denom, lams in self._contractions(z1, z2):
                     if sigma_only and r != s1:
                         continue
-                    rows = [0] * dim
-                    cols = [0] * dim
-                    denom = 1
-                    for (pa, pb), k in zip(self.pairs, ks):
-                        if k:
-                            rows[pa] += k
-                            cols[pb] += k
-                            denom *= factorial(k)
-                    scal = wsign
-                    for i in range(dim):
-                        if rows[i]:
-                            scal *= _falling(z1[i], rows[i])
-                        if cols[i]:
-                            scal *= _falling(z2[i], cols[i])
-                    if scal == 0:
-                        continue
-                    factor = complex(scal) / denom * (0.5j) ** r
-                    coeff = base.scale(factor)
-                    for (pa, pb), k in zip(self.pairs, ks):
-                        if k:
-                            coeff = coeff * self._lam_power(pa, pb, k)
+                    coeff = base.scale(complex(wsign * weight) / denom * (0.5j) ** r)
+                    for lam in lams:
+                        coeff = coeff * lam
                     if coeff.is_zero:
                         continue
-                    zkey = tuple(
-                        z1[i] - rows[i] + z2[i] - cols[i] for i in range(dim)
-                    )
-                    _accum(out, (v1 + v2 + r, zkey, forms), coeff)
-        return WickElement(dim, out)
+                    _accum(out, (v1 + v2 + r, z_out, forms), coeff)
+        return WickElement(self.dim, out)
 
     def commutator(self, x: WickElement, y: WickElement, *, max_deg=None) -> WickElement:
         """deg_a-graded commutator, extended bilinearly off homogeneity;

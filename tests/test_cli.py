@@ -339,3 +339,24 @@ def test_star_subcommand(tmp_path):
     c1 = payload["coefficients"][1]["terms"]
     assert len(c1) == 1
     assert c1[0]["im"] == pytest.approx(0.5)
+
+
+def test_star_default_order_matches_run(tmp_path):
+    # without --order, star reports the order run does (first order for alpha < 1)
+    path = str(GOLDEN / "x2y2_a0.45.config.json")
+    run_out, star_out = io.StringIO(), io.StringIO()
+    assert main(["run", "--config", path], stream=run_out) == EXIT_OK
+    assert main(["star", "--config", path], stream=star_out) == EXIT_OK
+    star_section = json.loads(run_out.getvalue())["star"]
+    assert star_section["order"] == 1
+    assert star_out.getvalue() == emit_json(star_section).decode("utf-8")
+
+
+def test_check_keeps_the_note(tmp_path):
+    path = str(GOLDEN / "x2y2_a0.45.config.json")
+    run_out, check_out = io.StringIO(), io.StringIO()
+    assert main(["run", "--config", path, "--format", "text"], stream=run_out) == EXIT_OK
+    assert main(["check", "fedosov", "--config", path], stream=check_out) == EXIT_OK
+    (line,) = [ln for ln in check_out.getvalue().splitlines() if ln.startswith("fedosov_dsq_probe")]
+    assert "(some probes left the differentiable class: " in line
+    assert f"  {line}" in run_out.getvalue().splitlines()

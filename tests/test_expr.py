@@ -148,8 +148,14 @@ def test_caputo_alpha_one_delegates_to_partial():
 def test_caputo_negative_integer_exponent_raises():
     ctx = AlphaContext(alpha=0.5, n=1)
     s = sig(2, (1.0, [-1, 0]))
-    with pytest.raises(FractionalDomainError, match="coordinate 0"):
+    with pytest.raises(FractionalDomainError, match="coordinate 0") as info:
         s.caputo(0, ctx)
+    assert info.value.coordinate == 0
+    assert info.value.exponents == (-1.0, 0.0)
+    assert str(info.value) == (
+        "coordinate 0, term with exponents [-1.0, 0.0]: "
+        "Gamma(0.0) pole: exponent -1.0 is a negative integer"
+    )
 
 
 def test_caputo_denominator_pole_kills_term():

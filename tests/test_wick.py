@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from akstar.errors import MalformedInputError
 from akstar.expr import Signomial
 from akstar.fedosov import sigma
 from akstar.wick import (
@@ -54,6 +55,42 @@ def test_sort_word():
     assert sort_word((1, 0)) == (-1, (0, 1))
     assert sort_word((1, 1)) is None
     assert sort_word(()) == (1, ())
+
+
+# -- construction ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "v,z", [(-1, (0, 0)), (0, (1,)), (0, (1, 0, 0)), (0, (1, -1))]
+)
+def test_from_terms_rejects_malformed_keys(v, z):
+    one = Signomial.constant(2, 1.0)
+    with pytest.raises(MalformedInputError):
+        WickElement.from_terms(2, [(0, (1, 0), (), one), (v, z, (), one)])
+
+
+def test_from_terms_signs_words_and_drops_repeats():
+    one = Signomial.constant(2, 1.0)
+    w = WickElement.from_terms(2, [(0, (1, 0), (1, 0), one), (0, (0, 1), (1, 1), one)])
+    assert exact(w) == exact(WickElement.from_term(2, 0, (1, 0), (0, 1), one.scale(-1)))
+    assert w.terms == {(0, (1, 0), (0, 1)): -one}
+
+
+def test_from_terms_equals_chained_sums():
+    rng = np.random.default_rng(17)
+    one = Signomial.constant(2, 1.0)
+    # unsorted words, a repeated key, a cancelling pair and a dropped term
+    raw = [(0, (1, 0), (1, 0), one), (1, (0, 2), (), one.scale(2.0)), (0, (1, 0), (0, 1), one)]
+    raw.append((0, (0, 0), (0, 0), one))
+    for _ in range(30):
+        z = tuple(int(d) for d in rng.integers(0, 3, size=2))
+        word = tuple(rng.permutation(2)[: int(rng.integers(0, 3))].tolist())
+        coeff = Signomial.from_terms(2, [(complex(rng.normal(), rng.normal()), [0.5, 1.0])])
+        raw.append((int(rng.integers(0, 2)), z, word, coeff))
+    chained = WickElement.zero(2)
+    for term in raw:
+        chained = chained + WickElement.from_term(2, *term)
+    assert exact(WickElement.from_terms(2, raw)) == exact(chained)
 
 
 # -- gradings ------------------------------------------------------------------
@@ -232,6 +269,24 @@ def test_sigma_projected_product_is_exact_sigma(kind, n, alpha):
             assert exact(got) == exact(full.truncate(d))
         kept += not full.is_zero
     assert kept >= 6
+
+
+@pytest.mark.parametrize("kind,n,alpha", CAP_CASES)
+def test_contraction_table_is_exact(kind, n, alpha):
+    # a product read from a filled table equals one that fills it
+    lam = make_bundle(kind, n, alpha).symp.lam
+    warm = WickAlgebra(lam)
+    rng = np.random.default_rng(41)
+    pairs = [rand_pair(rng, 2 * n) for _ in range(8)]
+    for x, y in pairs:
+        warm.product(y, x)
+        warm.product(x, y)
+    for x, y in pairs:
+        fresh = WickAlgebra(lam)
+        assert exact(warm.product(x, y)) == exact(fresh.product(x, y))
+        assert exact(warm.product(x, y, sigma_only=True)) == exact(
+            WickAlgebra(lam).product(x, y, sigma_only=True)
+        )
 
 
 def test_commutator_of_even_element_with_itself_vanishes():
