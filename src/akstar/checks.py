@@ -149,12 +149,10 @@ def caputo_checks(alpha, mode, tolerances):
     return [_decide("caputo_power_rule", Tier.ORACLE, worst, alpha, mode, tolerances)]
 
 
-def algebra_checks(bundle: GeometryBundle, seed: int, mode, tolerances):
-    from .wick import WickAlgebra
-
-    alg = WickAlgebra(bundle.symp.lam)
-    dim = bundle.ctx.dim
-    alpha = bundle.ctx.alpha
+def algebra_checks(machine: FedosovMachine, seed: int, mode, tolerances):
+    alg = machine.algebra
+    dim = machine.dim
+    alpha = machine.bundle.ctx.alpha
     rng = np.random.default_rng(seed)
 
     def rand_elem(max_s=3, max_forms=2):
@@ -369,7 +367,7 @@ def chern_checks(bundle: GeometryBundle, machine: FedosovMachine, points, probes
         theta = adapted_form(
             dim,
             [
-                ((a, b), bundle.symp.theta_lower[a][b])
+                ((a, b), bundle.theta_lower[a][b])
                 for a in range(dim)
                 for b in range(a + 1, dim)
             ],

@@ -48,7 +48,7 @@ def exterior_derivative(form: WickElement, machine: FedosovMachine) -> WickEleme
 def _curvature_trace(bundle: GeometryBundle) -> WickElement:
     """The 2-form J^a'_t R^t_{a' a b} e^a ^ e^b behind both gamma and kappa."""
     dim = bundle.ctx.dim
-    J = bundle.symp.J
+    J = bundle.J
     entries = []
     for a in range(dim):
         for b in range(a + 1, dim):
@@ -57,7 +57,7 @@ def _curvature_trace(bundle: GeometryBundle) -> WickElement:
                 for ap in range(dim):
                     if J[ap][t] == 0.0:
                         continue
-                    r = bundle.curvature.full[t][ap][a][b]
+                    r = bundle.curvature[t][ap][a][b]
                     if not r.is_zero:
                         acc = acc + r.scale(J[ap][t])
             if not acc.is_zero:
@@ -74,7 +74,7 @@ def lemma_forms(machine: FedosovMachine):
     """The (mu, lam, kappa) triple built from torsion and curvature traces."""
     bundle = machine.bundle
     dim = bundle.ctx.dim
-    J = bundle.symp.J
+    J = bundle.J
     mu_entries = []
     for b in range(dim):
         acc = Signomial.zero(dim)
@@ -82,7 +82,7 @@ def lemma_forms(machine: FedosovMachine):
             for ap in range(dim):
                 if J[ap][t] == 0.0:
                     continue
-                tt = bundle.torsion.full[t][ap][b]
+                tt = bundle.torsion[t][ap][b]
                 if not tt.is_zero:
                     acc = acc + tt.scale(J[ap][t])
         if not acc.is_zero:

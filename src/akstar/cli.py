@@ -11,8 +11,9 @@ Subcommands:
   default to the order ``run`` reports.
 
 Exit codes: 0 all pass, 1 invariant failure (strict mode), 2 computation
-domain error (``run`` still emits every finished section and names the
-stage that failed in ``error.stage``), 3 configuration error.
+domain error (``run`` still emits every finished section, names the stage
+that failed in ``error.stage`` and, for a Gamma pole, the ``coordinate``,
+``exponents`` and ``degree`` of the failing term), 3 configuration error.
 """
 
 from __future__ import annotations
@@ -221,13 +222,12 @@ def parse_config(path: str) -> RunSpec:
 
 
 def _geometry_section(bundle: GeometryBundle) -> dict:
-    sym = bundle.symp
     tors = []
     dim = bundle.ctx.dim
     for g in range(dim):
         for a in range(dim):
             for b in range(a + 1, dim):
-                t = bundle.torsion.full[g][a][b]
+                t = bundle.torsion[g][a][b]
                 if not t.is_zero:
                     tors.append({"idx": [g, a, b], "terms": reportlib.signomial_terms(t)})
     curv = []
@@ -235,24 +235,24 @@ def _geometry_section(bundle: GeometryBundle) -> dict:
         for f in range(dim):
             for a in range(dim):
                 for b in range(a + 1, dim):
-                    r = bundle.curvature.full[t][f][a][b]
+                    r = bundle.curvature[t][f][a][b]
                     if not r.is_zero:
                         curv.append(
                             {"idx": [t, f, a, b], "terms": reportlib.signomial_terms(r)}
                         )
     return {
-        "metric": reportlib.matrix_terms(bundle.metric.h),
-        "metric_inverse": reportlib.matrix_terms(bundle.metric.h_inv),
-        "semi_spray": [reportlib.signomial_terms(gg) for gg in bundle.nconn.G],
-        "n_connection": reportlib.matrix_terms(bundle.nconn.N),
+        "metric": reportlib.matrix_terms(bundle.h),
+        "metric_inverse": reportlib.matrix_terms(bundle.h_inv),
+        "semi_spray": [reportlib.signomial_terms(gg) for gg in bundle.G],
+        "n_connection": reportlib.matrix_terms(bundle.N),
         "d_connection": {
-            "l_hh": [reportlib.matrix_terms(m) for m in bundle.dconn.l_hh],
-            "c_vv": [reportlib.matrix_terms(m) for m in bundle.dconn.c_vv],
+            "l_hh": [reportlib.matrix_terms(m) for m in bundle.l_hh],
+            "c_vv": [reportlib.matrix_terms(m) for m in bundle.c_vv],
         },
-        "theta_lower": reportlib.matrix_terms(sym.theta_lower),
-        "theta_upper": reportlib.matrix_terms(sym.theta_upper),
-        "lambda": reportlib.matrix_terms(sym.lam),
-        "j_matrix": [[float(v) for v in row] for row in sym.J],
+        "theta_lower": reportlib.matrix_terms(bundle.theta_lower),
+        "theta_upper": reportlib.matrix_terms(bundle.theta_upper),
+        "lambda": reportlib.matrix_terms(bundle.lam),
+        "j_matrix": [[float(v) for v in row] for row in bundle.J],
         "torsion_nonzero": tors,
         "curvature_nonzero": curv,
     }
@@ -326,6 +326,10 @@ class Pipeline:
                 "message": str(err),
                 "stage": self.stage,
             }
+            for key in ("coordinate", "exponents", "degree"):
+                value = getattr(err, key, None)
+                if value is not None:
+                    self.report["error"][key] = list(value) if key == "exponents" else value
             exit_code = EXIT_COMPUTE_ERROR
         elif failed and spec.mode == "strict":
             exit_code = EXIT_CHECK_FAILED
@@ -346,11 +350,13 @@ class Pipeline:
             LagrangianSpec(L=spec.lagrangian, ctx=spec.ctx, regularity_points=spec.sample_points)
         )
         self.report["geometry"] = _geometry_section(self.bundle)
+        # the one Wick algebra of the run, shared by the algebra checks
+        self.machine = FedosovMachine(self.bundle)
 
     def _algebra(self):
         spec = self.spec
         self.results.extend(
-            checklib.algebra_checks(self.bundle, spec.seed, spec.mode, spec.tolerances)
+            checklib.algebra_checks(self.machine, spec.seed, spec.mode, spec.tolerances)
         )
 
     def _geometry_checks(self):
@@ -363,7 +369,6 @@ class Pipeline:
 
     def _recursion(self):
         k = max(self.spec.truncation_order, 2 * self.star_order - 1)
-        self.machine = FedosovMachine(self.bundle)
         self.state = state = self.machine.solve_r(k, strict=False)
         self.report["fedosov"] = {
             "truncation_order": k,

@@ -24,12 +24,17 @@ class ExpressionClassError(EngineError):
 
 class FractionalDomainError(EngineError):
     """A Caputo power-rule application hit a Gamma pole in the numerator
-    (at the term with exponent vector ``exponents``, in ``coordinate``)."""
+    (at the term with exponent vector ``exponents``, in ``coordinate``).
 
-    def __init__(self, message, coordinate=None, exponents=None):
+    ``degree`` is the total degree the recursion or the tau lift was
+    building when it happened, as in :class:`FlatnessObstructionError`.
+    """
+
+    def __init__(self, message, coordinate=None, exponents=None, degree=None):
         super().__init__(message)
         self.coordinate = coordinate
         self.exponents = exponents
+        self.degree = degree
 
 
 class EvaluationDomainError(EngineError):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FlatnessObstructionError, MalformedInputError
+from .errors import FlatnessObstructionError, FractionalDomainError, MalformedInputError
 from .expr import Signomial
 from .geometry import GeometryBundle
 from .wick import WickAlgebra, WickElement, sort_word, wedge_merge
@@ -112,7 +112,7 @@ class FedosovMachine:
     def __init__(self, bundle: GeometryBundle):
         self.bundle = bundle
         self.dim = bundle.ctx.dim
-        self.algebra = WickAlgebra(bundle.symp.lam)
+        self.algebra = WickAlgebra(bundle.lam)
         # nonzero Gamma entries grouped by wedge direction:
         # transport term  - Gamma(tgt, dir, src) z^src d/dz^tgt
         self.gamma_by_dir = []
@@ -120,7 +120,7 @@ class FedosovMachine:
             entries = []
             for tgt in range(self.dim):
                 for src in range(self.dim):
-                    gam = bundle.gamma(tgt, al, src)
+                    gam = bundle.gamma[tgt][al][src]
                     if not gam.is_zero:
                         entries.append((tgt, src, gam))
             self.gamma_by_dir.append(entries)
@@ -147,8 +147,8 @@ class FedosovMachine:
                     for g in range(dim):
                         coeff = Signomial.zero(dim)
                         for t in range(dim):
-                            th = bundle.symp.theta_lower[g][t]
-                            tt = bundle.torsion.full[t][a][b]
+                            th = bundle.theta_lower[g][t]
+                            tt = bundle.torsion[t][a][b]
                             if th.is_zero or tt.is_zero:
                                 continue
                             coeff = coeff + th * tt
@@ -169,8 +169,8 @@ class FedosovMachine:
                         for f in range(dim):
                             coeff = Signomial.zero(dim)
                             for t in range(dim):
-                                th = bundle.symp.theta_lower[g][t]
-                                rr = bundle.curvature.full[t][f][a][b]
+                                th = bundle.theta_lower[g][t]
+                                rr = bundle.curvature[t][f][a][b]
                                 if th.is_zero or rr.is_zero:
                                     continue
                                 coeff = coeff + th * rr
@@ -278,7 +278,11 @@ class FedosovMachine:
             return rhs
 
         for m in range(1, K + 2):
-            rhs = rhs_at(m)
+            try:
+                rhs = rhs_at(m)
+            except FractionalDomainError as err:
+                err.degree = m
+                raise
             rhs_store[m] = rhs
             r_comp[m + 1] = delta_inv(rhs)
 
@@ -398,15 +402,19 @@ def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
     machine = state.machine
     comps = {0: WickElement.from_signomial(f)}
     for k in range(order):
-        rhs = machine.dconn_apply(comps[k])
-        for l in range(0, k + 1):
-            rl = state.r_components.get(l + 2)
-            tk = comps.get(k - l)
-            if rl is None or rl.is_zero or tk is None or tk.is_zero:
-                continue
-            comm = machine.algebra.commutator(rl, tk)
-            if not comm.is_zero:
-                rhs = rhs - comm.scale(1j).div_v(rl.coeff_norm() * tk.coeff_norm())
+        try:
+            rhs = machine.dconn_apply(comps[k])
+            for l in range(0, k + 1):
+                rl = state.r_components.get(l + 2)
+                tk = comps.get(k - l)
+                if rl is None or rl.is_zero or tk is None or tk.is_zero:
+                    continue
+                comm = machine.algebra.commutator(rl, tk)
+                if not comm.is_zero:
+                    rhs = rhs - comm.scale(1j).div_v(rl.coeff_norm() * tk.coeff_norm())
+        except FractionalDomainError as err:
+            err.degree = k + 1
+            raise
         comps[k + 1] = delta_inv(rhs)
     return comps
 

@@ -18,6 +18,11 @@ derives, in order:
 * the compatible almost-complex structure J, the 2-form theta fixed by
   theta(X, Y) = g(JX, Y), its inverse, and Lambda = theta^{-1} - i g^{-1}.
 
+:func:`build_geometry` stores all of it once, as plain nested lists in
+frame indices, in one :class:`GeometryBundle`; its docstring gives the
+index conventions.  The diagnostics below compare those tensors, among
+them the Nijenhuis tensor with four times the J-anti-invariant torsion.
+
 Everything is exact term-level signomial arithmetic; the only tolerance in
 this module is the coefficient dead zone.  All objects are immutable once
 built (treat the nested lists as read-only).
@@ -64,130 +69,65 @@ class LagrangianSpec:
 
 
 @dataclass(frozen=True)
-class MetricBlocks:
-    """Sasaki metric blocks; the v-block equals the h-block entrywise."""
+class GeometryBundle:
+    """Every derived geometric object for one configuration.
 
+    Frame indices run over 0..2n-1: h-labels 0..n-1 (base, e_j = D_j -
+    N^a_j D_a) and v-labels n..2n-1 (fiber, e_{n+a} = D_{n+a}).  The block
+    tables ``h``, ``h_inv``, ``G``, ``N``, ``omega``, ``l_hh`` and ``c_vv``
+    label base and fiber indices alike 0..n-1; every other table uses
+    frame indices.
+
+    * ``h``, ``h_inv``: Sasaki metric block and its inverse (the v-block
+      equals the h-block entrywise); ``g_lower``, ``g_upper``: the full
+      block-diagonal metric and inverse.
+    * ``G[k]``: semi-spray; ``N[a][j]``: N^a_j; ``omega[a][i][j]`` =
+      e_j(N^a_i) - e_i(N^a_j).
+    * ``l_hh[i][j][k]``: h-block of the canonical d-connection (source j,
+      direction k); ``c_vv[a][b][c]``: v-block (source b, direction c).
+    * ``gamma[tgt][direction][src]``: the covariant derivative of e_src
+      along e_direction has e_tgt component ``gamma[tgt][direction][src]``.
+      The cross blocks are ``l_hh`` and ``c_vv`` under the h/v index
+      identification; mixed target/source entries are one shared zero.
+    * ``anholonomy[g][a][b]``: [e_a, e_b] = w^g_{ab} e_g at alpha = 1.
+    * ``torsion[g][a][b]``: T(e_a, e_b)^g.  The classical component tables
+      (T^i_{ja} = C^i_{ja}, T^a_{ij} = Omega^a_{ij}, T^a_{ib} = e_b N^a_i -
+      L^a_{bi}) list the same data with the argument pair in the opposite
+      order: T^i_{ja} is ``torsion[i][n + a][j]``.  The h-h->h and v-v->v
+      parts vanish identically.
+    * ``curvature[t][f][a][b]``: R(e_a, e_b) e_f = curvature[t][f][a][b]
+      e_t; antisymmetric in (a, b), and zero for mixed target/source.
+    * ``J``: 2n x 2n floats with column action (J v)^r = J[r][c] v^c, J e_j
+      = -e_{n+j}, J e_{n+j} = e_j.  ``theta_lower`` is theta(X, Y) =
+      g(JX, Y), which makes the flat Poisson bracket of the first base/fiber
+      pair +1; ``theta_upper`` is its inverse; ``lam[a][b]`` is Lambda^{ab}
+      = theta^{ab} - i g^{ab}.
+
+    Treat every nested list as read-only.
+    """
+
+    spec: LagrangianSpec
+    ctx: AlphaContext
     h: Matrix
     h_inv: Matrix
-    n: int
-
-    def lower(self, a: int, b: int) -> Signomial:
-        n = self.n
-        if a < n and b < n:
-            return self.h[a][b]
-        if a >= n and b >= n:
-            return self.h[a - n][b - n]
-        return Signomial.zero(2 * n)
-
-    def upper(self, a: int, b: int) -> Signomial:
-        n = self.n
-        if a < n and b < n:
-            return self.h_inv[a][b]
-        if a >= n and b >= n:
-            return self.h_inv[a - n][b - n]
-        return Signomial.zero(2 * n)
-
-
-@dataclass(frozen=True)
-class NConnection:
-    """Semi-spray G, coefficients N^a_j, and curvature Omega^a_ij."""
-
     G: list
     N: Matrix
-    omega: list  # omega[a][i][j] = e_j(N^a_i) - e_i(N^a_j)
-
-
-@dataclass(frozen=True)
-class DConnection:
-    """Canonical metric d-connection.
-
-    ``l_hh[i][j][k]`` is the h-block coefficient (source j, direction k);
-    ``c_vv[a][b][c]`` the v-block (source b, direction c), both with
-    h-labels.  The cross blocks are these same arrays under the h/v index
-    identification.
-    """
-
+    omega: list
     l_hh: list
     c_vv: list
-    n: int
-
-    def gamma(self, tgt: int, direction: int, src: int) -> Signomial:
-        """Connection coefficient: covariant derivative of e_src along
-        e_direction has e_tgt component gamma(tgt, direction, src)."""
-        n = self.n
-        if tgt < n and src < n:
-            if direction < n:
-                return self.l_hh[tgt][src][direction]
-            return self.c_vv[tgt][src][direction - n]
-        if tgt >= n and src >= n:
-            if direction < n:
-                return self.l_hh[tgt - n][src - n][direction]
-            return self.c_vv[tgt - n][src - n][direction - n]
-        return Signomial.zero(2 * n)
-
-
-@dataclass(frozen=True)
-class TorsionTensor:
-    """Frame torsion T(e_a, e_b)^g stored as ``full[g][a][b]``.
-
-    The classical component tables (T^i_{ja} = C^i_{ja}, T^a_{ij} =
-    Omega^a_{ij}, T^a_{ib} = e_b N^a_i - L^a_{bi}) list the same data with
-    the argument pair in the opposite order, i.e. they equal
-    ``full[g][b][a]``; T^i_{ja} is ``full[i][n + a][j]``.  Both h-h->h and
-    v-v->v parts vanish identically.
-    """
-
-    full: list
-
-
-@dataclass(frozen=True)
-class CurvatureTensor:
-    """Frame curvature R(e_a, e_b) e_f = full[t][f][a][b] e_t.
-
-    Antisymmetric in the last (form) index pair by construction; the
-    h/v-preserving block structure of the d-connection makes every mixed
-    target/source entry vanish.
-    """
-
-    full: list
-
-
-@dataclass(frozen=True)
-class AlmostSymplectic:
-    """J, theta (both index positions), full metric blocks and Lambda.
-
-    The orientation is fixed by theta(X, Y) = g(JX, Y) with J e_j = -e_{n+j},
-    J e_{n+j} = e_j, which makes the flat-configuration Poisson bracket of
-    the first base/fiber pair equal +1.
-    """
-
-    J: list  # 2n x 2n floats, column action: (J v)^r = J[r][c] v^c
+    gamma: list
+    anholonomy: list
+    torsion: list
+    curvature: list
+    J: list
     theta_lower: Matrix
     theta_upper: Matrix
     g_lower: Matrix
     g_upper: Matrix
-    lam: Matrix  # Lambda^{ab} = theta^{ab} - i g^{ab}
-
-
-@dataclass(frozen=True)
-class GeometryBundle:
-    """Every derived geometric object for one configuration."""
-
-    spec: LagrangianSpec
-    ctx: AlphaContext
-    metric: MetricBlocks
-    nconn: NConnection
-    dconn: DConnection
-    torsion: TorsionTensor
-    curvature: CurvatureTensor
-    symp: AlmostSymplectic
-    anholonomy: list  # w[g][a][b] with [e_a, e_b] = w[g][a][b] e_g at alpha = 1
+    lam: Matrix
 
     def e(self, f: Signomial, idx: int) -> Signomial:
-        return adapted_derivative(f, idx, self.nconn.N, self.ctx)
-
-    def gamma(self, tgt: int, direction: int, src: int) -> Signomial:
-        return self.dconn.gamma(tgt, direction, src)
+        return adapted_derivative(f, idx, self.N, self.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +135,8 @@ class GeometryBundle:
 # ---------------------------------------------------------------------------
 
 
-def hessian_metric(spec: LagrangianSpec) -> MetricBlocks:
-    """Fiber Hessian of L, symmetrized, with exact diagonal inversion."""
+def hessian_metric(spec: LagrangianSpec) -> tuple:
+    """Fiber Hessian of L, symmetrized, with exact diagonal inversion: (h, h_inv)."""
     ctx = spec.ctx
     n = ctx.n
     h = [[None] * n for _ in range(n)]
@@ -228,10 +168,10 @@ def hessian_metric(spec: LagrangianSpec) -> MetricBlocks:
     h_inv = [[Signomial.zero(ctx.dim) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         h_inv[i][i] = h[i][i].reciprocal()
-    return MetricBlocks(h=h, h_inv=h_inv, n=n)
+    return h, h_inv
 
 
-def semi_spray(spec: LagrangianSpec, metric: MetricBlocks) -> list:
+def semi_spray(spec: LagrangianSpec, h_inv: Matrix) -> list:
     """Semi-spray of the Lagrangian's Euler-Lagrange dynamics.
 
     G^k = (1/4) g^{kj} [ y^m D_{y^j} D_{x^m} L - D_{x^j} L ]: the base
@@ -247,7 +187,7 @@ def semi_spray(spec: LagrangianSpec, metric: MetricBlocks) -> list:
     for k in range(n):
         acc = Signomial.zero(ctx.dim)
         for j in range(n):
-            gkj = metric.h_inv[k][j]
+            gkj = h_inv[k][j]
             if gkj.is_zero:
                 continue
             dyj = ctx.deriv(spec.L, n + j)
@@ -274,8 +214,8 @@ def adapted_derivative(f: Signomial, idx: int, N: Matrix, ctx: AlphaContext) -> 
     return out
 
 
-def n_connection(spec: LagrangianSpec, G: list) -> NConnection:
-    """Connection coefficients N^a_j = D_{y^j} G^a plus their curvature."""
+def n_connection(spec: LagrangianSpec, G: list) -> tuple:
+    """Connection coefficients N^a_j = D_{y^j} G^a and their curvature: (N, omega)."""
     ctx = spec.ctx
     n = ctx.n
     N = [[ctx.deriv(G[a], n + j) for j in range(n)] for a in range(n)]
@@ -288,15 +228,12 @@ def n_connection(spec: LagrangianSpec, G: list) -> NConnection:
                 )
                 omega[a][i][j] = o
                 omega[a][j][i] = -o
-    return NConnection(G=G, N=N, omega=omega)
+    return N, omega
 
 
-def canonical_d_connection(
-    metric: MetricBlocks, nconn: NConnection, ctx: AlphaContext
-) -> DConnection:
-    """Koszul coefficients of the metric d-connection in the adapted frame."""
+def canonical_d_connection(h: Matrix, h_inv: Matrix, N: Matrix, ctx: AlphaContext) -> tuple:
+    """Koszul coefficients of the metric d-connection in the adapted frame: (l_hh, c_vv)."""
     n = ctx.n
-    N = nconn.N
 
     def e_h(f, k):
         return adapted_derivative(f, k, N, ctx)
@@ -307,13 +244,13 @@ def canonical_d_connection(
             for k in range(n):
                 acc = Signomial.zero(ctx.dim)
                 for r in range(n):
-                    gir = metric.h_inv[i][r]
+                    gir = h_inv[i][r]
                     if gir.is_zero:
                         continue
                     term = (
-                        e_h(metric.h[j][r], k)
-                        + e_h(metric.h[k][r], j)
-                        - e_h(metric.h[j][k], r)
+                        e_h(h[j][r], k)
+                        + e_h(h[k][r], j)
+                        - e_h(h[j][k], r)
                     )
                     acc = acc + gir * term
                 l_hh[i][j][k] = acc.scale(0.5)
@@ -324,21 +261,21 @@ def canonical_d_connection(
             for c in range(n):
                 acc = Signomial.zero(ctx.dim)
                 for d in range(n):
-                    gad = metric.h_inv[a][d]
+                    gad = h_inv[a][d]
                     if gad.is_zero:
                         continue
                     term = (
-                        ctx.deriv(metric.h[b][d], n + c)
-                        + ctx.deriv(metric.h[c][d], n + b)
-                        - ctx.deriv(metric.h[b][c], n + d)
+                        ctx.deriv(h[b][d], n + c)
+                        + ctx.deriv(h[c][d], n + b)
+                        - ctx.deriv(h[b][c], n + d)
                     )
                     acc = acc + gad * term
                 c_vv[a][b][c] = acc.scale(0.5)
 
-    return DConnection(l_hh=l_hh, c_vv=c_vv, n=n)
+    return l_hh, c_vv
 
 
-def anholonomy(nconn: NConnection, ctx: AlphaContext) -> list:
+def anholonomy(N: Matrix, omega: list, ctx: AlphaContext) -> list:
     """Structure coefficients of the adapted frame.
 
     w^a_{ij} = Omega^a_{ij} and w^a_{ib} = +D_b N^a_i (so that
@@ -352,49 +289,44 @@ def anholonomy(nconn: NConnection, ctx: AlphaContext) -> list:
     for a in range(n):
         for i in range(n):
             for j in range(n):
-                w[n + a][i][j] = nconn.omega[a][i][j]
+                w[n + a][i][j] = omega[a][i][j]
             for b in range(n):
-                d = ctx.deriv(nconn.N[a][i], n + b)
+                d = ctx.deriv(N[a][i], n + b)
                 w[n + a][i][n + b] = d
                 w[n + a][n + b][i] = -d
     return w
 
 
-def torsion(dconn: DConnection, anhol: list, ctx: AlphaContext) -> TorsionTensor:
-    """Frame torsion T^g_{ab} = gamma(g,a,b) - gamma(g,b,a) - w^g_{ab}."""
+def torsion(gamma: list, anhol: list, ctx: AlphaContext) -> list:
+    """Frame torsion T^g_{ab} = gamma[g][a][b] - gamma[g][b][a] - w^g_{ab}."""
     dim = ctx.dim
     full = _zeros(ctx, dim, dim, dim)
     for g in range(dim):
         for a in range(dim):
             for b in range(a + 1, dim):
-                t = dconn.gamma(g, a, b) - dconn.gamma(g, b, a) - anhol[g][a][b]
+                t = gamma[g][a][b] - gamma[g][b][a] - anhol[g][a][b]
                 full[g][a][b] = t
                 full[g][b][a] = -t
-    return TorsionTensor(full=full)
+    return full
 
 
-def curvature(
-    dconn: DConnection, nconn: NConnection, anhol: list, ctx: AlphaContext
-) -> CurvatureTensor:
+def curvature(gamma: list, N: Matrix, anhol: list, ctx: AlphaContext) -> list:
     """Frame curvature of the d-connection.
 
     R^t_{f ab} = e_a(G^t_{bf}) - e_b(G^t_{af})
                  + G^s_{bf} G^t_{as} - G^s_{af} G^t_{bs}
                  - w^s_{ab} G^t_{sf},
-    with G(t, direction, source) the connection coefficients.  This is the
+    with G^t_{direction source} = gamma[t][direction][source].  This is the
     unique realization under which the flat-connection operator identities
     of the quantization layer close at alpha = 1.
     """
     dim = ctx.dim
-    N = nconn.N
     dcache: dict = {}
 
     def e_of_gamma(t, direction, src, along):
         key = (t, direction, src, along)
         if key not in dcache:
-            dcache[key] = adapted_derivative(
-                dconn.gamma(t, direction, src), along, N, ctx
-            )
+            dcache[key] = adapted_derivative(gamma[t][direction][src], along, N, ctx)
         return dcache[key]
 
     full = [[[ [None] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
@@ -413,80 +345,80 @@ def curvature(
                 for b in range(a + 1, dim):
                     acc = e_of_gamma(t, b, f, a) - e_of_gamma(t, a, f, b)
                     for s in range(dim):
-                        gbf = dconn.gamma(s, b, f)
+                        gbf = gamma[s][b][f]
                         if not gbf.is_zero:
-                            acc = acc + gbf * dconn.gamma(t, a, s)
-                        gaf = dconn.gamma(s, a, f)
+                            acc = acc + gbf * gamma[t][a][s]
+                        gaf = gamma[s][a][f]
                         if not gaf.is_zero:
-                            acc = acc - gaf * dconn.gamma(t, b, s)
+                            acc = acc - gaf * gamma[t][b][s]
                         wab = anhol[s][a][b]
                         if not wab.is_zero:
-                            acc = acc - wab * dconn.gamma(t, s, f)
+                            acc = acc - wab * gamma[t][s][f]
                     full[t][f][a][b] = acc
                     full[t][f][b][a] = -acc
-    return CurvatureTensor(full=full)
-
-
-def almost_symplectic(metric: MetricBlocks, ctx: AlphaContext) -> AlmostSymplectic:
-    n = ctx.n
-    dim = ctx.dim
-    J = [[0.0] * dim for _ in range(dim)]
-    for i in range(n):
-        J[n + i][i] = -1.0
-        J[i][n + i] = 1.0
-
-    zero = Signomial.zero(dim)
-    g_lower = [[metric.lower(a, b) for b in range(dim)] for a in range(dim)]
-    g_upper = [[metric.upper(a, b) for b in range(dim)] for a in range(dim)]
-
-    theta_lower = [[zero] * dim for _ in range(dim)]
-    theta_upper = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            gij = metric.h[i][j]
-            if not gij.is_zero:
-                theta_lower[i][n + j] = -gij
-                theta_lower[n + j][i] = gij
-            hij = metric.h_inv[i][j]
-            if not hij.is_zero:
-                theta_upper[i][n + j] = hij
-                theta_upper[n + j][i] = -hij
-
-    lam = [
-        [theta_upper[a][b] + g_upper[a][b].scale(-1j) for b in range(dim)]
-        for a in range(dim)
-    ]
-    return AlmostSymplectic(
-        J=J,
-        theta_lower=theta_lower,
-        theta_upper=theta_upper,
-        g_lower=g_lower,
-        g_upper=g_upper,
-        lam=lam,
-    )
+    return full
 
 
 def build_geometry(spec: LagrangianSpec) -> GeometryBundle:
     """Run the full construction chain for one configuration."""
     ctx = spec.ctx
-    metric = hessian_metric(spec)
-    G = semi_spray(spec, metric)
-    nconn = n_connection(spec, G)
-    dconn = canonical_d_connection(metric, nconn, ctx)
-    anhol = anholonomy(nconn, ctx)
-    tors = torsion(dconn, anhol, ctx)
-    curv = curvature(dconn, nconn, anhol, ctx)
-    symp = almost_symplectic(metric, ctx)
+    n = ctx.n
+    dim = ctx.dim
+    zero = Signomial.zero(dim)
+
+    def blocks(m):
+        # an n x n block on the h-h and v-v diagonal, zero elsewhere
+        return [[m[a % n][b % n] if (a < n) == (b < n) else zero for b in range(dim)]
+                for a in range(dim)]
+
+    h, h_inv = hessian_metric(spec)
+    G = semi_spray(spec, h_inv)
+    N, omega = n_connection(spec, G)
+    l_hh, c_vv = canonical_d_connection(h, h_inv, N, ctx)
+    gamma = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for t in range(dim):
+        for d in range(dim):
+            block = l_hh if d < n else c_vv
+            for s in range(dim):
+                if (t < n) == (s < n):
+                    gamma[t][d][s] = block[t % n][s % n][d % n]
+    anhol = anholonomy(N, omega, ctx)
+
+    J = [[0.0] * dim for _ in range(dim)]
+    theta_lower = [[zero] * dim for _ in range(dim)]
+    theta_upper = [[zero] * dim for _ in range(dim)]
+    for i in range(n):
+        J[n + i][i] = -1.0
+        J[i][n + i] = 1.0
+        for j in range(n):
+            if not h[i][j].is_zero:
+                theta_lower[i][n + j] = -h[i][j]
+                theta_lower[n + j][i] = h[i][j]
+            if not h_inv[i][j].is_zero:
+                theta_upper[i][n + j] = h_inv[i][j]
+                theta_upper[n + j][i] = -h_inv[i][j]
+    g_upper = blocks(h_inv)
+    lam = [[theta_upper[a][b] + g_upper[a][b].scale(-1j) for b in range(dim)] for a in range(dim)]
     return GeometryBundle(
         spec=spec,
         ctx=ctx,
-        metric=metric,
-        nconn=nconn,
-        dconn=dconn,
-        torsion=tors,
-        curvature=curv,
-        symp=symp,
+        h=h,
+        h_inv=h_inv,
+        G=G,
+        N=N,
+        omega=omega,
+        l_hh=l_hh,
+        c_vv=c_vv,
+        gamma=gamma,
         anholonomy=anhol,
+        torsion=torsion(gamma, anhol, ctx),
+        curvature=curvature(gamma, N, anhol, ctx),
+        J=J,
+        theta_lower=theta_lower,
+        theta_upper=theta_upper,
+        g_lower=blocks(h),
+        g_upper=g_upper,
+        lam=lam,
     )
 
 
@@ -512,7 +444,7 @@ def poisson_bracket(f: Signomial, g: Signomial, bundle: GeometryBundle) -> Signo
         if ef[a].is_zero:
             continue
         for b in range(dim):
-            th = bundle.symp.theta_upper[a][b]
+            th = bundle.theta_upper[a][b]
             if th.is_zero or eg[b].is_zero:
                 continue
             out = out + th * ef[a] * eg[b]
@@ -527,11 +459,11 @@ def metric_compat_residual(bundle: GeometryBundle) -> float:
     for al in range(dim):
         for a in range(dim):
             for b in range(dim):
-                g_ab = bundle.symp.g_lower[a][b]
+                g_ab = bundle.g_lower[a][b]
                 res = bundle.e(g_ab, al)
                 for s in range(dim):
-                    res = res - bundle.gamma(s, al, a) * bundle.symp.g_lower[s][b]
-                    res = res - bundle.gamma(s, al, b) * bundle.symp.g_lower[a][s]
+                    res = res - bundle.gamma[s][al][a] * bundle.g_lower[s][b]
+                    res = res - bundle.gamma[s][al][b] * bundle.g_lower[a][s]
                 worst = max(worst, res.max_abs_coeff())
     return worst
 
@@ -540,7 +472,7 @@ def jcompat_residual(bundle: GeometryBundle) -> float:
     """Largest coefficient of D J (J is constant in the adapted frame)."""
     ctx = bundle.ctx
     dim = ctx.dim
-    J = bundle.symp.J
+    J = bundle.J
     worst = 0.0
     for al in range(dim):
         for g in range(dim):
@@ -548,9 +480,9 @@ def jcompat_residual(bundle: GeometryBundle) -> float:
                 res = Signomial.zero(dim)
                 for s in range(dim):
                     if J[s][b] != 0.0:
-                        res = res + bundle.gamma(g, al, s).scale(J[s][b])
+                        res = res + bundle.gamma[g][al][s].scale(J[s][b])
                     if J[g][s] != 0.0:
-                        res = res - bundle.gamma(s, al, b).scale(J[g][s])
+                        res = res - bundle.gamma[s][al][b].scale(J[g][s])
                 worst = max(worst, res.max_abs_coeff())
     return worst
 
@@ -558,14 +490,14 @@ def jcompat_residual(bundle: GeometryBundle) -> float:
 def theta_compat_residual(bundle: GeometryBundle) -> float:
     """theta_{ab} - g(J e_a, e_b), term-wise."""
     dim = bundle.ctx.dim
-    J = bundle.symp.J
+    J = bundle.J
     worst = 0.0
     for a in range(dim):
         for b in range(dim):
-            res = bundle.symp.theta_lower[a][b]
+            res = bundle.theta_lower[a][b]
             for s in range(dim):
                 if J[s][a] != 0.0:
-                    res = res - bundle.symp.g_lower[s][b].scale(J[s][a])
+                    res = res - bundle.g_lower[s][b].scale(J[s][a])
             worst = max(worst, res.max_abs_coeff())
     return worst
 
@@ -576,8 +508,8 @@ def matrix_inverse_residual(bundle: GeometryBundle) -> float:
     worst = 0.0
     one = Signomial.constant(dim, 1.0)
     for lower, upper in (
-        (bundle.symp.g_lower, bundle.symp.g_upper),
-        (bundle.symp.theta_lower, bundle.symp.theta_upper),
+        (bundle.g_lower, bundle.g_upper),
+        (bundle.theta_lower, bundle.theta_upper),
     ):
         for a in range(dim):
             for c in range(dim):
@@ -593,7 +525,7 @@ def matrix_inverse_residual(bundle: GeometryBundle) -> float:
 
 def j_squared_residual(bundle: GeometryBundle) -> float:
     dim = bundle.ctx.dim
-    J = bundle.symp.J
+    J = bundle.J
     worst = 0.0
     for a in range(dim):
         for c in range(dim):
@@ -610,11 +542,11 @@ def torsion_pure_blocks_residual(bundle: GeometryBundle) -> float:
     for g in range(n):
         for a in range(n):
             for b in range(n):
-                worst = max(worst, bundle.torsion.full[g][a][b].max_abs_coeff())
+                worst = max(worst, bundle.torsion[g][a][b].max_abs_coeff())
     for g in range(n, 2 * n):
         for a in range(n, 2 * n):
             for b in range(n, 2 * n):
-                worst = max(worst, bundle.torsion.full[g][a][b].max_abs_coeff())
+                worst = max(worst, bundle.torsion[g][a][b].max_abs_coeff())
     return worst
 
 
@@ -625,7 +557,7 @@ def curvature_antisymmetry_residual(bundle: GeometryBundle) -> float:
         for f in range(dim):
             for a in range(dim):
                 for b in range(dim):
-                    res = bundle.curvature.full[t][f][a][b] + bundle.curvature.full[t][f][b][a]
+                    res = bundle.curvature[t][f][a][b] + bundle.curvature[t][f][b][a]
                     worst = max(worst, res.max_abs_coeff())
     return worst
 
@@ -640,12 +572,12 @@ def acp_residual(bundle: GeometryBundle, points: Sequence) -> float:
                 for b in range(a + 1, dim):
                     res = Signomial.zero(dim)
                     for t in range(dim):
-                        th_f = bundle.symp.theta_lower[f][t]
+                        th_f = bundle.theta_lower[f][t]
                         if not th_f.is_zero:
-                            res = res + th_f * bundle.curvature.full[t][g][a][b]
-                        th_g = bundle.symp.theta_lower[g][t]
+                            res = res + th_f * bundle.curvature[t][g][a][b]
+                        th_g = bundle.theta_lower[g][t]
                         if not th_g.is_zero:
-                            res = res - th_g * bundle.curvature.full[t][f][a][b]
+                            res = res - th_g * bundle.curvature[t][f][a][b]
                     for p in points:
                         worst = max(worst, abs(res.eval_at(p)))
     return worst
@@ -677,17 +609,21 @@ def anholonomy_residual(
 
 
 def nijenhuis_residual(bundle: GeometryBundle, points: Sequence) -> float:
-    """Max pointwise defect of N_J = 4 T under the bracket realization.
+    """Max pointwise defect of N_J = 4 T^(0,2) under the bracket realization.
 
-    The Nijenhuis components are assembled from the constant J and the
-    anholonomy coefficients ([e_a, e_b] = w^g_{ab} e_g, exact at alpha = 1,
-    the measured realization otherwise), then compared with four times the
-    frame torsion.
+    For a connection with nabla J = 0 the Nijenhuis tensor sees only the
+    J-anti-invariant part of the torsion (Kobayashi-Nomizu, Foundations II,
+    ch. IX): N_J(X, Y) = 4 T^(0,2)(X, Y) = T(X, Y) - T(JX, JY)
+    + J T(JX, Y) + J T(X, JY).  The Nijenhuis components are assembled from
+    the constant J and the anholonomy coefficients ([e_a, e_b] = w^g_{ab}
+    e_g, exact at alpha = 1, the measured realization otherwise), the
+    right side from the frame torsion.
     """
     ctx = bundle.ctx
     n = ctx.n
     dim = ctx.dim
     w = bundle.anholonomy
+    T = bundle.torsion
 
     def jmap(a):
         # J e_i = -e_{n+i}; J e_{n+i} = +e_i
@@ -705,7 +641,9 @@ def nijenhuis_residual(bundle: GeometryBundle, points: Sequence) -> float:
                 acc = acc + w[jg][ja][b].scale(sa * sg)
                 acc = acc + w[jg][a][jb].scale(sb * sg)
                 acc = acc - w[g][a][b]
-                res = acc - bundle.torsion.full[g][a][b].scale(4.0)
+                t02 = T[g][a][b] - T[g][ja][jb].scale(sa * sb)
+                t02 = t02 - T[jg][ja][b].scale(sa * sg) - T[jg][a][jb].scale(sb * sg)
+                res = acc - t02
                 for p in points:
                     worst = max(worst, abs(res.eval_at(p)))
     return worst

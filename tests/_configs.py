@@ -58,6 +58,11 @@ def quartic_lagrangian():
     return Signomial.from_terms(2, [(1.0, [0, 4])])
 
 
+def x2y3_lagrangian():
+    """L = x^2 y^3 (n = 1) — non-zero torsion and a non-zero classical r."""
+    return Signomial.from_terms(2, [(1.0, [2, 3])])
+
+
 def w4_lagrangian():
     """L = x1^2 x2 y1^3 + x1 x2 y2^2 (n = 2) — non-zero torsion, curvature and Omega."""
     return Signomial.from_terms(4, [(1.0, [2, 1, 3, 0]), (1.0, [1, 1, 0, 2])])
@@ -75,6 +80,9 @@ def make_spec(kind, n, alpha):
     elif kind == "y4":
         assert n == 1
         L = quartic_lagrangian()
+    elif kind == "x2y3":
+        assert n == 1
+        L = x2y3_lagrangian()
     elif kind == "w4":
         assert n == 2
         L = w4_lagrangian()

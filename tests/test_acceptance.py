@@ -92,7 +92,7 @@ def test_criterion_2_algebraic_identity_suite():
     worst = {"dsq": 0.0, "hodge": 0.0, "deriv": 0.0, "assoc": 0.0, "jacobi": 0.0}
     for alpha in ALL_ALPHAS:
         bundle = make_bundle("flat", 1, alpha)
-        alg = WickAlgebra(bundle.symp.lam)
+        alg = WickAlgebra(bundle.lam)
         rng = np.random.default_rng(int(alpha * 1000) + 17)
         for _ in range(25):  # 25 x 4 alphas = 100 seeded elements
             elems = []
@@ -162,7 +162,7 @@ def test_criterion_3_exact_geometric_compatibilities():
         for kind in ("flat", "coupled"):
             for n in (1, 2):
                 b = make_bundle(kind, n, alpha)
-                scale = max(1.0, b.metric.h[0][0].max_abs_coeff())
+                scale = max(1.0, b.h[0][0].max_abs_coeff())
                 worst = max(
                     worst,
                     metric_compat_residual(b) / scale,

@@ -78,10 +78,10 @@ def test_theta_is_d_of_canonical_one_form_classically():
         theta = adapted_form(
             2 * n,
             [
-                ((a, c), b.symp.theta_lower[a][c])
+                ((a, c), b.theta_lower[a][c])
                 for a in range(2 * n)
                 for c in range(a + 1, 2 * n)
-                if not b.symp.theta_lower[a][c].is_zero
+                if not b.theta_lower[a][c].is_zero
             ],
         )
         assert (domega - theta).sample_norm(sample_points(n)) < 1e-10
@@ -110,7 +110,7 @@ def test_gamma_vanishes_by_block_structure():
     # d-connection curvature preserves them, so the trace defining gamma
     # is empty even where the curvature itself is not
     b = make_bundle("coupled", 1, 0.45)
-    assert not b.curvature.full[0][0][0][1].is_zero
+    assert not b.curvature[0][0][0][1].is_zero
     gamma = chern_weyl(b)
     assert gamma.is_zero
     res = exterior_derivative(gamma, FedosovMachine(b)).sample_norm(sample_points(1))

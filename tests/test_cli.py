@@ -240,6 +240,48 @@ def test_exit_code_compute_error_alpha_half_class_exit(tmp_path):
     assert prefixes == {"caputo", "algebra", "geometry"}
 
 
+def test_abort_names_degree_coordinate_and_exponents():
+    # x^2 y^2 at alpha = 0.6: the Deg-4 right side of the recursion needs
+    # the Caputo derivative in y of a term x^2 y^-1
+    out = io.StringIO()
+    code = main(["run", "--config", str(GOLDEN / "x2y2_a0.6.config.json")], stream=out)
+    assert code == EXIT_COMPUTE_ERROR
+    err = json.loads(out.getvalue())["error"]
+    assert err["type"] == "FractionalDomainError" and err["stage"] == "recursion"
+    assert (err["coordinate"], err["exponents"], err["degree"]) == (1, [2.0, -1.0], 4)
+    assert err["message"].startswith("coordinate 1, term with exponents [2.0, -1.0]: ")
+
+
+def test_run_builds_one_wick_algebra(monkeypatch):
+    # the algebra checks use the Fedosov machine's algebra, so a run fills
+    # one contraction table
+    from akstar import wick
+
+    built = []
+    init = wick.WickAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(wick.WickAlgebra, "__init__", counting_init)
+    code = main(["run", "--config", str(GOLDEN / "y4_a1.config.json")], stream=io.StringIO())
+    assert code == EXIT_OK
+    assert len(built) == 1
+
+
+def test_strict_check_geometry_passes_on_w4(tmp_path):
+    # W4 has non-zero torsion, curvature and Omega, and N_J != 0
+    cfg = json.loads((GOLDEN / "w4_star_o1.config.json").read_text())
+    cfg["mode"] = "strict"
+    path = write_config(tmp_path, cfg)
+    out = io.StringIO()
+    assert main(["check", "geometry", "--config", path], stream=out) == EXIT_OK
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 10
+    assert all(" pass " in line for line in lines)
+
+
 def test_exit_code_check_failure(tmp_path):
     cfg = flat_config(
         alpha=0.45,

@@ -152,11 +152,11 @@ def test_dconn_transport_matches_independent_koszul_values():
             up2, dn2 = list(at), list(at)
             up2[1] += h
             dn2[1] -= h
-            val -= b.nconn.N[0][0].eval_at(at) * (f.eval_at(up2) - f.eval_at(dn2)) / (2 * h)
+            val -= b.N[0][0].eval_at(at) * (f.eval_at(up2) - f.eval_at(dn2)) / (2 * h)
         return val
 
-    g = b.metric.h[0][0]
-    gl_num = 0.5 * b.metric.h_inv[0][0].eval_at(p) * e_num(g, 0, p)  # L^x_xx at p
+    g = b.h[0][0]
+    gl_num = 0.5 * b.h_inv[0][0].eval_at(p) * e_num(g, 0, p)  # L^x_xx at p
     # slot: wedge direction x, fiber z_y shifted to z_y (src y, tgt y): -L^y_yx
     key = (0, (0, 1), (0,))
     assert key in got.terms
@@ -196,8 +196,8 @@ def test_curvature_element_cancels_by_block_mirror():
     # fiber slots and the symmetrized quadratic element vanishes exactly
     m = machine("coupled", 1, 0.45)
     b = m.bundle
-    assert coeff_distance(b.curvature.full[0][0][0][1], b.curvature.full[1][1][0][1]) == 0.0
-    assert not b.curvature.full[0][0][0][1].is_zero
+    assert coeff_distance(b.curvature[0][0][0][1], b.curvature[1][1][0][1]) == 0.0
+    assert not b.curvature[0][0][0][1].is_zero
     assert m.r_hat.is_zero
 
 
@@ -206,14 +206,12 @@ def test_curvature_element_grading_on_asymmetric_blocks():
     # curvature is artificially rescaled so the contraction survives
     import dataclasses
 
-    from akstar.geometry import CurvatureTensor
-
     b = make_bundle("coupled", 1, 0.45)
-    full = [[[ [b.curvature.full[t][f][a][c] for c in range(2)] for a in range(2)]
+    full = [[[ [b.curvature[t][f][a][c] for c in range(2)] for a in range(2)]
              for f in range(2)] for t in range(2)]
     full[1][1][0][1] = full[1][1][0][1].scale(2.0)
     full[1][1][1][0] = full[1][1][1][0].scale(2.0)
-    doctored = dataclasses.replace(b, curvature=CurvatureTensor(full=full))
+    doctored = dataclasses.replace(b, curvature=full)
     m = FedosovMachine(doctored)
     assert not m.r_hat.is_zero
     assert m.r_hat.total_degrees() == {2}
@@ -316,8 +314,9 @@ def test_alpha_half_recursion_exits_the_class():
     # exactly -1 (two twist contractions cancel the alpha dependence), and
     # its frame derivative sits on the numerator Gamma pole
     m = machine("flat", 1, 0.5)
-    with pytest.raises(FractionalDomainError):
+    with pytest.raises(FractionalDomainError) as info:
         m.solve_r(2, strict=False)
+    assert info.value.degree == 3
 
 
 def test_truncation_order_validated():
@@ -434,6 +433,15 @@ def test_tau_lift_memo_keeps_signed_zeros_apart():
     fresh = machine("y4", 1, 1.0).solve_r(3)
     assert exact(tau_lift(minus, st, 3)) == exact(tau_lift(minus, fresh, 3))
     assert exact(tau_lift(minus, st, 3)) != exact(tau_lift(plus, st, 3))
+
+
+def test_tau_lift_pole_names_the_lift_degree():
+    st = machine("flat", 1, 0.45).solve_r(3, strict=False)
+    with pytest.raises(FractionalDomainError) as info:
+        tau_components(Signomial.coordinate(2, 0), st, 4)
+    # building the Deg-4 component needs D-check of a term x^0.55 y^-2
+    assert info.value.degree == 4
+    assert (info.value.coordinate, info.value.exponents) == (1, (0.55, -2.0))
 
 
 def test_tau_lift_failures_are_not_memoised():

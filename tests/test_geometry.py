@@ -26,17 +26,17 @@ ALPHAS = (0.3, 0.5, 0.9, 1.0)
 
 def test_hessian_flat_classical():
     b = make_bundle("flat", 1, 1.0)
-    assert b.metric.h[0][0] == Signomial.constant(2, 1.0)
+    assert b.h[0][0] == Signomial.constant(2, 1.0)
 
 
 def test_hessian_flat_fractional():
     b = make_bundle("flat", 1, 0.5)
-    assert b.metric.h[0][0].terms == {(0.0, 1.0): pytest.approx(1.0)}
+    assert b.h[0][0].terms == {(0.0, 1.0): pytest.approx(1.0)}
 
 
 def test_hessian_coupled_classical():
     b = make_bundle("coupled", 1, 1.0)
-    assert b.metric.h[0][0].terms == {(2.0, 0.0): pytest.approx(2.0 * 0.5)}
+    assert b.h[0][0].terms == {(2.0, 0.0): pytest.approx(2.0 * 0.5)}
 
 
 def test_hessian_rejects_off_diagonal():
@@ -65,15 +65,15 @@ def test_hessian_regularity_check():
 
 def test_semi_spray_vanishes_without_base_coupling():
     b = make_bundle("flat", 1, 0.5)
-    assert all(g.is_zero for g in b.nconn.G)
-    assert all(n_.is_zero for row in b.nconn.N for n_ in row)
-    assert all(o.is_zero for mat in b.nconn.omega for row in mat for o in row)
+    assert all(g.is_zero for g in b.G)
+    assert all(n_.is_zero for row in b.N for n_ in row)
+    assert all(o.is_zero for mat in b.omega for row in mat for o in row)
 
 
 def test_semi_spray_coupled_classical_hand_value():
     b = make_bundle("coupled", 1, 1.0)
-    assert b.nconn.G[0].terms == {(-1.0, 2.0): pytest.approx(0.5)}
-    assert b.nconn.N[0][0].terms == {(-1.0, 1.0): pytest.approx(1.0)}
+    assert b.G[0].terms == {(-1.0, 2.0): pytest.approx(0.5)}
+    assert b.N[0][0].terms == {(-1.0, 1.0): pytest.approx(1.0)}
 
 
 def test_semi_spray_coupled_classical_finite_difference():
@@ -81,7 +81,7 @@ def test_semi_spray_coupled_classical_finite_difference():
     # x'' = -2 G; for L = x^2 y^2 the energy x^2 y^2 conservation gives an
     # independent numeric slope check at (1, 1).
     b = make_bundle("coupled", 1, 1.0)
-    g_val = b.nconn.G[0].eval_at((1.0, 1.0)).real
+    g_val = b.G[0].eval_at((1.0, 1.0)).real
     # d/dt (dL/dy) = dL/dx along (x(t), y(t) = x'(t)):
     # 2 x^2 y' + 4 x y^2 = 2 x y^2  =>  y' = -x^{-1} y^2 = -2 G
     assert g_val == pytest.approx(0.5)
@@ -91,11 +91,11 @@ def test_semi_spray_coupled_classical_finite_difference():
 def test_semi_spray_fractional_matches_scripted_expansion():
     spec = make_spec("coupled", 1, 0.5)
     ctx = spec.ctx
-    metric = geo.hessian_metric(spec)
+    _, h_inv = geo.hessian_metric(spec)
     d_x = ctx.deriv(spec.L, 0)
     y = Signomial.coordinate(2, 1)
-    expected = (metric.h_inv[0][0] * (y * ctx.deriv(d_x, 1) - d_x)).scale(0.25)
-    got = geo.semi_spray(spec, metric)[0]
+    expected = (h_inv[0][0] * (y * ctx.deriv(d_x, 1) - d_x)).scale(0.25)
+    got = geo.semi_spray(spec, h_inv)[0]
     assert coeff_distance(got, expected) <= 1e-14
     exps = {k[0] for k in got.terms}
     assert exps == {-0.5} and len(got.terms) == 2
@@ -103,15 +103,15 @@ def test_semi_spray_fractional_matches_scripted_expansion():
 
 def test_omega_zero_for_single_base_coordinate():
     b = make_bundle("coupled", 1, 0.5)
-    assert all(o.is_zero for mat in b.nconn.omega for row in mat for o in row)
+    assert all(o.is_zero for mat in b.omega for row in mat for o in row)
 
 
 def test_cross_config_has_off_diagonal_n():
     # cross coupling fills the off-diagonal N slots while the canonical
     # semi-spray keeps the horizontal distribution integrable (Omega = 0)
     b = make_bundle("cross", 2, 1.0)
-    assert not b.nconn.N[0][1].is_zero
-    assert all(o.is_zero for mat in b.nconn.omega for row in mat for o in row)
+    assert not b.N[0][1].is_zero
+    assert all(o.is_zero for mat in b.omega for row in mat for o in row)
 
 
 # -- adapted derivative ------------------------------------------------------
@@ -146,7 +146,7 @@ def test_adapted_derivative_matches_finite_differences_classically():
                 fd = (f.eval_at(up) - f.eval_at(dn)) / (2 * h)
                 if idx < 2:
                     for a in range(2):
-                        nai = b.nconn.N[a][idx].eval_at(p)
+                        nai = b.N[a][idx].eval_at(p)
                         up2 = list(p)
                         dn2 = list(p)
                         up2[2 + a] += h
@@ -161,13 +161,13 @@ def test_adapted_derivative_matches_finite_differences_classically():
 def test_dconnection_flat_classical_is_zero():
     b = make_bundle("flat", 1, 1.0)
     assert all(
-        b.gamma(t, d, s).is_zero for t in range(2) for d in range(2) for s in range(2)
+        b.gamma[t][d][s].is_zero for t in range(2) for d in range(2) for s in range(2)
     )
 
 
 def test_dconnection_fractional_c_coefficient():
     b = make_bundle("flat", 1, 0.5)
-    c = b.dconn.c_vv[0][0][0]
+    c = b.c_vv[0][0][0]
     assert c.terms.keys() == {(0.0, -0.5)}
     assert c.terms[(0.0, -0.5)] == pytest.approx(C_VYY, rel=1e-12)
 
@@ -176,7 +176,7 @@ def test_dconnection_fractional_c_coefficient():
 @pytest.mark.parametrize("kind", ["flat", "coupled"])
 def test_metric_compatibility_termwise(kind, alpha):
     b = make_bundle(kind, 1, alpha)
-    scale = max(1.0, b.metric.h[0][0].max_abs_coeff())
+    scale = max(1.0, b.h[0][0].max_abs_coeff())
     assert geo.metric_compat_residual(b) <= 1e-13 * scale
 
 
@@ -212,14 +212,14 @@ def test_koszul_coefficients_match_finite_differences():
                 dn2 = list(at)
                 up2[1 + a] += h
                 dn2[1 + a] -= h
-                val -= b.nconn.N[a][idx].eval_at(at) * (
+                val -= b.N[a][idx].eval_at(at) * (
                     f.eval_at(up2) - f.eval_at(dn2)
                 ) / (2 * h)
         return val
 
-    g = b.metric.h[0][0]
-    lhs = b.dconn.l_hh[0][0][0].eval_at(p)
-    rhs = 0.5 * b.metric.h_inv[0][0].eval_at(p) * e_num(g, 0, p)
+    g = b.h[0][0]
+    lhs = b.l_hh[0][0][0].eval_at(p)
+    rhs = 0.5 * b.h_inv[0][0].eval_at(p) * e_num(g, 0, p)
     assert abs(lhs - rhs) < 1e-5
 
 
@@ -230,7 +230,7 @@ def test_torsion_zero_on_flat_config():
     b = make_bundle("flat", 1, 1.0)
     assert geo.torsion_pure_blocks_residual(b) == 0.0
     assert all(
-        b.torsion.full[g][a][c].is_zero
+        b.torsion[g][a][c].is_zero
         for g in range(2)
         for a in range(2)
         for c in range(2)
@@ -245,11 +245,11 @@ def test_torsion_pure_blocks_vanish(kind, alpha):
 
 def test_torsion_fractional_single_component():
     b = make_bundle("flat", 1, 0.5)
-    t = b.torsion.full[0][1][0]  # table component T^x_{xy}
+    t = b.torsion[0][1][0]  # table component T^x_{xy}
     assert t.terms.keys() == {(0.0, -0.5)}
     assert t.terms[(0.0, -0.5)] == pytest.approx(C_VYY, rel=1e-12)
     others = [
-        b.torsion.full[g][a][c]
+        b.torsion[g][a][c]
         for g in range(2)
         for a in range(2)
         for c in range(2)
@@ -261,7 +261,7 @@ def test_torsion_fractional_single_component():
 def test_torsion_identically_zero_at_alpha_one_coupled():
     b = make_bundle("coupled", 2, 1.0)
     assert all(
-        b.torsion.full[g][a][c].is_zero
+        b.torsion[g][a][c].is_zero
         for g in range(4)
         for a in range(4)
         for c in range(4)
@@ -274,7 +274,7 @@ def test_torsion_identically_zero_at_alpha_one_coupled():
 def test_curvature_flat_config_zero():
     b = make_bundle("flat", 1, 1.0)
     assert all(
-        b.curvature.full[t][f][a][c].is_zero
+        b.curvature[t][f][a][c].is_zero
         for t in range(2) for f in range(2) for a in range(2) for c in range(2)
     )
 
@@ -282,7 +282,7 @@ def test_curvature_flat_config_zero():
 def test_curvature_s_block_zero_for_n1():
     for alpha in ALPHAS:
         b = make_bundle("coupled", 1, alpha)
-        assert b.curvature.full[1][1][1][1].is_zero  # S^y_{yyy}
+        assert b.curvature[1][1][1][1].is_zero  # S^y_{yyy}
 
 
 @pytest.mark.parametrize("kind,alpha", [("coupled", 1.0), ("coupled", 0.5), ("cross", 1.0)])
@@ -310,7 +310,7 @@ def test_curvature_matches_finite_difference_assembly_classically():
                     up2, dn2 = list(at), list(at)
                     up2[2 + a] += h
                     dn2[2 + a] -= h
-                    val -= b.nconn.N[a][idx].eval_at(at) * (
+                    val -= b.N[a][idx].eval_at(at) * (
                         f.eval_at(up2) - f.eval_at(dn2)
                     ) / (2 * h)
             return val
@@ -319,24 +319,24 @@ def test_curvature_matches_finite_difference_assembly_classically():
             for f_ in range(dim):
                 for a in range(dim):
                     for c in range(a + 1, dim):
-                        num = e_num(b.gamma(t, c, f_), a, p) - e_num(
-                            b.gamma(t, a, f_), c, p
+                        num = e_num(b.gamma[t][c][f_], a, p) - e_num(
+                            b.gamma[t][a][f_], c, p
                         )
                         for s in range(dim):
                             num += (
-                                b.gamma(s, c, f_).eval_at(p) * b.gamma(t, a, s).eval_at(p)
-                                - b.gamma(s, a, f_).eval_at(p) * b.gamma(t, c, s).eval_at(p)
+                                b.gamma[s][c][f_].eval_at(p) * b.gamma[t][a][s].eval_at(p)
+                                - b.gamma[s][a][f_].eval_at(p) * b.gamma[t][c][s].eval_at(p)
                                 - b.anholonomy[s][a][c].eval_at(p)
-                                * b.gamma(t, s, f_).eval_at(p)
+                                * b.gamma[t][s][f_].eval_at(p)
                             )
-                        eng = b.curvature.full[t][f_][a][c].eval_at(p)
+                        eng = b.curvature[t][f_][a][c].eval_at(p)
                         assert abs(eng - num) < 1e-4 * max(1.0, abs(num))
 
 
 def test_curvature_nonzero_fractional_coupled():
     b = make_bundle("coupled", 1, 0.5)
     mx = max(
-        b.curvature.full[t][f][a][c].max_abs_coeff()
+        b.curvature[t][f][a][c].max_abs_coeff()
         for t in range(2) for f in range(2) for a in range(2) for c in range(2)
     )
     assert mx > 0.1
@@ -361,7 +361,7 @@ def test_j_squared_and_inverses(alpha):
 
 def test_flat_lambda_entries():
     b = make_bundle("flat", 1, 1.0)
-    lam = b.symp.lam
+    lam = b.lam
     assert lam[0][1].terms == {(0.0, 0.0): 1 + 0j}
     assert lam[1][0].terms == {(0.0, 0.0): -1 + 0j}
     assert lam[0][0].terms == {(0.0, 0.0): -1j}
@@ -466,10 +466,37 @@ def test_anholonomy_fractional_defect_is_reported():
     assert res > 1e-3  # Caputo frame operators are not derivations
 
 
-@pytest.mark.parametrize("kind,n", [("flat", 1), ("coupled", 1), ("coupled", 2)])
+@pytest.mark.parametrize(
+    "kind,n", [("flat", 1), ("coupled", 1), ("coupled", 2), ("y4", 1), ("x2y3", 1), ("w4", 2)]
+)
 def test_nijenhuis_matches_four_torsion_classically(kind, n):
+    # N_J = 4 T^(0,2); y^4, x^2 y^3 and W4 carry torsion whose J-invariant
+    # part is non-zero, and W4 also has N_J != 0
     b = make_bundle(kind, n, 1.0)
     assert geo.nijenhuis_residual(b, sample_points(n)) < 1e-8
+
+
+def _torsion_parts(b, p):
+    """Full torsion and 4 T^(0,2) at a point, assembled with the J matrix."""
+    dim = b.ctx.dim
+    J = np.array(b.J)
+    T = np.array([[[b.torsion[g][a][c].eval_at(p) for c in range(dim)]
+                   for a in range(dim)] for g in range(dim)])
+    # T(JX, JY) - J T(JX, Y) - J T(X, JY) in frame components
+    tjj = np.einsum("ra,sb,grs->gab", J, J, T)
+    jtj = np.einsum("gc,ra,crb->gab", J, J, T) + np.einsum("gc,sb,cas->gab", J, J, T)
+    return T, T - tjj + jtj
+
+
+@pytest.mark.parametrize("kind,n", [("y4", 1), ("x2y3", 1), ("w4", 2)])
+def test_nijenhuis_identity_is_not_trivial(kind, n):
+    # the torsion is non-zero, so comparing N_J with 4 T would fail; on W4
+    # the anti-invariant part, and with it N_J, is non-zero as well
+    b = make_bundle(kind, n, 1.0)
+    p = sample_points(n)[1]
+    full, anti = _torsion_parts(b, p)
+    assert np.abs(full).max() > 0.1
+    assert (np.abs(anti).max() > 0.1) == (kind == "w4")
 
 
 def test_nijenhuis_fractional_reported_only():

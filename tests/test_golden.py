@@ -29,8 +29,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # non-zero r, so its D-hat^2 probes, flat-section and star checks are not
 # 0 = 0), x^2 y^3 and x^2 y^2 fractionally, and x^2 y^2 at alpha = 0.6,
 # which aborts at a Gamma pole in the recursion stage and keeps the
-# geometry section and the checks finished before it
-NAMES = ("y4_a1", "coupled2_a1", "x2y3_a1", "x2y3_a0.7", "x2y2_a0.45", "x2y2_a0.6")
+# geometry section and the checks finished before it; y4_a1_strict is
+# y4_a1 in strict mode, so every gated check must pass for exit 0
+NAMES = (
+    "y4_a1", "y4_a1_strict", "coupled2_a1", "x2y3_a1", "x2y3_a0.7", "x2y2_a0.45", "x2y2_a0.6",
+)
 # W4 (n = 2, non-zero T, R and Omega, so r and the contractions are non-trivial)
 STAR_NAMES = ("w4_star_o1",)
 

@@ -19,7 +19,7 @@ ALPHAS = (0.3, 0.5, 0.9, 1.0)
 
 
 def algebra(alpha=1.0, kind="flat", n=1):
-    return WickAlgebra(make_bundle(kind, n, alpha).symp.lam)
+    return WickAlgebra(make_bundle(kind, n, alpha).lam)
 
 
 def rand_element(rng, dim, max_s=3, max_forms=2, max_v=1):
@@ -156,7 +156,7 @@ def test_flat_commutator_is_iv_theta():
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_lowest_v_antisymmetric_part_is_theta_contraction(alpha):
     b = make_bundle("flat", 1, alpha)
-    alg = WickAlgebra(b.symp.lam)
+    alg = WickAlgebra(b.lam)
     rng = np.random.default_rng(11)
     for _ in range(5):
         fa = [Signomial.from_terms(2, [(complex(rng.normal()), [0, rng.integers(3)])]) for _ in range(2)]
@@ -170,7 +170,7 @@ def test_lowest_v_antisymmetric_part_is_theta_contraction(alpha):
         expect = WickElement.zero(2)
         for i in range(2):
             for j in range(2):
-                th = b.symp.theta_upper[i][j]
+                th = b.theta_upper[i][j]
                 if th.is_zero:
                     continue
                 expect = expect + WickElement.from_term(2, 1, (0, 0), (), (th * fa[i] * ga[j]).scale(1j))
@@ -274,7 +274,7 @@ def test_sigma_projected_product_is_exact_sigma(kind, n, alpha):
 @pytest.mark.parametrize("kind,n,alpha", CAP_CASES)
 def test_contraction_table_is_exact(kind, n, alpha):
     # a product read from a filled table equals one that fills it
-    lam = make_bundle(kind, n, alpha).symp.lam
+    lam = make_bundle(kind, n, alpha).lam
     warm = WickAlgebra(lam)
     rng = np.random.default_rng(41)
     pairs = [rand_pair(rng, 2 * n) for _ in range(8)]
@@ -305,7 +305,7 @@ def test_ad_of_unit_is_zero():
 
 
 def test_module_level_helpers():
-    lam = make_bundle("flat", 1, 1.0).symp.lam
+    lam = make_bundle("flat", 1, 1.0).lam
     zx = z_var(2, 0)
     zy = z_var(2, 1)
     comm = WickAlgebra(lam).commutator(zx, zy)
