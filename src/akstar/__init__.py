@@ -16,7 +16,6 @@ from .errors import (
     EngineError,
     EvaluationDomainError,
     ExpressionClassError,
-    FlatnessObstructionError,
     FractionalDomainError,
     MalformedInputError,
     QuadratureFailureError,
@@ -45,7 +44,6 @@ __all__ = [
     "ConfigError",
     "EvaluationDomainError",
     "ExpressionClassError",
-    "FlatnessObstructionError",
     "FractionalDomainError",
     "MalformedInputError",
     "QuadratureFailureError",

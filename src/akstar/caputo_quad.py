@@ -5,35 +5,28 @@ Evaluates
     D^alpha f(x) = 1/Gamma(1-alpha) * int_0^x (x - s)^(-alpha) f'(s) ds
 
 for ``alpha`` in (0, 1) directly from the defining integral, independently
-of the closed-form power rule in :mod:`akstar.expr`.  Two schemes:
+of the closed-form power rule in :mod:`akstar.expr`.  One scheme: substitute
+``t = (x - s)^(1-alpha)``, which absorbs the kernel singularity at ``s = x``
+exactly, then integrate the transformed integrand with a composite midpoint
+rule on a mesh graded toward the ``s -> 0`` end (where ``f'`` itself may
+blow up, e.g. ``f = s^p`` with ``p < 1``).  The open midpoint rule never
+evaluates at the interval endpoints, so ``f`` is only called inside
+``(0, x)``.
 
-``graded``
-    Substitute ``t = (x - s)^(1-alpha)``, which absorbs the kernel
-    singularity at ``s = x`` exactly, then integrate the transformed
-    integrand with a composite midpoint rule on a mesh graded toward the
-    ``s -> 0`` end (where ``f'`` itself may blow up, e.g. ``f = s^p`` with
-    ``p < 1``).  The open midpoint rule never evaluates at the interval
-    endpoints, so ``f`` is only called inside ``(0, x)``.
-
-``jacobi``
-    Gauss-Jacobi nodes with weight ``(1 - u)^(-alpha)`` on the original
-    variable; fast for integrands whose derivative is smooth on ``[0, x]``.
-
-Both schemes double their resolution until successive estimates agree to
-the requested relative tolerance and report the last increment as the
-error estimate.  When no derivative callable is supplied, ``f'`` is
-reconstructed by Richardson-extrapolated central differences (falling back
-to a one-sided stencil where the central one would leave ``(0, x]``).
+The mesh doubles until successive estimates agree to the requested
+relative tolerance, and the last increment is reported as the error
+estimate.  ``f'`` is reconstructed by Richardson-extrapolated central
+differences (falling back to a one-sided stencil where the central one
+would leave ``(0, x]``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as _gamma
-from scipy.special import roots_jacobi
 
 from .errors import MalformedInputError, QuadratureFailureError
 
@@ -41,26 +34,8 @@ _EPS = float(np.finfo(float).eps)
 # optimal steps for 4th/3rd order finite-difference stencils
 _H_CENTRAL = _EPS ** 0.2
 _H_ONESIDED = _EPS ** 0.25
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and budget for the Caputo quadrature."""
-
-    rel_tol: float = 1e-8
-    max_intervals: int = 1 << 20
-    scheme: str = "graded"
-    grading: float = 6.0
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise MalformedInputError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_intervals < 16:
-            raise MalformedInputError(
-                f"max_intervals must be >= 16, got {self.max_intervals}"
-            )
-        if self.scheme not in ("graded", "jacobi"):
-            raise MalformedInputError(f"unknown scheme {self.scheme!r}")
+# mesh grading exponent toward the s -> 0 end
+_GRADING = 6.0
 
 
 @dataclass(frozen=True)
@@ -95,12 +70,12 @@ def _numeric_derivative(f: Callable, x_max: float) -> Callable:
     return fp
 
 
-def _graded_pass(fp, x, alpha, grading, n_intervals):
+def _graded_pass(fp, x, alpha, n_intervals):
     one_m = 1.0 - alpha
     big_x = x ** one_m
     k = np.arange(n_intervals + 1, dtype=float) / n_intervals
     # s measures distance from the singular end t = X; grading clusters there
-    s_edges = big_x * k ** grading
+    s_edges = big_x * k ** _GRADING
     mids = 0.5 * (s_edges[:-1] + s_edges[1:])
     widths = np.diff(s_edges)
     t_mid = big_x - mids
@@ -111,51 +86,37 @@ def _graded_pass(fp, x, alpha, grading, n_intervals):
     return total / one_m
 
 
-def _jacobi_pass(fp, x, alpha, n_nodes):
-    nodes, weights = roots_jacobi(n_nodes, -alpha, 0.0)
-    points = 0.5 * x * (1.0 + nodes)
-    return (0.5 * x) ** (1.0 - alpha) * float(np.sum(weights * fp(points)))
-
-
 def caputo_quad(
-    f: Callable,
-    x: float,
-    alpha: float,
-    spec: QuadratureSpec | None = None,
-    df: Optional[Callable] = None,
+    f: Callable, x: float, alpha: float, *, rel_tol: float = 1e-8, max_intervals: int = 1 << 20
 ) -> QuadResult:
     """Left Caputo derivative of ``f`` at ``x`` by adaptive quadrature.
 
-    ``f`` must accept numpy arrays of points in ``(0, x]``.  Pass ``df``
-    when an analytic derivative is available; otherwise it is recovered
-    numerically.  Raises :class:`QuadratureFailureError` (carrying the last
-    two estimates) if doubling exhausts the interval budget before the
-    estimates agree to ``spec.rel_tol``.
+    ``f`` must accept numpy arrays of points in ``(0, x]``; its derivative
+    is recovered numerically.  Raises :class:`QuadratureFailureError`
+    (carrying the last two estimates) if doubling reaches ``max_intervals``
+    before the estimates agree to ``rel_tol``.
     """
-    spec = spec or QuadratureSpec()
     if not (0.0 < alpha < 1.0):
         raise MalformedInputError(f"alpha must be in (0, 1), got {alpha}")
     if not (x > 0.0):
         raise MalformedInputError(f"x must be positive, got {x}")
+    if not (rel_tol > 0.0):
+        raise MalformedInputError(f"rel_tol must be positive, got {rel_tol}")
+    if max_intervals < 16:
+        raise MalformedInputError(f"max_intervals must be >= 16, got {max_intervals}")
 
-    fp = df if df is not None else _numeric_derivative(f, x)
+    fp = _numeric_derivative(f, x)
     front = 1.0 / _gamma(1.0 - alpha)
 
-    if spec.scheme == "graded":
-        single = lambda n: _graded_pass(fp, x, alpha, spec.grading, n)
-        n = 64
-    else:
-        single = lambda n: _jacobi_pass(fp, x, alpha, n)
-        n = 24
-
-    prev = single(n)
+    n = 64
+    prev = _graded_pass(fp, x, alpha, n)
     while True:
         n *= 2
-        cur = single(n)
+        cur = _graded_pass(fp, x, alpha, n)
         err = abs(cur - prev) / 3.0
-        if err <= spec.rel_tol * max(abs(cur), 1e-12):
+        if err <= rel_tol * max(abs(cur), 1e-12):
             return QuadResult(front * cur, front * err, n)
-        if n >= spec.max_intervals:
+        if n >= max_intervals:
             raise QuadratureFailureError(
                 f"no convergence at {n} intervals: last estimates "
                 f"{front * prev:.16e}, {front * cur:.16e}",
@@ -171,9 +132,7 @@ def power_rule_closed_form(p: float, alpha: float, x: float) -> float:
     return power_rule_factor(p, alpha) * x ** (p - alpha)
 
 
-def power_rule_residual(
-    p: float, alpha: float, x: float, spec: QuadratureSpec | None = None
-) -> float:
+def power_rule_residual(p: float, alpha: float, x: float) -> float:
     """Relative disagreement between the power rule and the quadrature.
 
     Only meaningful on the convergent region ``p > 0``, where the defining
@@ -182,6 +141,6 @@ def power_rule_residual(
     """
     if not (p > 0.0):
         raise MalformedInputError(f"power_rule_residual needs p > 0, got {p}")
-    quad = caputo_quad(lambda u: u ** p, x, alpha, spec=spec).value
+    quad = caputo_quad(lambda u: u ** p, x, alpha).value
     closed = power_rule_closed_form(p, alpha, x)
     return abs(closed - quad) / max(abs(quad), 1e-300)

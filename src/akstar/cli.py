@@ -10,6 +10,12 @@ Subcommands:
 * ``star --config PATH [--order K]`` — star-product coefficients only, by
   default to the order ``run`` reports.
 
+Each subcommand runs an ordered subset of the pipeline stages (``STAGES``):
+caputo, geometry, algebra, geometry-checks, recursion, fedosov-checks,
+star, star-checks, chern.  ``run`` runs them all; ``check GROUP`` runs
+``CHECK_STAGES[GROUP]``; ``star`` runs ``STAR_STAGES``, which computes the
+coefficients without their checks.
+
 Exit codes: 0 all pass, 1 invariant failure (strict mode), 2 computation
 domain error (``run`` still emits every finished section, names the stage
 that failed in ``error.stage`` and, for a Gamma pole, the ``coordinate``,
@@ -268,6 +274,7 @@ STAGES = (
     "recursion",
     "fedosov-checks",
     "star",
+    "star-checks",
     "chern",
 )
 CHECK_STAGES = {
@@ -288,7 +295,7 @@ class Pipeline:
     section and says where the run stopped.
     """
 
-    def __init__(self, spec: RunSpec, star_order: int | None = None, star_checks: bool = True):
+    def __init__(self, spec: RunSpec, star_order: int | None = None):
         self.spec = spec
         ctx = spec.ctx
         if star_order is None:
@@ -296,7 +303,6 @@ class Pipeline:
             # deeper lifts can leave the differentiable class
             star_order = (spec.truncation_order + 1) // 2 if ctx.classical else 1
         self.star_order = star_order
-        self.star_checks = star_checks
         self.scalar_probes = [Signomial.constant(ctx.dim, 1.0)] + [
             Signomial.coordinate(ctx.dim, i) for i in range(ctx.dim)
         ] + [spec.observable_f, spec.observable_g]
@@ -369,7 +375,7 @@ class Pipeline:
 
     def _recursion(self):
         k = max(self.spec.truncation_order, 2 * self.star_order - 1)
-        self.state = state = self.machine.solve_r(k, strict=False)
+        self.state = state = self.machine.solve_r(k)
         self.report["fedosov"] = {
             "truncation_order": k,
             "r_residuals": {str(d): v for d, v in sorted(state.residuals.items())},
@@ -389,23 +395,25 @@ class Pipeline:
         )
 
     def _star(self):
-        spec = self.spec
-        f, g, order = spec.observable_f, spec.observable_g, self.star_order
-        if self.star_checks:
-            results, coeffs = checklib.star_checks(
-                self.state, f, g, order, spec.sample_points, spec.mode, spec.tolerances
-            )
-            self.results.extend(results)
-        else:
-            coeffs = star(f, g, self.state, order)
+        f, g = self.spec.observable_f, self.spec.observable_g
+        self.star_coeffs = star(f, g, self.state, self.star_order)
         self.report["star"] = {
-            "order": order,
+            "order": self.star_order,
             "f": reportlib.signomial_terms(f),
             "g": reportlib.signomial_terms(g),
             "coefficients": [
-                {"r": r, "terms": reportlib.star_terms(c)} for r, c in enumerate(coeffs.coeffs)
+                {"r": r, "terms": reportlib.star_terms(c)} for r, c in enumerate(self.star_coeffs)
             ],
         }
+
+    def _star_checks(self):
+        spec = self.spec
+        self.results.extend(
+            checklib.star_checks(
+                self.state, spec.observable_f, spec.observable_g, self.star_coeffs,
+                spec.sample_points, spec.mode, spec.tolerances,
+            )
+        )
 
     def _chern(self):
         spec = self.spec
@@ -484,10 +492,7 @@ def main(argv=None, stream=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    if args.command == "star":
-        pipeline = Pipeline(spec, star_order=args.order, star_checks=False)
-    else:
-        pipeline = Pipeline(spec)
+    pipeline = Pipeline(spec, star_order=args.order if args.command == "star" else None)
     try:
         if args.command == "run":
             report = run_pipeline(spec, pipeline)

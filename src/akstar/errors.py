@@ -27,7 +27,7 @@ class FractionalDomainError(EngineError):
     (at the term with exponent vector ``exponents``, in ``coordinate``).
 
     ``degree`` is the total degree the recursion or the tau lift was
-    building when it happened, as in :class:`FlatnessObstructionError`.
+    building when it happened.
     """
 
     def __init__(self, message, coordinate=None, exponents=None, degree=None):
@@ -51,15 +51,6 @@ class QuadratureFailureError(EngineError):
 
 class RegularityError(EngineError):
     """A Hessian entry degenerates at a configured sample point."""
-
-
-class FlatnessObstructionError(EngineError):
-    """A flatness-recursion residual exceeded its threshold in strict mode."""
-
-    def __init__(self, message, degree=None, residual=None):
-        super().__init__(message)
-        self.degree = degree
-        self.residual = residual
 
 
 class ConfigError(EngineError):

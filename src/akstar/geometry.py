@@ -617,26 +617,24 @@ def nijenhuis_residual(bundle: GeometryBundle, points: Sequence) -> float:
     + J T(JX, Y) + J T(X, JY).  The Nijenhuis components are assembled from
     the constant J and the anholonomy coefficients ([e_a, e_b] = w^g_{ab}
     e_g, exact at alpha = 1, the measured realization otherwise), the
-    right side from the frame torsion.
+    right side from the frame torsion.  J is read from ``bundle.J``, which
+    must have one non-zero entry per column (a signed permutation).
     """
-    ctx = bundle.ctx
-    n = ctx.n
-    dim = ctx.dim
+    dim = bundle.ctx.dim
     w = bundle.anholonomy
     T = bundle.torsion
-
-    def jmap(a):
-        # J e_i = -e_{n+i}; J e_{n+i} = +e_i
-        return (n + a, -1.0) if a < n else (a - n, 1.0)
+    J = bundle.J
+    # J e_c = s e_r for (r, s) = jmap[c]; J^2 = -1 then gives J e_r = -s e_c
+    jmap = [next((r, J[r][c]) for r in range(dim) if J[r][c]) for c in range(dim)]
 
     worst = 0.0
     for a in range(dim):
-        ja, sa = jmap(a)
+        ja, sa = jmap[a]
         for b in range(a + 1, dim):
-            jb, sb = jmap(b)
+            jb, sb = jmap[b]
             for g in range(dim):
-                jg, sg = jmap(g)
-                # component g of J V is -s_g * V^{swap(g)}
+                jg, sg = jmap[g]
+                # component g of J V is -s_g * V^{jg}
                 acc = w[g][ja][jb].scale(sa * sb)
                 acc = acc + w[jg][ja][b].scale(sa * sg)
                 acc = acc + w[jg][a][jb].scale(sb * sg)

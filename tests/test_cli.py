@@ -8,10 +8,14 @@ import pytest
 
 from akstar.checks import CHECK_NAMES
 from akstar.cli import (
+    CHECK_STAGES,
     EXIT_CHECK_FAILED,
     EXIT_COMPUTE_ERROR,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    STAGES,
+    STAR_STAGES,
+    Pipeline,
     main,
     parse_config_dict,
     run_pipeline,
@@ -280,6 +284,31 @@ def test_strict_check_geometry_passes_on_w4(tmp_path):
     lines = out.getvalue().splitlines()
     assert len(lines) == 10
     assert all(" pass " in line for line in lines)
+
+
+def test_stage_names_resolve_to_pipeline_methods():
+    names = set(STAGES) | set(STAR_STAGES)
+    for stages in CHECK_STAGES.values():
+        names |= set(stages)
+    for name in names:
+        assert callable(getattr(Pipeline, "_" + name.replace("-", "_"), None)), name
+    assert STAGES.index("star") < STAGES.index("star-checks") < STAGES.index("chern")
+    assert "star-checks" not in STAR_STAGES
+
+
+def test_recursion_defect_is_gated_by_the_r_residual_check(tmp_path):
+    # y^4's Deg-3 flatness defect is 5.55e-17; solve_r only records it, and
+    # a strict tolerance below it fails the run through fedosov_r_residual
+    cfg = json.loads((GOLDEN / "y4_a1.config.json").read_text())
+    cfg.update(mode="strict", tolerances={"fedosov_r_residual": 1e-17})
+    path = write_config(tmp_path, cfg)
+    out = io.StringIO()
+    assert main(["run", "--config", path], stream=out) == EXIT_CHECK_FAILED
+    rep = json.loads(out.getvalue())
+    assert rep["status"]["failed"] == ["fedosov_r_residual"]
+    assert "error" not in rep
+    [entry] = [c for c in rep["checks"] if c["name"] == "fedosov_r_residual"]
+    assert entry["value"] > entry["threshold"] == 1e-17
 
 
 def test_exit_code_check_failure(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from akstar.errors import FlatnessObstructionError, FractionalDomainError, MalformedInputError
+from akstar.errors import FractionalDomainError, MalformedInputError
 from akstar.expr import Signomial, coeff_distance
 from akstar.geometry import poisson_bracket
 from akstar.fedosov import (
@@ -30,6 +30,13 @@ ALPHAS_FRACTIONAL = (0.3, 0.45, 0.9)
 
 def machine(kind, n, alpha):
     return FedosovMachine(make_bundle(kind, n, alpha))
+
+
+def solved(kind, n, K):
+    """Recursion at alpha = 1, with its defect gated as ``fedosov_r_residual`` gates it."""
+    st = machine(kind, n, 1.0).solve_r(K)
+    assert st.max_residual() <= 1e-9
+    return st
 
 
 def rand_wick(rng, dim, max_s=4, max_forms=2):
@@ -260,13 +267,13 @@ def test_solve_r_flat_config_gives_zero():
 
 def test_first_component_is_delta_inv_torsion():
     m = machine("flat", 1, 0.45)
-    st = m.solve_r(2, strict=False)
+    st = m.solve_r(2)
     assert (st.r_components[2] - delta_inv(m.t_hat)).coeff_norm() == 0.0
 
 
 def test_r2_grading_fractional():
     m = machine("flat", 1, 0.45)
-    st = m.solve_r(3, strict=False)
+    st = m.solve_r(3)
     r2 = st.r_components[2]
     assert r2.total_degrees() == {2}
     for (v, z, forms) in r2.terms:
@@ -284,7 +291,7 @@ def test_r2_grading_at_alpha_half():
 
 
 def test_gauge_normalization():
-    st = machine("flat", 1, 0.45).solve_r(3, strict=False)
+    st = machine("flat", 1, 0.45).solve_r(3)
     assert st.gauge_residual() <= 1e-13
 
 
@@ -296,17 +303,9 @@ def test_residuals_classical(kind, n):
 
 @pytest.mark.parametrize("alpha", ALPHAS_FRACTIONAL)
 def test_residuals_fractional_reported(alpha):
-    st = machine("flat", 1, alpha).solve_r(3, strict=False)
+    st = machine("flat", 1, alpha).solve_r(3)
     assert set(st.residuals) == {1, 2, 3, 4}
     assert all(np.isfinite(v) for v in st.residuals.values())
-
-
-def test_strict_mode_raises_on_residual():
-    m = machine("flat", 1, 0.45)
-    with pytest.raises(FlatnessObstructionError) as info:
-        m.solve_r(3, strict=True, residual_tol=1e-30)
-    assert info.value.degree is not None
-    assert info.value.residual > 0.0
 
 
 def test_alpha_half_recursion_exits_the_class():
@@ -315,7 +314,7 @@ def test_alpha_half_recursion_exits_the_class():
     # its frame derivative sits on the numerator Gamma pole
     m = machine("flat", 1, 0.5)
     with pytest.raises(FractionalDomainError) as info:
-        m.solve_r(2, strict=False)
+        m.solve_r(2)
     assert info.value.degree == 3
 
 
@@ -328,7 +327,7 @@ def test_truncation_order_validated():
 
 
 def test_flat_d_on_flat_config():
-    st = machine("flat", 1, 1.0).solve_r(3)
+    st = solved("flat", 1, 3)
     zx = z_var(2, 0)
     once = flat_d(zx, st)
     assert (once + delta(zx)).coeff_norm() == 0.0  # D-hat = -delta here
@@ -337,7 +336,7 @@ def test_flat_d_on_flat_config():
 
 @pytest.mark.parametrize("kind,n", [("coupled", 1), ("coupled", 2)])
 def test_flat_d_squared_classical(kind, n):
-    st = machine(kind, n, 1.0).solve_r(4)
+    st = solved(kind, n, 4)
     for probe in make_probes(st.bundle, seed=42, count=8):
         assert flat_d_squared_residual(probe, st) < 1e-8
 
@@ -346,7 +345,7 @@ def test_flat_d_squared_classical(kind, n):
 def test_flat_d_squared_fractional_diagnostic(alpha):
     # per probe the diagnostic either evaluates finitely or identifies a
     # class exit; both outcomes are legitimate measurements here
-    st = machine("flat", 1, alpha).solve_r(3, strict=False)
+    st = machine("flat", 1, alpha).solve_r(3)
     finite = 0
     for p in make_probes(st.bundle, seed=3, count=8):
         try:
@@ -360,7 +359,7 @@ def test_flat_d_squared_fractional_diagnostic(alpha):
 
 @pytest.mark.parametrize("kind,alpha", [("y4", 1.0), ("flat", 0.45)])
 def test_capped_flat_d_is_exact_truncation(kind, alpha):
-    st = machine(kind, 1, alpha).solve_r(3, strict=False)
+    st = machine(kind, 1, alpha).solve_r(3)
     assert not st.r_total().is_zero
     rng = np.random.default_rng(17)
     checked = 0
@@ -380,7 +379,7 @@ def test_capped_flat_d_is_exact_truncation(kind, alpha):
 
 
 def test_tau_of_coordinate_on_flat_config():
-    st = machine("flat", 1, 1.0).solve_r(4)
+    st = solved("flat", 1, 4)
     x = Signomial.coordinate(2, 0)
     lift = tau_lift(x, st, 4)
     expect = WickElement.from_signomial(x) + z_var(2, 0)
@@ -388,7 +387,7 @@ def test_tau_of_coordinate_on_flat_config():
 
 
 def test_tau_of_unit_is_unit():
-    st = machine("coupled", 1, 1.0).solve_r(4)
+    st = solved("coupled", 1, 4)
     one = Signomial.constant(2, 1.0)
     assert (tau_lift(one, st, 4) - WickElement.unit(2)).coeff_norm() == 0.0
 
@@ -397,7 +396,7 @@ def test_tau_of_unit_is_unit():
 def test_sigma_tau_is_identity(kind, alpha, order):
     # fractional lifts are computable through Deg 3 in this configuration
     # family; one degree deeper the coefficients leave the class
-    st = machine(kind, 1, alpha).solve_r(max(order - 1, 2), strict=False)
+    st = machine(kind, 1, alpha).solve_r(max(order - 1, 2))
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f in (x, y, x * y, x * x + y):
@@ -408,20 +407,20 @@ def test_sigma_tau_is_identity(kind, alpha, order):
 
 
 def test_tau_components_are_deg_homogeneous():
-    st = machine("coupled", 1, 1.0).solve_r(5)
+    st = solved("coupled", 1, 5)
     comps = tau_components(Signomial.coordinate(2, 0), st, 5)
     for k, comp in comps.items():
         assert comp.total_degrees() <= {k}
 
 
 def test_flat_section_residual_classical():
-    st = machine("coupled", 1, 1.0).solve_r(7)
+    st = solved("coupled", 1, 7)
     for f in (Signomial.coordinate(2, 0), Signomial.coordinate(2, 1)):
         assert flat_section_residual(f, st, 6) < 1e-9
 
 
 def test_tau_lift_memo_keeps_signed_zeros_apart():
-    st = machine("y4", 1, 1.0).solve_r(3)
+    st = solved("y4", 1, 3)
     y = Signomial.coordinate(2, 1)
     lift = tau_lift(y, st, 3)
     assert tau_lift(y, st, 3) is lift
@@ -430,13 +429,13 @@ def test_tau_lift_memo_keeps_signed_zeros_apart():
     plus, minus = y.scale(-1j), y.scale(1j).scale(-1)
     assert plus.terms == minus.terms and repr(plus.terms) != repr(minus.terms)
     tau_lift(plus, st, 3)
-    fresh = machine("y4", 1, 1.0).solve_r(3)
+    fresh = solved("y4", 1, 3)
     assert exact(tau_lift(minus, st, 3)) == exact(tau_lift(minus, fresh, 3))
     assert exact(tau_lift(minus, st, 3)) != exact(tau_lift(plus, st, 3))
 
 
 def test_tau_lift_pole_names_the_lift_degree():
-    st = machine("flat", 1, 0.45).solve_r(3, strict=False)
+    st = machine("flat", 1, 0.45).solve_r(3)
     with pytest.raises(FractionalDomainError) as info:
         tau_components(Signomial.coordinate(2, 0), st, 4)
     # building the Deg-4 component needs D-check of a term x^0.55 y^-2
@@ -445,7 +444,7 @@ def test_tau_lift_pole_names_the_lift_degree():
 
 
 def test_tau_lift_failures_are_not_memoised():
-    st = machine("flat", 1, 0.45).solve_r(3, strict=False)
+    st = machine("flat", 1, 0.45).solve_r(3)
     x = Signomial.coordinate(2, 0)
     for _ in range(2):
         with pytest.raises(FractionalDomainError):
@@ -455,7 +454,7 @@ def test_tau_lift_failures_are_not_memoised():
 
 
 def test_tau_order_guard():
-    st = machine("flat", 1, 1.0).solve_r(3)
+    st = solved("flat", 1, 3)
     with pytest.raises(MalformedInputError):
         tau_lift(Signomial.coordinate(2, 0), st, 6)
 
@@ -464,25 +463,25 @@ def test_tau_order_guard():
 
 
 def test_unit_is_star_neutral_to_all_orders():
-    st = machine("coupled", 1, 1.0).solve_r(7)
+    st = solved("coupled", 1, 7)
     one = Signomial.constant(2, 1.0)
     f = Signomial.from_terms(2, [(1.0, [2, 0]), (0.5, [1, 1])])
     left = star(one, f, st, 4)
     right = star(f, one, st, 4)
-    assert coeff_distance(left.coeffs[0], f) == 0.0
-    assert coeff_distance(right.coeffs[0], f) == 0.0
+    assert coeff_distance(left[0], f) == 0.0
+    assert coeff_distance(right[0], f) == 0.0
     for r in range(1, 5):
-        assert left.coeffs[r].is_zero
-        assert right.coeffs[r].is_zero
+        assert left[r].is_zero
+        assert right[r].is_zero
 
 
 def test_c0_is_pointwise_product_exactly():
-    st = machine("coupled", 1, 1.0).solve_r(5)
+    st = solved("coupled", 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (x * y, x), (y, y)):
         sc = star(f, g, st, 2)
-        assert coeff_distance(sc.coeffs[0], f * g) == 0.0
+        assert coeff_distance(sc[0], f * g) == 0.0
 
 
 def test_flat_second_order_coefficient_hand_value():
@@ -490,34 +489,34 @@ def test_flat_second_order_coefficient_hand_value():
     # Taylor lifts; for f = x^2, g = y^2 the hand expansion gives
     # C_1 = 2i x y (one contraction through Lambda^{xy} = 1) and
     # C_2 = (1/2)(i/2)^2 * (Lambda^{xy})^2 * f'' g'' = -1/2
-    st = machine("flat", 1, 1.0).solve_r(5)
+    st = solved("flat", 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     sc = star(x * x, y * y, st, 2)
-    assert coeff_distance(sc.coeffs[1], (x * y).scale(2j)) <= 1e-14
-    assert coeff_distance(sc.coeffs[2], Signomial.constant(2, -0.5)) <= 1e-14
+    assert coeff_distance(sc[1], (x * y).scale(2j)) <= 1e-14
+    assert coeff_distance(sc[2], Signomial.constant(2, -0.5)) <= 1e-14
 
 
 def test_flat_commutator_is_iv_exactly():
-    st = machine("flat", 1, 1.0).solve_r(5)
+    st = solved("flat", 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     fwd = star(x, y, st, 2)
     rev = star(y, x, st, 2)
-    c1 = fwd.coeffs[1] - rev.coeffs[1]
+    c1 = fwd[1] - rev[1]
     assert c1.terms == {(0.0, 0.0): 1j}
-    assert (fwd.coeffs[2] - rev.coeffs[2]).is_zero
+    assert (fwd[2] - rev[2]).is_zero
 
 
 def test_first_order_commutator_is_poisson_bracket():
-    st = machine("coupled", 1, 1.0).solve_r(5)
+    st = solved("coupled", 1, 5)
     b = st.bundle
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (x * x, y), (x * y, x)):
         fwd = star(f, g, st, 1)
         rev = star(g, f, st, 1)
-        anti = fwd.coeffs[1] - rev.coeffs[1]
+        anti = fwd[1] - rev[1]
         expect = poisson_bracket(f, g, b).scale(1j)
         assert coeff_distance(anti, expect) < 1e-10
 
@@ -525,14 +524,15 @@ def test_first_order_commutator_is_poisson_bracket():
 @pytest.mark.parametrize("kind,alpha", [("flat", 1.0), ("coupled", 1.0)])
 def test_star_associativity_low_order(kind, alpha):
     st = machine(kind, 1, alpha).solve_r(5)
+    assert st.max_residual() <= 1e-9
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     obs = (x, y, x * y)
     for f in obs:
         for g in obs:
             for h in obs:
-                left = star_series(star(f, g, st, 2).coeffs, (h,), st, 2)
-                right = star_series((f,), star(g, h, st, 2).coeffs, st, 2)
+                left = star_series(star(f, g, st, 2), (h,), st, 2)
+                right = star_series((f,), star(g, h, st, 2), st, 2)
                 for s in range(3):
                     assert coeff_distance(left[s], right[s]) < 1e-10
 
@@ -540,21 +540,21 @@ def test_star_associativity_low_order(kind, alpha):
 def test_star_fractional_first_order():
     # fractional stars are exact through v^1 here (order 2 would need
     # Deg-4 lifts, which exit the differentiable class)
-    st = machine("flat", 1, 0.45).solve_r(3, strict=False)
+    st = machine("flat", 1, 0.45).solve_r(3)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     sc = star(x, y, st, 1)
     rev = star(y, x, st, 1)
-    assert coeff_distance(sc.coeffs[0], x * y) == 0.0
+    assert coeff_distance(sc[0], x * y) == 0.0
     from akstar.geometry import poisson_bracket
-    anti = sc.coeffs[1] - rev.coeffs[1]
+    anti = sc[1] - rev[1]
     expect = poisson_bracket(x, y, st.bundle).scale(1j)
     assert coeff_distance(anti, expect) < 1e-10
 
 
 def test_star_equals_sigma_of_full_product_exactly():
     # star asks for the sigma-projected product capped at Deg 2 * order
-    st = machine("y4", 1, 1.0).solve_r(3)
+    st = solved("y4", 1, 3)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (y * y, x), (x * y, y)):
@@ -562,12 +562,12 @@ def test_star_equals_sigma_of_full_product_exactly():
         series = sigma_series(full)
         assert max(series) > 2  # the full product runs past the order kept
         expect = [series.get(r, Signomial.zero(2)) for r in range(3)]
-        got = star(f, g, st, 2).coeffs
+        got = star(f, g, st, 2)
         assert [exact(c) for c in got] == [exact(c) for c in expect]
 
 
 def test_star_order_guard():
-    st = machine("flat", 1, 1.0).solve_r(3)
+    st = solved("flat", 1, 3)
     with pytest.raises(MalformedInputError):
         star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), st, 3)
 

@@ -1,5 +1,7 @@
 """Geometric construction chain: metric through curvature and J/theta."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -497,6 +499,20 @@ def test_nijenhuis_identity_is_not_trivial(kind, n):
     full, anti = _torsion_parts(b, p)
     assert np.abs(full).max() > 0.1
     assert (np.abs(anti).max() > 0.1) == (kind == "w4")
+
+
+def test_nijenhuis_reads_j_from_the_bundle():
+    # J2 e_0 = -e_3, J2 e_3 = e_0, J2 e_1 = -e_2, J2 e_2 = e_1: a complex
+    # structure other than +-J, so N_J2 - 4 T^(0,2)_J2 must be measured
+    # against J2, not against the J that build_geometry wrote
+    b = make_bundle("w4", 2, 1.0)
+    J2 = [[0.0] * 4 for _ in range(4)]
+    J2[3][0], J2[0][3], J2[2][1], J2[1][2] = -1.0, 1.0, -1.0, 1.0
+    assert (np.array(J2) @ np.array(J2) == -np.eye(4)).all()
+    assert J2 != b.J and J2 != [[-v for v in row] for row in b.J]
+    pts = sample_points(2)
+    other = geo.nijenhuis_residual(dataclasses.replace(b, J=J2), pts)
+    assert other != geo.nijenhuis_residual(b, pts)
 
 
 def test_nijenhuis_fractional_reported_only():
