@@ -38,7 +38,8 @@ class FractionalDomainError(EngineError):
 
 
 class EvaluationDomainError(EngineError):
-    """Evaluation requested at a point with a non-positive coordinate."""
+    """Evaluation at a point with a non-positive coordinate, or whose value
+    is not finite (a power or sum overflowing a float)."""
 
 
 class QuadratureFailureError(EngineError):

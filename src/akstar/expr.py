@@ -19,13 +19,16 @@ puts the numerator Gamma at a pole and raises
 :class:`~akstar.errors.FractionalDomainError`; a pole in the denominator
 makes the term vanish instead.
 
-Input is validated once, where raw terms enter (:meth:`Signomial.from_terms`,
-``partial``, ``caputo``, ``reciprocal``): coefficients must be finite,
-exponent vectors the right length and finite, and exponents are snapped to
-the decimal grid.  ``+``, ``*`` and ``scale`` trust that their operands are
-already canonical and neither re-validate nor re-snap them (a product
-snaps only its new exponent sums); a result coefficient or exponent sum
-that overflows to inf or NaN raises :class:`~akstar.errors.MalformedInputError`.
+Exponents are exact integer counts of ``10**-12``, rounded once where raw
+terms enter (:meth:`Signomial.from_terms`); after that ``*`` adds counts,
+``partial`` subtracts ``10**12``, ``caputo`` subtracts alpha's count and
+``reciprocal`` negates, so like terms merge by exact key equality whatever
+path made them.  The float exponent ``count / 10**12`` is formed only for
+the power-rule factor, evaluation and :meth:`Signomial.sorted_terms`.
+Input is validated once: finite coefficients, exponent vectors of the
+right length, and finite exponents of magnitude at most ``MAX_EXPONENT``.
+``+``, ``*`` and ``scale`` trust canonical operands; a result coefficient
+that overflows raises :class:`~akstar.errors.MalformedInputError`.
 
 Evaluation is defined only at points with strictly positive coordinates.
 Values are immutable after construction and every operation is pure, so
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
@@ -49,19 +53,26 @@ from .errors import (
     MalformedInputError,
 )
 
-# Exponents are snapped to this decimal grid so that merging by exact key
-# equality survives ulp-level drift when exponents are reached through
-# different additive paths (e.g. (2 - a) - a versus 2 - 2a).
-EXPONENT_DECIMALS = 12
+# Exponent keys count steps of 1 / GRID.
+GRID = 10**12
+# Largest input exponent magnitude.  Each operation adds at most one input
+# exponent, -1 or -alpha to an exponent, so none leaves float range.
+MAX_EXPONENT = 1e15
 # Relative magnitude below which a coefficient counts as cancellation debris.
 DEAD_ZONE = 1e-13
 
+ExponentKey = tuple[int, ...]
 ExponentVector = tuple[float, ...]
 
 
-def _snap(value: float) -> float:
-    # + 0.0 turns -0.0 into 0.0 so serialized keys are canonical
-    return round(float(value), EXPONENT_DECIMALS) + 0.0
+def _grid_count(value: float) -> int:
+    """Count of 10**-12 steps nearest ``value``: exactly ``round(value, 12)``."""
+    return round(Fraction(value) * GRID)
+
+
+def _exponents(key: ExponentKey) -> ExponentVector:
+    # int / int is correctly rounded, so this is the float of round(e, 12)
+    return tuple(k / GRID for k in key)
 
 
 def _is_nonpositive_integer(value: float) -> bool:
@@ -89,8 +100,8 @@ def power_rule_factor(p: float, alpha: float) -> float:
 
 
 def _canonical(dim: int, items: Iterable[tuple[complex, Sequence[float]]]) -> dict:
-    """Validate, snap and merge raw ``(coefficient, exponents)`` items."""
-    merged: dict[ExponentVector, complex] = {}
+    """Validate, round to the grid and merge raw ``(coefficient, exponents)`` items."""
+    merged: dict[ExponentKey, complex] = {}
     for coef, exps in items:
         c = complex(coef)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
@@ -102,9 +113,9 @@ def _canonical(dim: int, items: Iterable[tuple[complex, Sequence[float]]]) -> di
         key = []
         for e in exps:
             e = float(e)
-            if not math.isfinite(e):
-                raise MalformedInputError(f"non-finite exponent {e!r}")
-            key.append(_snap(e))
+            if not (math.isfinite(e) and abs(e) <= MAX_EXPONENT):
+                raise MalformedInputError(f"exponent {e!r} is not finite or above {MAX_EXPONENT:g}")
+            key.append(_grid_count(e))
         key = tuple(key)
         merged[key] = merged.get(key, 0j) + c
     return _drop_debris(merged)
@@ -145,37 +156,14 @@ def _drop_debris(merged: dict) -> dict:
     return {k: c for (k, c), m in zip(merged.items(), mags) if m > floor}
 
 
-_SNAP_MEMO_SIZE = 1 << 16
-
-
-class _SnapMemo(dict):
-    """``_snap`` memoized on its float argument, an exponent sum of a product.
-
-    A run meets few distinct sums (39 in 2.4 M lookups for W4 ``star`` to
-    order 2, 464 in 0.9 M over the 20-config fractional sweep), and a dict
-    hit is cheaper than ``round`` or an ``lru_cache`` call.  The memo is
-    cleared at ``_SNAP_MEMO_SIZE`` entries so that it stays bounded.
-    """
-
-    def __missing__(self, value: float) -> float:
-        if not math.isfinite(value):
-            raise MalformedInputError(f"non-finite exponent sum {value!r}")
-        if len(self) >= _SNAP_MEMO_SIZE:
-            self.clear()
-        snapped = self[value] = _snap(value)
-        return snapped
-
-
-_snap_sum = _SnapMemo().__getitem__
-
-
 class Signomial:
     """Canonical-form signomial over ``dim`` coordinates.
 
-    ``terms`` maps exponent vectors to complex coefficients; the empty map
-    is zero.  Use :meth:`from_terms` (or the convenience constructors) —
-    they normalize: like terms merge by exact exponent equality and
-    dead-zone debris is dropped.
+    ``terms`` maps exponent keys (integer counts of 10**-12, see the module
+    docstring) to complex coefficients; the empty map is zero.  Use
+    :meth:`from_terms` (or the convenience constructors) — they normalize:
+    like terms merge by exact exponent equality and dead-zone debris is
+    dropped.
     """
 
     __slots__ = ("dim", "terms")
@@ -222,7 +210,7 @@ class Signomial:
 
     def __add__(self, other: "Signomial") -> "Signomial":
         self._require_same_dim(other)
-        # operands are canonical, so keys need no snapping or validation;
+        # operands are canonical, so keys need no validation;
         # 0j + c is _canonical's arithmetic (it turns an imaginary -0.0 into
         # 0.0), kept so that sums stay bit-identical
         merged = {k: 0j + c for k, c in self.terms.items()}
@@ -239,10 +227,10 @@ class Signomial:
     def __mul__(self, other):
         if isinstance(other, Signomial):
             self._require_same_dim(other)
-            merged: dict[ExponentVector, complex] = {}
+            merged: dict[ExponentKey, complex] = {}
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
-                    key = tuple(map(_snap_sum, map(add, k1, k2)))
+                    key = tuple(map(add, k1, k2))
                     merged[key] = merged.get(key, 0j) + c1 * c2
             return Signomial(self.dim, _drop_debris(merged))
         return self.scale(other)
@@ -263,15 +251,16 @@ class Signomial:
 
     def partial(self, coord: int) -> "Signomial":
         """Classical partial derivative (the alpha = 1 backend)."""
-        items = []
-        for exps, c in self.terms.items():
-            p = exps[coord]
-            if p == 0.0:
+        merged = {}
+        for key, c in self.terms.items():
+            k = key[coord]
+            if k == 0:
                 continue
-            key = list(exps)
-            key[coord] = p - 1.0
-            items.append((c * p, key))
-        return Signomial(self.dim, _canonical(self.dim, items))
+            out = list(key)
+            out[coord] = k - GRID
+            # 0j + keeps _canonical's arithmetic, as in __add__
+            merged[tuple(out)] = 0j + c * (k / GRID)
+        return Signomial(self.dim, _drop_debris(merged))
 
     def caputo(self, coord: int, ctx: "AlphaContext") -> "Signomial":
         """Left Caputo derivative of order ``ctx.alpha`` in ``coord``.
@@ -281,14 +270,16 @@ class Signomial:
         """
         if ctx.alpha == 1.0:
             return self.partial(coord)
-        items = []
-        for exps, c in self.terms.items():
-            p = exps[coord]
-            if p == 0.0:
+        shift = _grid_count(ctx.alpha)
+        merged = {}
+        for key, c in self.terms.items():
+            k = key[coord]
+            if k == 0:
                 continue
             try:
-                fac = power_rule_factor(p, ctx.alpha)
+                fac = power_rule_factor(k / GRID, ctx.alpha)
             except FractionalDomainError as err:
+                exps = _exponents(key)
                 raise FractionalDomainError(
                     f"coordinate {coord}, term with exponents {list(exps)}: {err}",
                     coordinate=coord,
@@ -296,10 +287,10 @@ class Signomial:
                 ) from None
             if fac == 0.0:
                 continue
-            key = list(exps)
-            key[coord] = p - ctx.alpha
-            items.append((c * fac, key))
-        return Signomial(self.dim, _canonical(self.dim, items))
+            out = list(key)
+            out[coord] = k - shift
+            merged[tuple(out)] = 0j + c * fac
+        return Signomial(self.dim, _drop_debris(merged))
 
     # -- inversion and evaluation -------------------------------------------
 
@@ -313,10 +304,11 @@ class Signomial:
             raise ExpressionClassError(
                 f"reciprocal needs exactly one term, got {len(self.terms)}"
             )
-        (exps, c), = self.terms.items()
-        return Signomial.from_terms(self.dim, [(1.0 / c, [-e for e in exps])])
+        (key, c), = self.terms.items()
+        return Signomial(self.dim, _drop_debris({tuple(-k for k in key): 0j + 1.0 / c}))
 
     def eval_at(self, point: Sequence[float]) -> complex:
+        """Value at ``point``; :class:`EvaluationDomainError` if it is not finite."""
         if len(point) != self.dim:
             raise EvaluationDomainError(
                 f"point has {len(point)} coordinates, expected {self.dim}"
@@ -327,12 +319,17 @@ class Signomial:
                     f"coordinate {i} = {u!r} is not strictly positive"
                 )
         total = 0j
-        for exps, c in self.terms.items():
-            prod = 1.0
-            for u, p in zip(point, exps):
-                if p != 0.0:
-                    prod *= float(u) ** p
-            total += c * prod
+        try:
+            for key, c in self.terms.items():
+                prod = 1.0
+                for u, k in zip(point, key):
+                    if k:
+                        prod *= float(u) ** (k / GRID)
+                total += c * prod
+        except OverflowError:
+            total = math.nan
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+            raise EvaluationDomainError(f"value at {list(point)} is not finite")
         return total
 
     # -- inspection ---------------------------------------------------------
@@ -345,7 +342,9 @@ class Signomial:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def sorted_terms(self) -> list[tuple[ExponentVector, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        """``(float exponents, coefficient)`` pairs in exponent order."""
+        items = sorted(self.terms.items(), key=lambda kv: kv[0])
+        return [(_exponents(key), c) for key, c in items]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Signomial):

@@ -126,14 +126,17 @@ class FedosovMachine:
                     if not gam.is_zero:
                         entries.append((tgt, src, gam))
             self.gamma_by_dir.append(entries)
-        # nonzero anholonomy entries with ordered index pairs
-        self.w_entries = []
+        # nonzero anholonomy entries with ordered index pairs, grouped by
+        # the form index they replace
+        self.w_by_form = []
         for g in range(self.dim):
+            entries = []
             for a in range(self.dim):
                 for b in range(a + 1, self.dim):
                     wgab = bundle.anholonomy[g][a][b]
                     if not wgab.is_zero:
-                        self.w_entries.append((g, a, b, wgab))
+                        entries.append((a, b, wgab))
+            self.w_by_form.append(entries)
         self.t_hat = self._torsion_element()
         self.r_hat = self._curvature_element()
 
@@ -205,9 +208,7 @@ class FedosovMachine:
                 for m, g in enumerate(forms):
                     rest = forms[:m] + forms[m + 1:]
                     msign = -1.0 if m % 2 else 1.0
-                    for gg, a, b, wgab in self.w_entries:
-                        if gg != g:
-                            continue
+                    for a, b, wgab in self.w_by_form[g]:
                         srt = sort_word((a, b) + rest)
                         if srt is None:
                             continue
@@ -216,23 +217,25 @@ class FedosovMachine:
 
         return WickElement.from_terms(self.dim, terms())
 
+    def i_over_v_commutator(self, a: WickElement, b: WickElement, max_deg=None) -> WickElement:
+        """(i/v)[a, b], through Deg ``max_deg`` of [a, b] if given; v^0 debris
+        of [a, b] is judged against |a|*|b| (see ``div_v``)."""
+        comm = self.algebra.commutator(a, b, max_deg=max_deg)
+        if comm.is_zero:
+            return comm
+        return comm.scale(1j).div_v(a.coeff_norm() * b.coeff_norm())
+
     # -- operator-identity residuals -------------------------------------------
 
     def comf_delta_residual(self, probe: WickElement, points=None) -> float:
         """[D-check, delta] - (i/v) ad(T-hat) on a probe."""
         lhs = self.dconn_apply(delta(probe)) + delta(self.dconn_apply(probe))
-        comm = self.algebra.commutator(self.t_hat, probe)
-        scale = self.t_hat.coeff_norm() * probe.coeff_norm()
-        rhs = comm.scale(1j).div_v(scale) if not comm.is_zero else comm
-        return _norm(lhs - rhs, points)
+        return _norm(lhs - self.i_over_v_commutator(self.t_hat, probe), points)
 
     def comf_dsq_residual(self, probe: WickElement, points=None) -> float:
         """D-check^2 + (i/v) ad(R-hat) on a probe."""
         lhs = self.dconn_apply(self.dconn_apply(probe))
-        comm = self.algebra.commutator(self.r_hat, probe)
-        scale = self.r_hat.coeff_norm() * probe.coeff_norm()
-        rhs = comm.scale(-1j).div_v(scale) if not comm.is_zero else comm
-        return _norm(lhs - rhs, points)
+        return _norm(lhs + self.i_over_v_commutator(self.r_hat, probe), points)
 
     def delta_torsion_residual(self, points=None) -> float:
         return _norm(delta(self.t_hat), points)
@@ -354,9 +357,7 @@ def flat_d(w: WickElement, state: FedosovState, max_deg=None) -> WickElement:
     r = state.r_total()
     if not r.is_zero and not w.is_zero:
         cap = None if max_deg is None else max_deg + 2
-        comm = machine.algebra.commutator(r, w, max_deg=cap)
-        if not comm.is_zero:
-            out = out - comm.scale(1j).div_v(r.coeff_norm() * w.coeff_norm())
+        out = out - machine.i_over_v_commutator(r, w, max_deg=cap)
     return out if max_deg is None else out.truncate(max_deg)
 
 
@@ -400,9 +401,7 @@ def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
                 tk = comps.get(k - l)
                 if rl is None or rl.is_zero or tk is None or tk.is_zero:
                     continue
-                comm = machine.algebra.commutator(rl, tk)
-                if not comm.is_zero:
-                    rhs = rhs - comm.scale(1j).div_v(rl.coeff_norm() * tk.coeff_norm())
+                rhs = rhs - machine.i_over_v_commutator(rl, tk)
         except FractionalDomainError as err:
             err.degree = k + 1
             raise

@@ -226,6 +226,20 @@ def test_exit_code_compute_error_with_partial_report(tmp_path):
     assert rep["checks"] == []
 
 
+def test_overflowing_value_is_a_compute_error(tmp_path):
+    # x^2000 overflows a float at the sample points while the geometry is
+    # built: a compute error (exit 2) with a report, not a traceback (exit 1)
+    cfg = flat_config(lagrangian=[{"c": 1, "exp": [2000, 2]}], mode="diagnostic", truncation_order=3)
+    path = write_config(tmp_path, cfg)
+    out = io.StringIO()
+    code = main(["run", "--config", path], stream=out)
+    assert code == EXIT_COMPUTE_ERROR
+    rep = json.loads(out.getvalue())
+    assert rep["error"]["type"] == "EvaluationDomainError"
+    assert rep["error"]["stage"] == "geometry"
+    assert rep["status"]["exit_code"] == EXIT_COMPUTE_ERROR
+
+
 def test_exit_code_compute_error_alpha_half_class_exit(tmp_path):
     # at alpha = 1/2 the recursion leaves the differentiable class at
     # total degree 3; the run aborts with a partial report

@@ -11,7 +11,14 @@ from akstar.errors import (
     FractionalDomainError,
     MalformedInputError,
 )
-from akstar.expr import AlphaContext, Signomial, coeff_distance, power_rule_factor
+from akstar.expr import (
+    GRID,
+    MAX_EXPONENT,
+    AlphaContext,
+    Signomial,
+    coeff_distance,
+    power_rule_factor,
+)
 
 from _configs import exact
 
@@ -30,7 +37,7 @@ def sig(dim, *terms):
 
 def test_like_terms_merge():
     s = sig(2, (2.0, [1, 0]), (3.0, [1, 0]))
-    assert s.terms == {(1.0, 0.0): 5.0 + 0j}
+    assert dict(s.sorted_terms()) == {(1.0, 0.0): 5.0 + 0j}
 
 
 def test_cancellation_gives_zero():
@@ -40,7 +47,7 @@ def test_cancellation_gives_zero():
 
 def test_single_term_identity():
     s = sig(2, (1.5, [0.5, 2]))
-    assert s.terms == {(0.5, 2.0): 1.5 + 0j}
+    assert dict(s.sorted_terms()) == {(0.5, 2.0): 1.5 + 0j}
 
 
 def test_non_finite_input_rejected():
@@ -52,9 +59,30 @@ def test_non_finite_input_rejected():
         sig(2, (1.0, [0, 0, 0]))
 
 
+def test_exponent_magnitude_bound():
+    assert dict(sig(2, (1.0, [MAX_EXPONENT, 0])).sorted_terms()) == {(MAX_EXPONENT, 0.0): 1 + 0j}
+    with pytest.raises(MalformedInputError):
+        sig(2, (1.0, [0, -2 * MAX_EXPONENT]))
+
+
+def test_exponent_sums_are_exact_on_the_grid():
+    # ten float 0.1s sum to 0.9999999999999999; ten grid counts sum to 1
+    tenth = sig(2, (1.0, [0.1, 0]))
+    power = Signomial.constant(2, 1.0)
+    for _ in range(10):
+        power = power * tenth
+    assert power == Signomial.coordinate(2, 0)
+    # 1/3 lands on the grid once, as 0.333333333333, and three copies sum
+    # exactly to 0.999999999999, which does not merge with u^1
+    third = sig(2, (1.0, [1 / 3, 0]))
+    cube = third * third * third
+    assert [e for e, _ in cube.sorted_terms()] == [(0.999999999999, 0.0)]
+    assert len((cube + Signomial.coordinate(2, 0)).terms) == 2
+
+
 def test_dead_zone_drops_debris():
     s = sig(2, (1.0, [1, 0]), (1e-16, [0, 1]))
-    assert list(s.terms) == [(1.0, 0.0)]
+    assert [e for e, _ in s.sorted_terms()] == [(1.0, 0.0)]
 
 
 # -- ring operations ------------------------------------------------------
@@ -63,13 +91,13 @@ def test_dead_zone_drops_debris():
 def test_add_and_mul_examples():
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
-    assert (x + y).terms == {(1.0, 0.0): 1 + 0j, (0.0, 1.0): 1 + 0j}
+    assert dict((x + y).sorted_terms()) == {(1.0, 0.0): 1 + 0j, (0.0, 1.0): 1 + 0j}
 
     root = sig(2, (1.0, [0.5, 0]))
-    assert (root * root).terms == {(1.0, 0.0): 1 + 0j}
+    assert dict((root * root).sorted_terms()) == {(1.0, 0.0): 1 + 0j}
 
     prod = (x + y) * (x - y)
-    assert prod.terms == {(2.0, 0.0): 1 + 0j, (0.0, 2.0): -1 + 0j}
+    assert dict(prod.sorted_terms()) == {(2.0, 0.0): 1 + 0j, (0.0, 2.0): -1 + 0j}
 
 
 def test_overflow_raises_instead_of_erasing():
@@ -84,7 +112,8 @@ def test_overflow_raises_instead_of_erasing():
         # (1e200 + 1e200i)^2 has real part inf - inf = NaN
         Signomial.constant(2, 1e200 + 1e200j) * Signomial.constant(2, 1e200 + 1e200j)
     with pytest.raises(MalformedInputError):
-        # the exponent sum overflows, not the coefficient
+        # an exponent beyond MAX_EXPONENT is refused where it enters, so
+        # no exponent sum can overflow
         sig(2, (1.0, [1e308, 0])) * sig(2, (1.0, [1e308, 0]))
     with pytest.raises(MalformedInputError):
         big.scale(10.0)
@@ -105,9 +134,9 @@ def test_dim_mismatch_rejected():
 
 def test_partial_power_rule():
     s = sig(2, (1.0, [2, 1]))
-    assert s.partial(0).terms == {(1.0, 1.0): 2 + 0j}
+    assert dict(s.partial(0).sorted_terms()) == {(1.0, 1.0): 2 + 0j}
     assert sig(2, (1.0, [2, 0])).partial(1).is_zero
-    assert sig(2, (1.0, [0.5, 0])).partial(0).terms == {(-0.5, 0.0): 0.5 + 0j}
+    assert dict(sig(2, (1.0, [0.5, 0])).partial(0).sorted_terms()) == {(-0.5, 0.0): 0.5 + 0j}
 
 
 # -- Caputo derivatives ----------------------------------------------------
@@ -116,8 +145,8 @@ def test_partial_power_rule():
 def test_caputo_y_squared_matches_oracle():
     ctx = AlphaContext(alpha=0.5, n=1)
     d = sig(2, (1.0, [0, 2])).caputo(1, ctx)
-    assert d.terms.keys() == {(0.0, 1.5)}
-    coeff = d.terms[(0.0, 1.5)]
+    assert dict(d.sorted_terms()).keys() == {(0.0, 1.5)}
+    coeff = dict(d.sorted_terms())[(0.0, 1.5)]
     assert coeff == pytest.approx(TWO_OVER_GAMMA_2P5, rel=1e-12)
     oracle = caputo_quad(lambda u: u ** 2, 1.0, 0.5).value
     assert abs(d.eval_at((1.0, 1.0)).real - oracle) / abs(oracle) < 1e-6
@@ -131,8 +160,8 @@ def test_caputo_constant_is_zero():
 def test_caputo_passes_spectator_factors_through():
     ctx = AlphaContext(alpha=0.3, n=1)
     d = sig(2, (1.0, [2, 3])).caputo(0, ctx)
-    assert d.terms.keys() == {(1.7, 3.0)}
-    assert d.terms[(1.7, 3.0)] == pytest.approx(GAMMA3_OVER_GAMMA_2P7, rel=1e-12)
+    assert dict(d.sorted_terms()).keys() == {(1.7, 3.0)}
+    assert dict(d.sorted_terms())[(1.7, 3.0)] == pytest.approx(GAMMA3_OVER_GAMMA_2P7, rel=1e-12)
     # oracle at fixed y = 2: f(u) = u^2 * 2^3
     oracle = caputo_quad(lambda u: 8.0 * u ** 2, 1.3, 0.3).value
     val = d.eval_at((1.3, 2.0)).real
@@ -219,11 +248,11 @@ def test_power_rule_against_quadrature(p, alpha):
 
 def test_reciprocal_examples():
     y = Signomial.coordinate(2, 1)
-    assert y.reciprocal().terms == {(0.0, -1.0): 1 + 0j}
+    assert dict(y.reciprocal().sorted_terms()) == {(0.0, -1.0): 1 + 0j}
 
     s = sig(2, (2.0, [0.5, 0]))
     r = s.reciprocal()
-    assert r.terms == {(-0.5, 0.0): 0.5 + 0j}
+    assert dict(r.sorted_terms()) == {(-0.5, 0.0): 0.5 + 0j}
 
     with pytest.raises(ExpressionClassError):
         (Signomial.constant(2, 1.0) + Signomial.coordinate(2, 0)).reciprocal()
@@ -250,6 +279,13 @@ def test_eval_examples():
         s.eval_at((0.0, 1.0))
     with pytest.raises(EvaluationDomainError):
         s.eval_at((1.0,))
+
+
+def test_eval_overflow_is_a_domain_error():
+    with pytest.raises(EvaluationDomainError):
+        sig(2, (1.0, [2000, 0])).eval_at((1.5, 1.0))  # the power overflows
+    with pytest.raises(EvaluationDomainError):
+        sig(2, (1e308, [1, 0]), (1e308, [0, 1])).eval_at((1.5, 1.5))  # the sum does
 
 
 # -- context -----------------------------------------------------------------
@@ -296,12 +332,12 @@ def test_ring_laws(a, b, c):
 
 # -- exactness of the canonical-operand kernel -------------------------------
 #
-# ``+`` and ``*`` skip re-validating and re-snapping their canonical operands;
+# ``+`` and ``*`` skip re-validating and re-rounding their canonical operands;
 # they must still return exactly what ``from_terms`` makes of the raw items,
 # in the same key order and with the same float bits (signed zeros included),
 # because term order feeds every later float sum.
 
-# sums such as 0.1 + 0.2 land off the decimal grid and must be snapped
+# float sums such as 0.1 + 0.2 land off the decimal grid; ``*`` adds grid counts
 snapping_exponents = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45, 0.55, 1 / 3, 1.0, 2.5, -0.45])
 # values that cancel into the dead zone (0.1 + 0.2 - 0.3) or to zero
 cancelling_coeffs = st.one_of(
@@ -318,8 +354,13 @@ def snapping_signomials(draw):
     return -s if draw(st.booleans()) else s
 
 
+def float_items(s):
+    """``s.terms`` in key order, with float exponents."""
+    return [(tuple(k / GRID for k in key), c) for key, c in s.terms.items()]
+
+
 def raw_items(s):
-    return [(c, k) for k, c in s.terms.items()]
+    return [(c, e) for e, c in float_items(s)]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -328,8 +369,8 @@ def test_kernel_matches_from_terms_exactly(a, b, k):
     assert exact(a + b) == exact(Signomial.from_terms(2, raw_items(a) + raw_items(b)))
     cross = [
         (c1 * c2, [x + y for x, y in zip(k1, k2)])
-        for k1, c1 in a.terms.items()
-        for k2, c2 in b.terms.items()
+        for k1, c1 in float_items(a)
+        for k2, c2 in float_items(b)
     ]
     assert exact(a * b) == exact(Signomial.from_terms(2, cross))
     scaled = a.scale(k)
@@ -341,4 +382,4 @@ def test_kernel_matches_from_terms_exactly(a, b, k):
 
 def test_product_snaps_exponent_sums():
     p = sig(2, (1.0, [0.1, 0.45])) * sig(2, (1.0, [0.2, -0.45]))
-    assert repr(list(p.terms)) == "[(0.3, 0.0)]"
+    assert repr([e for e, _ in p.sorted_terms()]) == "[(0.3, 0.0)]"

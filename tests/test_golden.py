@@ -30,9 +30,12 @@ GOLDEN = Path(__file__).parent / "golden"
 # 0 = 0), x^2 y^3 and x^2 y^2 fractionally, and x^2 y^2 at alpha = 0.6,
 # which aborts at a Gamma pole in the recursion stage and keeps the
 # geometry section and the checks finished before it; y4_a1_strict is
-# y4_a1 in strict mode, so every gated check must pass for exit 0
+# y4_a1 in strict mode, so every gated check must pass for exit 0;
+# y2p5_a0.3 is the one fractional run with a non-integer input exponent,
+# whose recursion term counts move with last-bit changes of the kernel
 NAMES = (
     "y4_a1", "y4_a1_strict", "coupled2_a1", "x2y3_a1", "x2y3_a0.7", "x2y2_a0.45", "x2y2_a0.6",
+    "y2p5_a0.3",
 )
 # W4 (n = 2, non-zero T, R and Omega, so r and the contractions are non-trivial)
 STAR_NAMES = ("w4_star_o1",)
