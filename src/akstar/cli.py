@@ -516,3 +516,7 @@ def main(argv=None, stream=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -370,6 +370,15 @@ def flat_d_squared_residual(probe: WickElement, state: FedosovState, points=None
     intermediate result is truncated before the second application so that
     the excluded degrees are never differentiated (for fractional alpha
     they can carry exponents outside the differentiable class).
+
+    At alpha = 1 the defect on the z^i and e^a of ``generator_probes``
+    certifies D-hat^2 = 0 on every element: D-hat^2 = (i/v) ad(Omega) is
+    then a C-infinity-linear even derivation, and D-hat^2 f = 0 on a
+    function f.  The derivation property rests on the gated checks
+    ``algebra_delta_derivation`` (delta), ``algebra_wick_associativity``
+    (ad(r)), ``fedosov_dconn_derivation`` (D-check) and
+    ``geometry_anholonomy`` (d^2 f = 0).  A Deg-3 monomial needs D-hat^2
+    z^i only through Deg K, the window reported here for Deg 1.
     """
     degs = probe.total_degrees()
     if not degs:
@@ -493,3 +502,19 @@ def make_probes(bundle: GeometryBundle, seed: int, count: int = 10):
             probe = WickElement.unit(dim)
         probes.append(probe)
     return probes
+
+
+def generator_probes(dim: int):
+    """The 2 * dim unit-coefficient generators: each z^i, then each e^a.
+
+    At alpha = 1, D-hat^2 = (i/v) ad(Omega) is a C-infinity-linear graded
+    derivation, so it vanishes on every element iff it vanishes on these.
+    """
+    one = Signomial.constant(dim, 1.0)
+    zero_z = (0,) * dim
+    fibers = [
+        WickElement.from_term(dim, 0, tuple(int(j == i) for j in range(dim)), (), one)
+        for i in range(dim)
+    ]
+    coframes = [WickElement.from_term(dim, 0, zero_z, (a,), one) for a in range(dim)]
+    return fibers + coframes

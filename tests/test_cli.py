@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import akstar
 from akstar.checks import CHECK_NAMES
 from akstar.cli import (
     CHECK_STAGES,
@@ -445,3 +449,30 @@ def test_check_keeps_the_note(tmp_path):
     (line,) = [ln for ln in check_out.getvalue().splitlines() if ln.startswith("fedosov_dsq_probe")]
     assert "(some probes left the differentiable class: " in line
     assert f"  {line}" in run_out.getvalue().splitlines()
+
+
+def test_classical_certificate_does_not_follow_the_seed():
+    # at alpha = 1 fedosov_dsq_probe runs on the generators, not on the
+    # seeded probes, so the config seed cannot move its value
+    raw = json.loads((GOLDEN / "x2y3_a1.config.json").read_text())
+    entries = []
+    for seed in (3, 7):
+        report = Pipeline(parse_config_dict(dict(raw, seed=seed))).run(CHECK_STAGES["fedosov"])
+        (entry,) = [c for c in report["checks"] if c["name"] == "fedosov_dsq_probe"]
+        entries.append(entry)
+    assert entries[0] == entries[1]
+    assert entries[0]["note"] == "certified on the 4 generators z^i, e^a"
+
+
+def test_module_entry_point_prints_the_report():
+    config = str(GOLDEN / "y4_a1.config.json")
+    out = io.StringIO()
+    assert main(["run", "--config", config], stream=out) == EXIT_OK
+    src = str(Path(akstar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "akstar.cli", "run", "--config", config],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == out.getvalue()

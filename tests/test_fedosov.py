@@ -1,8 +1,11 @@
 """Grading-shift operators, flatness recursion, lift, and star product."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from akstar.checks import fedosov_checks
 from akstar.errors import FractionalDomainError, MalformedInputError
 from akstar.expr import Signomial, coeff_distance
 from akstar.geometry import poisson_bracket
@@ -13,6 +16,7 @@ from akstar.fedosov import (
     flat_d,
     flat_d_squared_residual,
     flat_section_residual,
+    generator_probes,
     make_probes,
     sigma,
     sigma_series,
@@ -339,6 +343,45 @@ def test_flat_d_squared_classical(kind, n):
     st = solved(kind, n, 4)
     for probe in make_probes(st.bundle, seed=42, count=8):
         assert flat_d_squared_residual(probe, st) < 1e-8
+
+
+def test_generator_probes_are_the_fiber_and_coframe_generators():
+    one = Signomial.constant(4, 1.0)
+    keys = [next(iter(p.terms.items())) for p in generator_probes(4)]
+    assert [k for k, _ in keys] == (
+        [(0, tuple(int(j == i) for j in range(4)), ()) for i in range(4)]
+        + [(0, (0, 0, 0, 0), (a,)) for a in range(4)]
+    )
+    assert all(coeff_distance(c, one) == 0.0 for _, c in keys)
+
+
+def _certificate(bundle):
+    """The generator D-hat^2 defect and the D-check Leibniz defect, as the suite reports them."""
+    m = FedosovMachine(bundle)
+    probes = make_probes(bundle, seed=7, count=8)
+    results = fedosov_checks(m, m.solve_r(3), sample_points(1), probes, "diagnostic", {})
+    values = {r.name: r.value for r in results}
+    return values["fedosov_dsq_probe"], values["fedosov_dconn_derivation"]
+
+
+def test_planted_connection_defect_fails_the_certificate():
+    # each wrong-sign Gamma entry of x^2 y^3 breaks D-hat^2 = 0 on the
+    # generators or the Leibniz rule of D-check; the intact bundle passes both
+    bundle = make_bundle("x2y3", 1, 1.0)
+    assert max(_certificate(bundle)) <= 1e-8
+    entries = [
+        (t, d, s)
+        for t in range(2)
+        for d in range(2)
+        for s in range(2)
+        if not bundle.gamma[t][d][s].is_zero
+    ]
+    assert len(entries) == 4
+    for t, d, s in entries:
+        gamma = [[list(row) for row in block] for block in bundle.gamma]
+        gamma[t][d][s] = gamma[t][d][s].scale(-1.0)
+        planted = dataclasses.replace(bundle, gamma=gamma)
+        assert max(_certificate(planted)) > 1e-8, (t, d, s)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS_FRACTIONAL)
