@@ -66,6 +66,16 @@ def _fail(pointer: str, message: str):
     raise ConfigError(f"{pointer}: {message}")
 
 
+def _is_number(v, integer: bool = False) -> bool:
+    """A finite JSON number (an integer when ``integer``); true and false are not numbers."""
+    if isinstance(v, bool):
+        return False
+    if integer:
+        return isinstance(v, int)
+    # the bound also rejects NaN, +-Infinity and integers beyond the float range
+    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 def _term_list(raw, pointer: str, dim: int) -> Signomial:
     if not isinstance(raw, list) or not raw:
         _fail(pointer, "expected a non-empty list of term records")
@@ -75,16 +85,14 @@ def _term_list(raw, pointer: str, dim: int) -> Signomial:
         if not isinstance(rec, dict) or set(rec) - {"c", "exp"}:
             _fail(here, "expected an object with fields 'c' and 'exp'")
         c = rec.get("c")
-        if isinstance(c, (int, float)):
+        if _is_number(c):
             coef = complex(c)
-        elif isinstance(c, list) and len(c) == 2 and all(isinstance(v, (int, float)) for v in c):
+        elif isinstance(c, list) and len(c) == 2 and all(_is_number(v) for v in c):
             coef = complex(c[0], c[1])
         else:
             _fail(f"{here}/c", "expected a number or [re, im]")
         exp = rec.get("exp")
-        if not isinstance(exp, list) or len(exp) != dim or not all(
-            isinstance(v, (int, float)) for v in exp
-        ):
+        if not isinstance(exp, list) or len(exp) != dim or not all(_is_number(v) for v in exp):
             _fail(f"{here}/exp", f"expected {dim} numeric exponents")
         items.append((coef, [float(v) for v in exp]))
     try:
@@ -123,12 +131,12 @@ def parse_config_dict(raw: dict) -> RunSpec:
             _fail(f"/{key}", "unknown field")
 
     alpha = raw.get("alpha")
-    if not isinstance(alpha, (int, float)) or not 0.0 < float(alpha) <= 1.0:
-        _fail("/alpha", "alpha out of range (0, 1]")
+    if not _is_number(alpha) or not 0.0 < alpha <= 1.0:
+        _fail("/alpha", "alpha must be a number in (0, 1]")
     alpha = float(alpha)
 
     n = raw.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_number(n, integer=True) or n < 1:
         _fail("/n", "n must be a positive integer")
     dim = 2 * n
 
@@ -137,7 +145,7 @@ def parse_config_dict(raw: dict) -> RunSpec:
     lagrangian = _term_list(raw["lagrangian"], "/lagrangian", dim)
 
     order = raw.get("truncation_order", 3)
-    if not isinstance(order, int) or order < 2:
+    if not _is_number(order, integer=True) or order < 2:
         _fail("/truncation_order", "truncation order must be an integer >= 2")
 
     obs = raw.get("observables", {})
@@ -160,8 +168,8 @@ def parse_config_dict(raw: dict) -> RunSpec:
         if not isinstance(p, list) or len(p) != dim:
             _fail(f"/sample_points/{i}", f"expected {dim} coordinates")
         for j, v in enumerate(p):
-            if not isinstance(v, (int, float)) or not v > 0.0:
-                _fail(f"/sample_points/{i}/{j}", "coordinates must be strictly positive")
+            if not _is_number(v) or not v > 0.0:
+                _fail(f"/sample_points/{i}/{j}", "coordinates must be finite and strictly positive")
         points.append(tuple(float(v) for v in p))
 
     mode = raw.get("mode", "strict")
@@ -174,12 +182,12 @@ def parse_config_dict(raw: dict) -> RunSpec:
     for name, v in tolerances.items():
         if name not in checklib.CHECK_NAMES:
             _fail(f"/tolerances/{name}", "unknown check name")
-        if not isinstance(v, (int, float)) or v < 0:
-            _fail(f"/tolerances/{name}", "threshold must be a nonnegative number")
+        if not _is_number(v) or v < 0:
+            _fail(f"/tolerances/{name}", "threshold must be a finite nonnegative number")
     tolerances = {k: float(v) for k, v in tolerances.items()}
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_number(seed, integer=True) or seed < 0:
         _fail("/seed", "seed must be a nonnegative integer")
 
     canonical = {
@@ -228,8 +236,13 @@ def parse_config(path: str) -> RunSpec:
 
 
 def _geometry_section(bundle: GeometryBundle) -> dict:
+    """The geometry report; the metric and d-connection blocks are read off the bundle."""
     tors = []
-    dim = bundle.ctx.dim
+    n, dim = bundle.ctx.n, bundle.ctx.dim
+    gamma = bundle.gamma
+    # L^i_{jk} and C^a_{bc} as [target][source][direction], read off the one Gamma table
+    l_hh = [[[gamma[i][k][j] for k in range(n)] for j in range(n)] for i in range(n)]
+    c_vv = [[[gamma[a][n + c][b] for c in range(n)] for b in range(n)] for a in range(n)]
     for g in range(dim):
         for a in range(dim):
             for b in range(a + 1, dim):
@@ -247,13 +260,13 @@ def _geometry_section(bundle: GeometryBundle) -> dict:
                             {"idx": [t, f, a, b], "terms": reportlib.signomial_terms(r)}
                         )
     return {
-        "metric": reportlib.matrix_terms(bundle.h),
-        "metric_inverse": reportlib.matrix_terms(bundle.h_inv),
+        "metric": reportlib.matrix_terms(row[:n] for row in bundle.g_lower[:n]),
+        "metric_inverse": reportlib.matrix_terms(row[:n] for row in bundle.g_upper[:n]),
         "semi_spray": [reportlib.signomial_terms(gg) for gg in bundle.G],
         "n_connection": reportlib.matrix_terms(bundle.N),
         "d_connection": {
-            "l_hh": [reportlib.matrix_terms(m) for m in bundle.l_hh],
-            "c_vv": [reportlib.matrix_terms(m) for m in bundle.c_vv],
+            "l_hh": [reportlib.matrix_terms(m) for m in l_hh],
+            "c_vv": [reportlib.matrix_terms(m) for m in c_vv],
         },
         "theta_lower": reportlib.matrix_terms(bundle.theta_lower),
         "theta_upper": reportlib.matrix_terms(bundle.theta_upper),
@@ -481,9 +494,9 @@ def main(argv=None, stream=None) -> int:
     try:
         spec = parse_config(args.config)
         if args.command == "run" and args.order is not None:
-            raw = dict(spec.canonical)
-            raw["truncation_order"] = args.order
-            spec = parse_config_dict(raw)
+            if args.order < 2:
+                _fail("--order", "truncation order must be an integer >= 2")
+            spec = parse_config_dict(dict(spec.canonical, truncation_order=args.order))
         if args.command == "star" and args.order is not None and args.order < 0:
             _fail("--order", "order must be nonnegative")
         if args.command == "check" and args.group == "caputo" and spec.alpha >= 1.0:

@@ -497,10 +497,7 @@ def make_probes(bundle: GeometryBundle, seed: int, count: int = 10):
         if rng.integers(2):
             forms = (int(rng.integers(dim)),)
         coeff = pool[int(rng.integers(len(pool)))]
-        probe = WickElement.from_term(dim, 0, tuple(z), forms, coeff)
-        if probe.is_zero:
-            probe = WickElement.unit(dim)
-        probes.append(probe)
+        probes.append(WickElement.from_term(dim, 0, tuple(z), forms, coeff))
     return probes
 
 

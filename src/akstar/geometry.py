@@ -8,20 +8,25 @@ derives, in order:
   derivatives, with the v-block given by the same formulas,
 * the semi-spray  G^k = (1/4) g^{kj} [ y^m D_{y^m}(D_{x^j} L) - D_{x^j} L ]
   and the nonlinear connection  N^a_j = D_{y^j} G^a,
-* the adapted frames  e_j = D_j - N^a_j D_a,  e_b = D_b  and their
-  anholonomy coefficients,
-* the canonical metric d-connection (Koszul form in the adapted frame,
-  cross blocks by the h/v index identification),
+* the adapted frames  e_j = D_j - N^a_j D_a,  e_b = D_b,
+* the canonical metric d-connection: one Koszul rule, applied along the h-
+  and along the v-directions (L^i_{jk} and C^a_{bc}), with cross blocks by
+  the h/v index identification,
+* the anholonomy coefficients of the adapted frame, whose h-h block is the
+  N-connection curvature  Omega^a_{ij} = e_j(N^a_i) - e_i(N^a_j),
 * torsion and curvature of that connection, computed as the honest frame
   torsion/curvature so that the operator identities of the quantization
   layer close,
 * the compatible almost-complex structure J, the 2-form theta fixed by
   theta(X, Y) = g(JX, Y), its inverse, and Lambda = theta^{-1} - i g^{-1}.
 
-:func:`build_geometry` stores all of it once, as plain nested lists in
-frame indices, in one :class:`GeometryBundle`; its docstring gives the
-index conventions.  The diagnostics below compare those tensors, among
-them the Nijenhuis tensor with four times the J-anti-invariant torsion.
+:func:`build_geometry` stores each of them once, as plain nested lists, in
+one :class:`GeometryBundle` with the fields ``spec``, ``ctx``, ``G``,
+``N``, ``gamma``, ``anholonomy``, ``torsion``, ``curvature``, ``J``,
+``theta_lower``, ``theta_upper``, ``g_lower``, ``g_upper`` and ``lam``; its
+docstring gives the index conventions.  The diagnostics below compare those
+tensors, among them the Nijenhuis tensor with four times the
+J-anti-invariant torsion.
 
 Everything is exact term-level signomial arithmetic; the only tolerance in
 this module is the coefficient dead zone.  All objects are immutable once
@@ -49,9 +54,11 @@ def _zeros(ctx: AlphaContext, *shape: int) -> list:
 class LagrangianSpec:
     """A regular Lagrangian along with its differentiation context.
 
-    Construction verifies the engine's exact-invertibility class: the fiber
-    Hessian must be diagonal with single-monomial entries, each nonzero at
-    every configured regularity point.
+    Construction checks only the dimension.  :func:`build_geometry` checks
+    the engine's exact-invertibility class when it builds the fiber Hessian:
+    it raises :class:`ExpressionClassError` unless the Hessian is diagonal
+    with single-monomial entries, and :class:`RegularityError` if an entry
+    vanishes at a configured regularity point.
     """
 
     L: Signomial
@@ -65,7 +72,6 @@ class LagrangianSpec:
             )
         points = self.regularity_points or ((1.0,) * self.ctx.dim,)
         object.__setattr__(self, "regularity_points", tuple(tuple(p) for p in points))
-        hessian_metric(self)  # raises on class or regularity violations
 
 
 @dataclass(frozen=True)
@@ -73,23 +79,23 @@ class GeometryBundle:
     """Every derived geometric object for one configuration.
 
     Frame indices run over 0..2n-1: h-labels 0..n-1 (base, e_j = D_j -
-    N^a_j D_a) and v-labels n..2n-1 (fiber, e_{n+a} = D_{n+a}).  The block
-    tables ``h``, ``h_inv``, ``G``, ``N``, ``omega``, ``l_hh`` and ``c_vv``
-    label base and fiber indices alike 0..n-1; every other table uses
-    frame indices.
+    N^a_j D_a) and v-labels n..2n-1 (fiber, e_{n+a} = D_{n+a}).  ``G`` and
+    ``N`` label base and fiber indices alike 0..n-1; every other table uses
+    frame indices.  Each object is stored once, in one table:
 
-    * ``h``, ``h_inv``: Sasaki metric block and its inverse (the v-block
-      equals the h-block entrywise); ``g_lower``, ``g_upper``: the full
-      block-diagonal metric and inverse.
-    * ``G[k]``: semi-spray; ``N[a][j]``: N^a_j; ``omega[a][i][j]`` =
-      e_j(N^a_i) - e_i(N^a_j).
-    * ``l_hh[i][j][k]``: h-block of the canonical d-connection (source j,
-      direction k); ``c_vv[a][b][c]``: v-block (source b, direction c).
+    * ``g_lower``, ``g_upper``: the block-diagonal Sasaki metric and its
+      inverse; the v-block equals the h-block entrywise, so the fiber
+      Hessian h_ij is ``g_lower[i][j]`` for i, j < n.
+    * ``G[k]``: semi-spray; ``N[a][j]``: N^a_j.
     * ``gamma[tgt][direction][src]``: the covariant derivative of e_src
       along e_direction has e_tgt component ``gamma[tgt][direction][src]``.
-      The cross blocks are ``l_hh`` and ``c_vv`` under the h/v index
-      identification; mixed target/source entries are one shared zero.
-    * ``anholonomy[g][a][b]``: [e_a, e_b] = w^g_{ab} e_g at alpha = 1.
+      L^i_{jk} (source j, direction k) is ``gamma[i][k][j]`` and C^a_{bc}
+      (source b, direction c) is ``gamma[a][n + c][b]``; the v-v
+      target/source block holds the same entries under the h/v index
+      identification, and mixed target/source entries are one shared zero.
+    * ``anholonomy[g][a][b]``: [e_a, e_b] = w^g_{ab} e_g at alpha = 1.  Its
+      block ``anholonomy[n + a][i][j]`` is Omega^a_{ij} = e_j(N^a_i) -
+      e_i(N^a_j), the curvature of the N-connection.
     * ``torsion[g][a][b]``: T(e_a, e_b)^g.  The classical component tables
       (T^i_{ja} = C^i_{ja}, T^a_{ij} = Omega^a_{ij}, T^a_{ib} = e_b N^a_i -
       L^a_{bi}) list the same data with the argument pair in the opposite
@@ -108,13 +114,8 @@ class GeometryBundle:
 
     spec: LagrangianSpec
     ctx: AlphaContext
-    h: Matrix
-    h_inv: Matrix
     G: list
     N: Matrix
-    omega: list
-    l_hh: list
-    c_vv: list
     gamma: list
     anholonomy: list
     torsion: list
@@ -214,73 +215,53 @@ def adapted_derivative(f: Signomial, idx: int, N: Matrix, ctx: AlphaContext) -> 
     return out
 
 
-def n_connection(spec: LagrangianSpec, G: list) -> tuple:
-    """Connection coefficients N^a_j = D_{y^j} G^a and their curvature: (N, omega)."""
+def n_connection(spec: LagrangianSpec, G: list) -> Matrix:
+    """Connection coefficients N^a_j = D_{y^j} G^a."""
     ctx = spec.ctx
     n = ctx.n
-    N = [[ctx.deriv(G[a], n + j) for j in range(n)] for a in range(n)]
-    omega = _zeros(ctx, n, n, n)
-    for a in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                o = adapted_derivative(N[a][i], j, N, ctx) - adapted_derivative(
-                    N[a][j], i, N, ctx
-                )
-                omega[a][i][j] = o
-                omega[a][j][i] = -o
-    return N, omega
+    return [[ctx.deriv(G[a], n + j) for j in range(n)] for a in range(n)]
 
 
-def canonical_d_connection(h: Matrix, h_inv: Matrix, N: Matrix, ctx: AlphaContext) -> tuple:
-    """Koszul coefficients of the metric d-connection in the adapted frame: (l_hh, c_vv)."""
+def canonical_d_connection(h: Matrix, h_inv: Matrix, N: Matrix, ctx: AlphaContext) -> list:
+    """Koszul coefficients of the metric d-connection in the adapted frame: gamma.
+
+    One Koszul rule serves both direction blocks, o = 0 (h: L^i_{jk}) and
+    o = n (v: C^a_{bc}):
+        K^i_{jk} = (1/2) h^{ir} (e_{o+k} h_{jr} + e_{o+j} h_{kr} - e_{o+r} h_{jk}).
+    K^i_{jk} is the e_i component of the derivative of e_j along e_{o+k}.
+    Under the h/v index identification the same entry fills the h-h and the
+    v-v target/source block; mixed target/source entries are one shared zero.
+    """
     n = ctx.n
-
-    def e_h(f, k):
-        return adapted_derivative(f, k, N, ctx)
-
-    l_hh = _zeros(ctx, n, n, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = Signomial.zero(ctx.dim)
-                for r in range(n):
-                    gir = h_inv[i][r]
-                    if gir.is_zero:
-                        continue
-                    term = (
-                        e_h(h[j][r], k)
-                        + e_h(h[k][r], j)
-                        - e_h(h[j][k], r)
-                    )
-                    acc = acc + gir * term
-                l_hh[i][j][k] = acc.scale(0.5)
-
-    c_vv = _zeros(ctx, n, n, n)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                acc = Signomial.zero(ctx.dim)
-                for d in range(n):
-                    gad = h_inv[a][d]
-                    if gad.is_zero:
-                        continue
-                    term = (
-                        ctx.deriv(h[b][d], n + c)
-                        + ctx.deriv(h[c][d], n + b)
-                        - ctx.deriv(h[b][c], n + d)
-                    )
-                    acc = acc + gad * term
-                c_vv[a][b][c] = acc.scale(0.5)
-
-    return l_hh, c_vv
+    dim = ctx.dim
+    zero = Signomial.zero(dim)
+    gamma = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for o in (0, n):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    acc = Signomial.zero(dim)
+                    for r in range(n):
+                        gir = h_inv[i][r]
+                        if gir.is_zero:
+                            continue
+                        term = (
+                            adapted_derivative(h[j][r], o + k, N, ctx)
+                            + adapted_derivative(h[k][r], o + j, N, ctx)
+                            - adapted_derivative(h[j][k], o + r, N, ctx)
+                        )
+                        acc = acc + gir * term
+                    gamma[i][o + k][j] = gamma[n + i][o + k][n + j] = acc.scale(0.5)
+    return gamma
 
 
-def anholonomy(N: Matrix, omega: list, ctx: AlphaContext) -> list:
+def anholonomy(N: Matrix, ctx: AlphaContext) -> list:
     """Structure coefficients of the adapted frame.
 
-    w^a_{ij} = Omega^a_{ij} and w^a_{ib} = +D_b N^a_i (so that
-    [e_a, e_b] = w^g_{ab} e_g holds exactly at alpha = 1; for alpha < 1 the
-    frame operators are not derivations and the defect is reported by
+    w^a_{ij} = Omega^a_{ij} = e_j(N^a_i) - e_i(N^a_j), the curvature of the
+    N-connection, and w^a_{ib} = +D_b N^a_i (so that [e_a, e_b] = w^g_{ab}
+    e_g holds exactly at alpha = 1; for alpha < 1 the frame operators are
+    not derivations and the defect is reported by
     :func:`anholonomy_residual` instead of assumed away).
     """
     n = ctx.n
@@ -288,8 +269,12 @@ def anholonomy(N: Matrix, omega: list, ctx: AlphaContext) -> list:
     w = _zeros(ctx, dim, dim, dim)
     for a in range(n):
         for i in range(n):
-            for j in range(n):
-                w[n + a][i][j] = omega[a][i][j]
+            for j in range(i + 1, n):
+                o = adapted_derivative(N[a][i], j, N, ctx) - adapted_derivative(
+                    N[a][j], i, N, ctx
+                )
+                w[n + a][i][j] = o
+                w[n + a][j][i] = -o
             for b in range(n):
                 d = ctx.deriv(N[a][i], n + b)
                 w[n + a][i][n + b] = d
@@ -321,14 +306,6 @@ def curvature(gamma: list, N: Matrix, anhol: list, ctx: AlphaContext) -> list:
     of the quantization layer close at alpha = 1.
     """
     dim = ctx.dim
-    dcache: dict = {}
-
-    def e_of_gamma(t, direction, src, along):
-        key = (t, direction, src, along)
-        if key not in dcache:
-            dcache[key] = adapted_derivative(gamma[t][direction][src], along, N, ctx)
-        return dcache[key]
-
     full = [[[ [None] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     zero = Signomial.zero(dim)
     for t in range(dim):
@@ -343,7 +320,9 @@ def curvature(gamma: list, N: Matrix, anhol: list, ctx: AlphaContext) -> list:
                 continue
             for a in range(dim):
                 for b in range(a + 1, dim):
-                    acc = e_of_gamma(t, b, f, a) - e_of_gamma(t, a, f, b)
+                    acc = adapted_derivative(gamma[t][b][f], a, N, ctx) - adapted_derivative(
+                        gamma[t][a][f], b, N, ctx
+                    )
                     for s in range(dim):
                         gbf = gamma[s][b][f]
                         if not gbf.is_zero:
@@ -360,7 +339,13 @@ def curvature(gamma: list, N: Matrix, anhol: list, ctx: AlphaContext) -> list:
 
 
 def build_geometry(spec: LagrangianSpec) -> GeometryBundle:
-    """Run the full construction chain for one configuration."""
+    """Run the full construction chain for one configuration.
+
+    The fiber Hessian is built once, first, so a Lagrangian outside the
+    invertible class raises :class:`ExpressionClassError`, and one that
+    degenerates at a regularity point :class:`RegularityError`, before any
+    other tensor is built.
+    """
     ctx = spec.ctx
     n = ctx.n
     dim = ctx.dim
@@ -373,16 +358,9 @@ def build_geometry(spec: LagrangianSpec) -> GeometryBundle:
 
     h, h_inv = hessian_metric(spec)
     G = semi_spray(spec, h_inv)
-    N, omega = n_connection(spec, G)
-    l_hh, c_vv = canonical_d_connection(h, h_inv, N, ctx)
-    gamma = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for t in range(dim):
-        for d in range(dim):
-            block = l_hh if d < n else c_vv
-            for s in range(dim):
-                if (t < n) == (s < n):
-                    gamma[t][d][s] = block[t % n][s % n][d % n]
-    anhol = anholonomy(N, omega, ctx)
+    N = n_connection(spec, G)
+    gamma = canonical_d_connection(h, h_inv, N, ctx)
+    anhol = anholonomy(N, ctx)
 
     J = [[0.0] * dim for _ in range(dim)]
     theta_lower = [[zero] * dim for _ in range(dim)]
@@ -402,13 +380,8 @@ def build_geometry(spec: LagrangianSpec) -> GeometryBundle:
     return GeometryBundle(
         spec=spec,
         ctx=ctx,
-        h=h,
-        h_inv=h_inv,
         G=G,
         N=N,
-        omega=omega,
-        l_hh=l_hh,
-        c_vv=c_vv,
         gamma=gamma,
         anholonomy=anhol,
         torsion=torsion(gamma, anhol, ctx),

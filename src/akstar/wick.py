@@ -110,10 +110,6 @@ class WickElement:
         return cls(dim, {})
 
     @classmethod
-    def unit(cls, dim: int) -> "WickElement":
-        return cls.from_signomial(Signomial.constant(dim, 1.0))
-
-    @classmethod
     def from_signomial(cls, s: Signomial) -> "WickElement":
         if s.is_zero:
             return cls.zero(s.dim)

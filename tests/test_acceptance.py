@@ -162,7 +162,7 @@ def test_criterion_3_exact_geometric_compatibilities():
         for kind in ("flat", "coupled"):
             for n in (1, 2):
                 b = make_bundle(kind, n, alpha)
-                scale = max(1.0, b.h[0][0].max_abs_coeff())
+                scale = max(1.0, b.g_lower[0][0].max_abs_coeff())
                 worst = max(
                     worst,
                     metric_compat_residual(b) / scale,

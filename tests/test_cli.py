@@ -70,17 +70,32 @@ def test_zero_sample_point_rejected():
         parse_config_dict(flat_config(sample_points=[[0.0, 1.0]]))
 
 
-def test_pointer_paths_in_errors():
-    with pytest.raises(ConfigError, match="/lagrangian/0/exp"):
-        parse_config_dict(flat_config(lagrangian=[{"c": 1, "exp": [1]}]))
-    with pytest.raises(ConfigError, match="/truncation_order"):
-        parse_config_dict(flat_config(truncation_order=1))
-    with pytest.raises(ConfigError, match="/mode"):
-        parse_config_dict(flat_config(mode="loose"))
-    with pytest.raises(ConfigError, match="/tolerances/x"):
-        parse_config_dict(flat_config(tolerances={"x": -1.0}))
-    with pytest.raises(ConfigError, match="/unknown"):
-        parse_config_dict(flat_config(unknown=3))
+def test_pointer_paths_in_errors(tmp_path, capsys):
+    cases = [
+        (dict(lagrangian=[{"c": 1, "exp": [1]}]), "/lagrangian/0/exp"),
+        (dict(truncation_order=1), "/truncation_order"),
+        (dict(mode="loose"), "/mode"),
+        (dict(tolerances={"x": -1.0}), "/tolerances/x"),
+        (dict(unknown=3), "/unknown"),
+        # JSON true and false are not numbers; NaN and Infinity are not finite
+        (dict(alpha=True), "/alpha"),
+        (dict(n=True), "/n"),
+        (dict(seed=False), "/seed"),
+        (dict(lagrangian=[{"c": True, "exp": [0, 2]}]), "/lagrangian/0/c"),
+        (dict(lagrangian=[{"c": 1, "exp": [False, 4]}]), "/lagrangian/0/exp"),
+        (dict(sample_points=[[1.0, float("inf")]]), "/sample_points/0/1"),
+        (dict(tolerances={"geometry_acp": float("nan")}), "/tolerances/geometry_acp"),
+    ]
+    for over, pointer in cases:
+        cfg = flat_config(**over)
+        with pytest.raises(ConfigError, match=pointer):
+            parse_config_dict(cfg)
+        # the same input as a file, with the NaN and Infinity tokens json.dumps writes
+        path = write_config(tmp_path, cfg)
+        out = io.StringIO()
+        assert main(["run", "--config", path], stream=out) == EXIT_CONFIG_ERROR
+        assert out.getvalue() == ""
+        assert f"config error: {pointer}:" in capsys.readouterr().err
 
 
 def test_unknown_tolerance_name_rejected(tmp_path):
@@ -373,6 +388,15 @@ def test_star_negative_order_is_a_config_error(tmp_path, capsys):
     assert main(["star", "--config", path, "--order", "-1"], stream=out) == EXIT_CONFIG_ERROR
     assert out.getvalue() == ""
     assert "--order" in capsys.readouterr().err
+
+
+def test_run_order_below_two_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, flat_config())
+    out = io.StringIO()
+    assert main(["run", "--config", path, "--order", "1"], stream=out) == EXIT_CONFIG_ERROR
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert "--order" in err and "/truncation_order" not in err
 
 
 def test_check_caputo_requires_fractional_alpha(tmp_path, capsys):

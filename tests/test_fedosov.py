@@ -166,8 +166,8 @@ def test_dconn_transport_matches_independent_koszul_values():
             val -= b.N[0][0].eval_at(at) * (f.eval_at(up2) - f.eval_at(dn2)) / (2 * h)
         return val
 
-    g = b.h[0][0]
-    gl_num = 0.5 * b.h_inv[0][0].eval_at(p) * e_num(g, 0, p)  # L^x_xx at p
+    g = b.g_lower[0][0]
+    gl_num = 0.5 * b.g_upper[0][0].eval_at(p) * e_num(g, 0, p)  # L^x_xx at p
     # slot: wedge direction x, fiber z_y shifted to z_y (src y, tgt y): -L^y_yx
     key = (0, (0, 1), (0,))
     assert key in got.terms
@@ -432,7 +432,7 @@ def test_tau_of_coordinate_on_flat_config():
 def test_tau_of_unit_is_unit():
     st = solved("coupled", 1, 4)
     one = Signomial.constant(2, 1.0)
-    assert (tau_lift(one, st, 4) - WickElement.unit(2)).coeff_norm() == 0.0
+    assert (tau_lift(one, st, 4) - WickElement.from_signomial(one)).coeff_norm() == 0.0
 
 
 @pytest.mark.parametrize("kind,alpha,order", [("coupled", 1.0, 6), ("flat", 0.45, 3)])
@@ -622,3 +622,12 @@ def test_probe_generation_is_deterministic():
     assert len(p1) == len(p2)
     for a, c in zip(p1, p2):
         assert (a - c).coeff_norm() == 0.0
+
+
+def test_probes_are_single_nonzero_terms():
+    # a unit coefficient on a fiber monomial with at most one co-frame index
+    # never cancels, so no draw needs a fallback
+    b = make_bundle("coupled", 2, 1.0)
+    for seed in range(20):
+        for probe in make_probes(b, seed=seed, count=8):
+            assert len(probe.terms) == 1 and not probe.is_zero

@@ -28,48 +28,62 @@ ALPHAS = (0.3, 0.5, 0.9, 1.0)
 
 def test_hessian_flat_classical():
     b = make_bundle("flat", 1, 1.0)
-    assert b.h[0][0] == Signomial.constant(2, 1.0)
+    assert b.g_lower[0][0] == Signomial.constant(2, 1.0)
 
 
 def test_hessian_flat_fractional():
     b = make_bundle("flat", 1, 0.5)
-    assert dict(b.h[0][0].sorted_terms()) == {(0.0, 1.0): pytest.approx(1.0)}
+    assert dict(b.g_lower[0][0].sorted_terms()) == {(0.0, 1.0): pytest.approx(1.0)}
 
 
 def test_hessian_coupled_classical():
     b = make_bundle("coupled", 1, 1.0)
-    assert dict(b.h[0][0].sorted_terms()) == {(2.0, 0.0): pytest.approx(2.0 * 0.5)}
+    assert dict(b.g_lower[0][0].sorted_terms()) == {(2.0, 0.0): pytest.approx(2.0 * 0.5)}
 
 
 def test_hessian_rejects_off_diagonal():
     ctx = AlphaContext(alpha=1.0, n=2)
     L = Signomial.from_terms(4, [(1.0, [0, 0, 1, 1])])  # y1*y2
     with pytest.raises(ExpressionClassError, match="off-diagonal"):
-        geo.LagrangianSpec(L=L, ctx=ctx)
+        geo.build_geometry(geo.LagrangianSpec(L=L, ctx=ctx))
 
 
 def test_hessian_rejects_multiterm_diagonal():
     ctx = AlphaContext(alpha=1.0, n=1)
     L = Signomial.from_terms(2, [(1.0, [0, 2]), (1.0, [0, 3])])
     with pytest.raises(ExpressionClassError, match="single-monomial"):
-        geo.LagrangianSpec(L=L, ctx=ctx)
+        geo.build_geometry(geo.LagrangianSpec(L=L, ctx=ctx))
 
 
 def test_hessian_regularity_check():
     ctx = AlphaContext(alpha=1.0, n=1)
     L = Signomial.from_terms(2, [(1e-13, [0, 2])])
     with pytest.raises(RegularityError):
-        geo.LagrangianSpec(L=L, ctx=ctx)
+        geo.build_geometry(geo.LagrangianSpec(L=L, ctx=ctx))
+
+
+def test_build_geometry_builds_the_hessian_once(monkeypatch):
+    calls = []
+    hessian = geo.hessian_metric
+    monkeypatch.setattr(geo, "hessian_metric", lambda spec: calls.append(spec) or hessian(spec))
+    geo.build_geometry(make_spec("coupled", 1, 1.0))
+    assert len(calls) == 1
 
 
 # -- semi-spray and N-connection --------------------------------------------
+
+
+def _omega(b):
+    # the N-connection curvature Omega^a_{ij}, the anholonomy[n + a][i][j] block
+    n = b.ctx.n
+    return [b.anholonomy[n + a][i][j] for a in range(n) for i in range(n) for j in range(n)]
 
 
 def test_semi_spray_vanishes_without_base_coupling():
     b = make_bundle("flat", 1, 0.5)
     assert all(g.is_zero for g in b.G)
     assert all(n_.is_zero for row in b.N for n_ in row)
-    assert all(o.is_zero for mat in b.omega for row in mat for o in row)
+    assert all(o.is_zero for o in _omega(b))
 
 
 def test_semi_spray_coupled_classical_hand_value():
@@ -105,7 +119,7 @@ def test_semi_spray_fractional_matches_scripted_expansion():
 
 def test_omega_zero_for_single_base_coordinate():
     b = make_bundle("coupled", 1, 0.5)
-    assert all(o.is_zero for mat in b.omega for row in mat for o in row)
+    assert all(o.is_zero for o in _omega(b))
 
 
 def test_cross_config_has_off_diagonal_n():
@@ -113,7 +127,7 @@ def test_cross_config_has_off_diagonal_n():
     # semi-spray keeps the horizontal distribution integrable (Omega = 0)
     b = make_bundle("cross", 2, 1.0)
     assert not b.N[0][1].is_zero
-    assert all(o.is_zero for mat in b.omega for row in mat for o in row)
+    assert all(o.is_zero for o in _omega(b))
 
 
 # -- adapted derivative ------------------------------------------------------
@@ -169,7 +183,7 @@ def test_dconnection_flat_classical_is_zero():
 
 def test_dconnection_fractional_c_coefficient():
     b = make_bundle("flat", 1, 0.5)
-    c = b.c_vv[0][0][0]
+    c = b.gamma[0][1][0]  # C^y_{yy}: target y, direction y, source y
     assert dict(c.sorted_terms()).keys() == {(0.0, -0.5)}
     assert dict(c.sorted_terms())[(0.0, -0.5)] == pytest.approx(C_VYY, rel=1e-12)
 
@@ -178,7 +192,7 @@ def test_dconnection_fractional_c_coefficient():
 @pytest.mark.parametrize("kind", ["flat", "coupled"])
 def test_metric_compatibility_termwise(kind, alpha):
     b = make_bundle(kind, 1, alpha)
-    scale = max(1.0, b.h[0][0].max_abs_coeff())
+    scale = max(1.0, b.g_lower[0][0].max_abs_coeff())
     assert geo.metric_compat_residual(b) <= 1e-13 * scale
 
 
@@ -219,9 +233,9 @@ def test_koszul_coefficients_match_finite_differences():
                 ) / (2 * h)
         return val
 
-    g = b.h[0][0]
-    lhs = b.l_hh[0][0][0].eval_at(p)
-    rhs = 0.5 * b.h_inv[0][0].eval_at(p) * e_num(g, 0, p)
+    g = b.g_lower[0][0]
+    lhs = b.gamma[0][0][0].eval_at(p)  # L^x_{xx}
+    rhs = 0.5 * b.g_upper[0][0].eval_at(p) * e_num(g, 0, p)
     assert abs(lhs - rhs) < 1e-5
 
 
