@@ -18,19 +18,21 @@ relative tolerance, and the last increment is reported as the error
 estimate.  ``f'`` is reconstructed by Richardson-extrapolated central
 differences (falling back to a one-sided stencil where the central one
 would leave ``(0, x]``).
+
+numpy and ``scipy.special`` are imported by the functions that call them,
+not with the module: the CLI loads this module on every invocation, but
+only the fractional (alpha < 1) check suite runs the quadrature.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-from scipy.special import gamma as _gamma
-
 from .errors import MalformedInputError, QuadratureFailureError
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 # optimal steps for 4th/3rd order finite-difference stencils
 _H_CENTRAL = _EPS ** 0.2
 _H_ONESIDED = _EPS ** 0.25
@@ -47,6 +49,7 @@ class QuadResult:
 
 def _numeric_derivative(f: Callable, x_max: float) -> Callable:
     """Vectorized f' on (0, x_max] from values of f on (0, x_max] only."""
+    import numpy as np
 
     def fp(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -71,6 +74,8 @@ def _numeric_derivative(f: Callable, x_max: float) -> Callable:
 
 
 def _graded_pass(fp, x, alpha, n_intervals):
+    import numpy as np
+
     one_m = 1.0 - alpha
     big_x = x ** one_m
     k = np.arange(n_intervals + 1, dtype=float) / n_intervals
@@ -105,8 +110,10 @@ def caputo_quad(
     if max_intervals < 16:
         raise MalformedInputError(f"max_intervals must be >= 16, got {max_intervals}")
 
+    from scipy.special import gamma
+
     fp = _numeric_derivative(f, x)
-    front = 1.0 / _gamma(1.0 - alpha)
+    front = 1.0 / gamma(1.0 - alpha)
 
     n = 64
     prev = _graded_pass(fp, x, alpha, n)

@@ -23,8 +23,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .caputo_quad import power_rule_residual
 from .chern import adapted_form, c0_representative, chern_weyl, exterior_derivative, lemma_forms
 from .errors import FractionalDomainError
@@ -152,6 +150,8 @@ def caputo_checks(alpha, mode, tolerances):
 
 
 def algebra_checks(machine: FedosovMachine, seed: int, mode, tolerances):
+    import numpy as np
+
     alg = machine.algebra
     dim = machine.dim
     alpha = machine.bundle.ctx.alpha

@@ -44,8 +44,6 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
 
-from scipy.special import gammaln, gammasgn
-
 from .errors import (
     EvaluationDomainError,
     ExpressionClassError,
@@ -85,7 +83,9 @@ def power_rule_factor(p: float, alpha: float) -> float:
 
     Returns 0.0 when the denominator sits at a pole; raises
     :class:`FractionalDomainError` when the numerator does (negative
-    integer ``p``).
+    integer ``p``).  Only the Caputo derivative (alpha < 1) calls this, so
+    ``scipy.special`` is imported here rather than with the module: a
+    classical run never loads it.
     """
     a = p + 1.0
     b = p + 1.0 - alpha
@@ -95,6 +95,8 @@ def power_rule_factor(p: float, alpha: float) -> float:
         )
     if _is_nonpositive_integer(b):
         return 0.0
+    from scipy.special import gammaln, gammasgn
+
     sign = float(gammasgn(a)) * float(gammasgn(b))
     return sign * math.exp(float(gammaln(a)) - float(gammaln(b)))
 

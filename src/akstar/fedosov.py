@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import FractionalDomainError, MalformedInputError
 from .expr import Signomial
 from .geometry import GeometryBundle
@@ -483,6 +481,8 @@ def make_probes(bundle: GeometryBundle, seed: int, count: int = 10):
     Coefficients are drawn from the coordinate observables, matching the
     fields the star product is exercised on.
     """
+    import numpy as np
+
     dim = bundle.ctx.dim
     rng = np.random.default_rng(seed)
     pool = [Signomial.constant(dim, 1.0)] + [

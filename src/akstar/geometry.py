@@ -140,11 +140,13 @@ def hessian_metric(spec: LagrangianSpec) -> tuple:
     """Fiber Hessian of L, symmetrized, with exact diagonal inversion: (h, h_inv)."""
     ctx = spec.ctx
     n = ctx.n
+    first = [ctx.deriv(spec.L, n + i) for i in range(n)]
     h = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            dij = ctx.deriv(ctx.deriv(spec.L, n + i), n + j)
-            dji = ctx.deriv(ctx.deriv(spec.L, n + j), n + i)
+            dij = ctx.deriv(first[i], n + j)
+            # Caputo derivatives do not commute at alpha < 1: keep both orders
+            dji = dij if i == j else ctx.deriv(first[j], n + i)
             g = (dij + dji).scale(0.25)
             h[i][j] = g
             h[j][i] = g

@@ -1,5 +1,11 @@
-"""Shared configuration builders for the test suite."""
+"""Shared configuration builders and subprocess helper for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import akstar
 from akstar.expr import AlphaContext, Signomial
 from akstar.geometry import GeometryBundle, LagrangianSpec, build_geometry
 from akstar.wick import WickElement
@@ -124,3 +130,12 @@ def z_var(dim, index):
     """The fiber coordinate z^index as a Wick element."""
     z = tuple(int(i == index) for i in range(dim))
     return WickElement.from_term(dim, 0, z, (), Signomial.constant(dim, 1.0))
+
+
+def fresh_interpreter(*args):
+    """Run ``python *args`` in a new process that imports this checkout's src."""
+    src = str(Path(akstar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300,
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from akstar.caputo_quad import (
+    _EPS,
     _graded_pass,
     _numeric_derivative,
     caputo_quad,
@@ -11,6 +12,11 @@ from akstar.caputo_quad import (
     power_rule_residual,
 )
 from akstar.errors import MalformedInputError, QuadratureFailureError
+
+
+def test_eps_is_numpy_machine_epsilon():
+    # the finite-difference steps _H_CENTRAL and _H_ONESIDED derive from it
+    assert _EPS == float(np.finfo(float).eps)
 
 
 def test_constant_integrand_is_zero():

@@ -2,14 +2,10 @@
 
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import akstar
 from akstar.checks import CHECK_NAMES
 from akstar.cli import (
     CHECK_STAGES,
@@ -26,6 +22,8 @@ from akstar.cli import (
 )
 from akstar.errors import ConfigError
 from akstar.report import emit_json, emit_text
+
+from _configs import fresh_interpreter
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -492,11 +490,33 @@ def test_module_entry_point_prints_the_report():
     config = str(GOLDEN / "y4_a1.config.json")
     out = io.StringIO()
     assert main(["run", "--config", config], stream=out) == EXIT_OK
-    src = str(Path(akstar.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "akstar.cli", "run", "--config", config],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = fresh_interpreter("-m", "akstar.cli", "run", "--config", config)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == out.getvalue()
+
+
+_FOOTPRINT = """
+import io, json, sys
+from akstar.cli import main
+code = main(sys.argv[1:], stream=io.StringIO()) if sys.argv[1:] else None
+print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        ((), {"numpy", "scipy"}),
+        (("star", "--config", str(GOLDEN / "y4_a1.config.json"), "--order", "1"), {"numpy", "scipy"}),
+        (("run", "--config", str(GOLDEN / "y4_a1.config.json")), {"scipy"}),
+    ],
+    ids=["import", "star_a1", "run_a1"],
+)
+def test_numeric_libraries_load_only_where_called(argv, absent):
+    # an alpha = 1 run takes no Gamma ratio, so never imports scipy; star
+    # draws no seeded probes either, so imports neither library
+    proc = fresh_interpreter("-c", _FOOTPRINT, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == (EXIT_OK if argv else None)
+    assert not absent & set(modules), modules

@@ -70,6 +70,18 @@ def test_build_geometry_builds_the_hessian_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("alpha", (0.5, 1.0))
+def test_hessian_takes_each_fiber_derivative_once(monkeypatch, alpha):
+    # n = 2: one D_{y^i} L per i, one second derivative per diagonal entry,
+    # and both orders of the one off-diagonal pair
+    spec = make_spec("coupled", 2, alpha)
+    calls = []
+    deriv = AlphaContext.deriv
+    monkeypatch.setattr(AlphaContext, "deriv", lambda self, f, c: calls.append(c) or deriv(self, f, c))
+    geo.hessian_metric(spec)
+    assert len(calls) == 6
+
+
 # -- semi-spray and N-connection --------------------------------------------
 
 
