@@ -1,27 +1,29 @@
-"""Invariant suite: check registry, tiers, and execution policy.
+"""Invariant suite: the check table and the verdicts of one run.
 
-Tiers encode where an identity is provable:
+``CHECKS`` maps each check name to its tier and default gate, in report
+order.  Tiers encode where an identity is provable:
 
-* ``EXACT``     — pure term-level algebra, enforced at every alpha;
-* ``ALGEBRA``   — finite combinatorial expansions, enforced at every alpha
+* ``exact``     — pure term-level algebra, enforced at every alpha;
+* ``algebra``   — finite combinatorial expansions, enforced at every alpha
                   up to float round-off;
-* ``CLASSICAL`` — identities whose proofs need the Leibniz rule: enforced
-                  at alpha = 1, recorded as diagnostics for alpha < 1
-                  (a config tolerance entry upgrades them to gates);
-* ``ORACLE``    — closed form versus quadrature (fractional runs only);
-* ``INFO``      — reported, never gated.
+* ``classical`` — identities whose proofs need the Leibniz rule: enforced
+                  at alpha = 1, recorded as diagnostics for alpha < 1;
+* ``oracle``    — closed form versus quadrature (fractional runs only);
+* ``info``      — reported, not gated by default.
 
-A fractional-domain pole inside a CLASSICAL/INFO diagnostic is contained
-and recorded with status ``flagged`` (the offending term identified in the
-note); poles inside construction stages are not containable and abort the
-pipeline.
+A config tolerance entry replaces the gate of its check in every tier, so
+it also gates a ``classical`` check below alpha = 1 and an ``info`` check.
+
+A fractional-domain pole inside a diagnostic is contained by
+``Suite.measure`` and recorded without a value, the offending term named
+in the note: with status ``flagged``, or ``fail`` when the check is gated
+in strict mode.  Poles inside construction stages are not containable and
+abort the pipeline.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-from dataclasses import dataclass
 
 from .caputo_quad import power_rule_residual
 from .chern import adapted_form, c0_representative, chern_weyl, exterior_derivative, lemma_forms
@@ -59,102 +61,118 @@ from .geometry import (
 from .wick import WickElement
 
 
-class Tier(enum.Enum):
-    EXACT = "exact"
-    ALGEBRA = "algebra"
-    CLASSICAL = "classical"
-    ORACLE = "oracle"
-    INFO = "info"
-
-
-DEFAULT_TOLERANCES = {
-    Tier.EXACT: 1e-12,
-    Tier.ALGEBRA: 1e-12,
-    Tier.CLASSICAL: 1e-8,
-    Tier.ORACLE: 1e-6,
+# Every check a suite section can emit, in report order: name -> (tier, gate).
+# A config tolerance must name one of them and replaces its gate.
+CHECKS = {
+    "caputo_power_rule": ("oracle", 1e-6),
+    "algebra_delta_squared": ("algebra", 1e-12),
+    "algebra_hodge_identity": ("algebra", 1e-12),
+    "algebra_delta_derivation": ("algebra", 1e-12),
+    "algebra_wick_associativity": ("algebra", 1e-12),
+    "algebra_graded_jacobi": ("algebra", 1e-12),
+    "geometry_metric_compat": ("exact", 1e-12),
+    "geometry_j_compat": ("exact", 1e-12),
+    "geometry_inverses": ("exact", 1e-12),
+    "geometry_j_squared": ("exact", 1e-12),
+    "geometry_theta_compat": ("exact", 1e-12),
+    "geometry_torsion_blocks": ("exact", 1e-12),
+    "geometry_curvature_antisym": ("exact", 1e-12),
+    "geometry_acp": ("classical", 1e-8),
+    "geometry_anholonomy": ("classical", 1e-10),
+    "geometry_nijenhuis": ("classical", 1e-8),
+    "fedosov_comf_delta": ("classical", 1e-8),
+    "fedosov_comf_dsq": ("classical", 1e-8),
+    "fedosov_delta_torsion": ("classical", 1e-8),
+    "fedosov_delta_curvature": ("classical", 1e-8),
+    "fedosov_r_residual": ("classical", 1e-9),
+    "fedosov_gauge": ("exact", 1e-12),
+    "fedosov_dsq_probe": ("classical", 1e-8),
+    "fedosov_dconn_derivation": ("classical", 1e-8),
+    "star_c0_exact": ("exact", 0.0),
+    "star_sigma_tau": ("exact", 0.0),
+    "star_unit_neutral": ("exact", 0.0),
+    "star_c1_bracket": ("classical", 1e-8),
+    "fedosov_flat_section": ("classical", 1e-9),
+    "star_associativity": ("classical", 1e-8),
+    "chern_d_squared": ("classical", 1e-10),
+    "chern_d_gamma": ("classical", 1e-8),
+    "chern_kappa_identity": ("classical", 1e-8),
+    "chern_flat_zero": ("exact", 0.0),
+    "chern_theta_d_omega": ("info", None),
 }
 
-# Every name a suite section can emit; a config tolerance must name one of them.
-CHECK_NAMES = frozenset({
-    "caputo_power_rule",
-    "algebra_delta_squared", "algebra_hodge_identity", "algebra_delta_derivation",
-    "algebra_wick_associativity", "algebra_graded_jacobi",
-    "geometry_metric_compat", "geometry_j_compat", "geometry_inverses", "geometry_j_squared",
-    "geometry_theta_compat", "geometry_torsion_blocks", "geometry_curvature_antisym",
-    "geometry_acp", "geometry_anholonomy", "geometry_nijenhuis",
-    "fedosov_comf_delta", "fedosov_comf_dsq", "fedosov_delta_torsion",
-    "fedosov_delta_curvature", "fedosov_r_residual", "fedosov_gauge", "fedosov_dsq_probe",
-    "fedosov_dconn_derivation",
-    "star_c0_exact", "star_sigma_tau", "star_unit_neutral", "star_c1_bracket",
-    "fedosov_flat_section", "star_associativity",
-    "chern_d_squared", "chern_d_gamma", "chern_kappa_identity", "chern_flat_zero",
-    "chern_theta_d_omega",
-})
 
+class Suite:
+    """The check verdicts of one run, as report entries in the order recorded."""
 
-@dataclass
-class CheckResult:
-    name: str
-    tier: str
-    value: float | None
-    threshold: float | None
-    status: str  # pass | fail | diagnostic | flagged
-    note: str = ""
+    def __init__(self, alpha: float, mode: str, tolerances: dict):
+        self.alpha = alpha
+        self.mode = mode
+        self.tolerances = tolerances
+        self.entries = []
 
+    def record(self, name: str, value, note: str = "") -> dict:
+        """Add and return the report entry of ``value``, None for a contained pole."""
+        tier, gate = CHECKS[name]
+        threshold = self.tolerances.get(name)
+        # without a tolerance a classical check gates only at alpha = 1
+        if threshold is None and (tier != "classical" or self.alpha >= 1.0):
+            threshold = gate
+        if threshold is not None and value is not None and value <= threshold:
+            status = "pass"
+        elif threshold is not None and self.mode == "strict":
+            status = "fail"
+        else:
+            status = "flagged" if value is None else "diagnostic"
+        entry = {
+            "name": name,
+            "tier": tier,
+            "value": value,
+            "threshold": threshold,
+            "status": status,
+            "note": note,
+        }
+        self.entries.append(entry)
+        return entry
 
-def _decide(name, tier, value, alpha, mode, tolerances, default=None, note=""):
-    user_tol = tolerances.get(name)
-    if tier is Tier.INFO:
-        threshold = user_tol
-    elif tier is Tier.CLASSICAL and alpha < 1.0:
-        threshold = user_tol  # diagnostic unless explicitly gated
-    else:
-        threshold = user_tol if user_tol is not None else (
-            default if default is not None else DEFAULT_TOLERANCES[tier]
-        )
-    if value is None:
-        status = "flagged"
-    elif threshold is None:
-        status = "diagnostic"
-    elif value <= threshold:
-        status = "pass"
-    else:
-        status = "fail" if mode == "strict" else "diagnostic"
-    return CheckResult(
-        name=name,
-        tier=tier.value,
-        value=value,
-        threshold=threshold,
-        status=status,
-        note=note,
-    )
+    def measure(self, name: str, fn, items=None) -> dict:
+        """Record ``fn()`` or, over ``items``, the worst ``fn(item)``, containing Gamma poles.
 
-
-def _contained(fn):
-    """Run a diagnostic; a fractional pole becomes (None, message)."""
-    try:
-        return float(fn()), ""
-    except FractionalDomainError as err:
-        return None, f"left the differentiable class: {err}"
+        A pole on the single call records no value; over ``items`` the
+        value is the worst over the items that finished, and none if none did.
+        """
+        if items is None:
+            try:
+                value = float(fn())
+            except FractionalDomainError as err:
+                return self.record(name, None, f"left the differentiable class: {err}")
+            return self.record(name, value)
+        worst, completed, note = 0.0, 0, ""
+        for item in items:
+            try:
+                worst = max(worst, fn(item))
+                completed += 1
+            except FractionalDomainError as err:
+                note = f"some probes left the differentiable class: {err}"
+        return self.record(name, worst if completed else None, note)
 
 
 # -- suite sections ----------------------------------------------------------
 
 
-def caputo_checks(alpha, mode, tolerances):
+def caputo_checks(suite: Suite):
     worst = 0.0
     for p in (0.5, 1.0, 2.0, 3.7):
         for x in (0.5, 1.0, 2.0):
-            worst = max(worst, power_rule_residual(p, alpha, x))
-    return [_decide("caputo_power_rule", Tier.ORACLE, worst, alpha, mode, tolerances)]
+            worst = max(worst, power_rule_residual(p, suite.alpha, x))
+    suite.record("caputo_power_rule", worst)
 
 
-def algebra_checks(machine: FedosovMachine, seed: int, mode, tolerances):
+def algebra_checks(suite: Suite, machine: FedosovMachine, seed: int):
     import numpy as np
 
     alg = machine.algebra
     dim = machine.dim
-    alpha = machine.bundle.ctx.alpha
     rng = np.random.default_rng(seed)
 
     def rand_elem(max_s=3, max_forms=2):
@@ -205,45 +223,27 @@ def algebra_checks(machine: FedosovMachine, seed: int, mode, tolerances):
         t3 = alg.commutator(parts[2], alg.commutator(parts[0], parts[1])).scale((-1.0) ** (pc * pb))
         w_jacobi = max(w_jacobi, (t1 + t2 + t3).coeff_norm())
 
-    args = (alpha, mode, tolerances)
-    return [
-        _decide("algebra_delta_squared", Tier.ALGEBRA, w_dsq, *args),
-        _decide("algebra_hodge_identity", Tier.ALGEBRA, w_hodge, *args),
-        _decide("algebra_delta_derivation", Tier.ALGEBRA, w_deriv, *args),
-        _decide("algebra_wick_associativity", Tier.ALGEBRA, w_assoc, *args),
-        _decide("algebra_graded_jacobi", Tier.ALGEBRA, w_jacobi, *args),
-    ]
+    suite.record("algebra_delta_squared", w_dsq)
+    suite.record("algebra_hodge_identity", w_hodge)
+    suite.record("algebra_delta_derivation", w_deriv)
+    suite.record("algebra_wick_associativity", w_assoc)
+    suite.record("algebra_graded_jacobi", w_jacobi)
 
 
-def geometry_checks(bundle: GeometryBundle, points, probes, mode, tolerances):
-    alpha = bundle.ctx.alpha
-    args = (alpha, mode, tolerances)
-    out = [
-        _decide("geometry_metric_compat", Tier.EXACT, metric_compat_residual(bundle), *args),
-        _decide("geometry_j_compat", Tier.EXACT, jcompat_residual(bundle), *args),
-        _decide("geometry_inverses", Tier.EXACT, matrix_inverse_residual(bundle), *args),
-        _decide("geometry_j_squared", Tier.EXACT, j_squared_residual(bundle), *args),
-        _decide("geometry_theta_compat", Tier.EXACT, theta_compat_residual(bundle), *args),
-        _decide("geometry_torsion_blocks", Tier.EXACT, torsion_pure_blocks_residual(bundle), *args),
-        _decide(
-            "geometry_curvature_antisym",
-            Tier.EXACT,
-            curvature_antisymmetry_residual(bundle),
-            *args,
-        ),
-    ]
-    val, note = _contained(lambda: acp_residual(bundle, points))
-    out.append(_decide("geometry_acp", Tier.CLASSICAL, val, *args, note=note))
-    val, note = _contained(lambda: anholonomy_residual(bundle, probes, points))
-    out.append(
-        _decide("geometry_anholonomy", Tier.CLASSICAL, val, *args, default=1e-10, note=note)
-    )
-    val, note = _contained(lambda: nijenhuis_residual(bundle, points))
-    out.append(_decide("geometry_nijenhuis", Tier.CLASSICAL, val, *args, note=note))
-    return out
+def geometry_checks(suite: Suite, bundle: GeometryBundle, points, probes):
+    suite.record("geometry_metric_compat", metric_compat_residual(bundle))
+    suite.record("geometry_j_compat", jcompat_residual(bundle))
+    suite.record("geometry_inverses", matrix_inverse_residual(bundle))
+    suite.record("geometry_j_squared", j_squared_residual(bundle))
+    suite.record("geometry_theta_compat", theta_compat_residual(bundle))
+    suite.record("geometry_torsion_blocks", torsion_pure_blocks_residual(bundle))
+    suite.record("geometry_curvature_antisym", curvature_antisymmetry_residual(bundle))
+    suite.measure("geometry_acp", lambda: acp_residual(bundle, points))
+    suite.measure("geometry_anholonomy", lambda: anholonomy_residual(bundle, probes, points))
+    suite.measure("geometry_nijenhuis", lambda: nijenhuis_residual(bundle, points))
 
 
-def fedosov_checks(machine: FedosovMachine, state: FedosovState, points, probes, mode, tolerances):
+def fedosov_checks(suite: Suite, machine: FedosovMachine, state: FedosovState, points, probes):
     """Operator identities of the recursion, on ``probes`` (seeded monomials).
 
     ``fedosov_dsq_probe`` certifies D-hat^2 = 0 at alpha = 1 on the 4n
@@ -254,44 +254,20 @@ def fedosov_checks(machine: FedosovMachine, state: FedosovState, points, probes,
     ordered pairs of ``probes``.  At alpha < 1 the frame operators are not
     derivations, so no generator set suffices and D-hat^2 runs on ``probes``.
     """
-    alpha = machine.bundle.ctx.alpha
-    args = (alpha, mode, tolerances)
-    out = []
-
-    def probe_worst(fn, items=probes):
-        worst = 0.0
-        completed = 0
-        note = ""
-        for p in items:
-            try:
-                worst = max(worst, fn(p))
-                completed += 1
-            except FractionalDomainError as err:
-                note = f"some probes left the differentiable class: {err}"
-        if completed == 0:
-            return None, note
-        return worst, note
-
-    val, note = probe_worst(lambda p: machine.comf_delta_residual(p, points))
-    out.append(_decide("fedosov_comf_delta", Tier.CLASSICAL, val, *args, note=note))
-    val, note = probe_worst(lambda p: machine.comf_dsq_residual(p, points))
-    out.append(_decide("fedosov_comf_dsq", Tier.CLASSICAL, val, *args, note=note))
-    val, note = _contained(lambda: machine.delta_torsion_residual(points))
-    out.append(_decide("fedosov_delta_torsion", Tier.CLASSICAL, val, *args, note=note))
-    val, note = _contained(lambda: machine.delta_curvature_residual(points))
-    out.append(_decide("fedosov_delta_curvature", Tier.CLASSICAL, val, *args, note=note))
-    out.append(
-        _decide("fedosov_r_residual", Tier.CLASSICAL, state.max_residual(), *args, default=1e-9)
-    )
-    out.append(_decide("fedosov_gauge", Tier.EXACT, state.gauge_residual(), *args))
+    suite.measure("fedosov_comf_delta", lambda p: machine.comf_delta_residual(p, points), probes)
+    suite.measure("fedosov_comf_dsq", lambda p: machine.comf_dsq_residual(p, points), probes)
+    suite.measure("fedosov_delta_torsion", lambda: machine.delta_torsion_residual(points))
+    suite.measure("fedosov_delta_curvature", lambda: machine.delta_curvature_residual(points))
+    suite.record("fedosov_r_residual", state.max_residual())
+    suite.record("fedosov_gauge", state.gauge_residual())
     classical = machine.bundle.ctx.classical
-    val, note = probe_worst(
+    entry = suite.measure(
+        "fedosov_dsq_probe",
         lambda p: flat_d_squared_residual(p, state, points),
         generator_probes(machine.dim) if classical else probes,
     )
     if classical:
-        note = f"certified on the {2 * machine.dim} generators z^i, e^a"
-    out.append(_decide("fedosov_dsq_probe", Tier.CLASSICAL, val, *args, note=note))
+        entry["note"] = f"certified on the {2 * machine.dim} generators z^i, e^a"
 
     dconn_memo = {}
 
@@ -317,31 +293,26 @@ def fedosov_checks(machine: FedosovMachine, state: FedosovState, points, probes,
             worst = max(worst, (lhs - rhs).sample_norm(points))
         return worst
 
-    val, note = probe_worst(leibniz, itertools.product(range(len(probes)), repeat=2))
-    out.append(_decide("fedosov_dconn_derivation", Tier.CLASSICAL, val, *args, note=note))
-    return out
+    suite.measure(
+        "fedosov_dconn_derivation", leibniz, itertools.product(range(len(probes)), repeat=2)
+    )
 
 
-def star_checks(state: FedosovState, f, g, fwd, points, mode, tolerances):
+def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
     """Checks of the star product, given ``fwd``, the coefficients of f * g."""
     bundle = state.bundle
-    alpha = bundle.ctx.alpha
     dim = bundle.ctx.dim
     order = len(fwd) - 1
-    args = (alpha, mode, tolerances)
-    out = []
 
     rev = star(g, f, state, order)
-    out.append(
-        _decide("star_c0_exact", Tier.EXACT, coeff_distance(fwd[0], f * g), *args, default=0.0)
-    )
+    suite.record("star_c0_exact", coeff_distance(fwd[0], f * g))
 
     lift = tau_lift(f, state, 2 * order if order else 2)
     series = sigma_series(lift)
     resid = 0.0
     for r, c in series.items():
         resid = max(resid, coeff_distance(c, f) if r == 0 else c.max_abs_coeff())
-    out.append(_decide("star_sigma_tau", Tier.EXACT, resid, *args, default=0.0))
+    suite.record("star_sigma_tau", resid)
 
     one = Signomial.constant(dim, 1.0)
     left = star(one, f, state, order)
@@ -351,17 +322,19 @@ def star_checks(state: FedosovState, f, g, fwd, points, mode, tolerances):
     )
     for r in range(1, order + 1):
         unit_resid = max(unit_resid, left[r].max_abs_coeff(), right[r].max_abs_coeff())
-    out.append(_decide("star_unit_neutral", Tier.EXACT, unit_resid, *args, default=0.0))
+    suite.record("star_unit_neutral", unit_resid)
 
     if order >= 1:
         anti = fwd[1] - rev[1]
         expect = poisson_bracket(f, g, bundle).scale(1j)
         diff = anti - expect
         val = max(abs(diff.eval_at(p)) for p in points) if not diff.is_zero else 0.0
-        out.append(_decide("star_c1_bracket", Tier.CLASSICAL, val, *args))
+        suite.record("star_c1_bracket", val)
 
-    val, note = _contained(lambda: flat_section_residual(f, state, 2 * order if order else 2, points))
-    out.append(_decide("fedosov_flat_section", Tier.CLASSICAL, val, *args, default=1e-9, note=note))
+    suite.measure(
+        "fedosov_flat_section",
+        lambda: flat_section_residual(f, state, 2 * order if order else 2, points),
+    )
 
     if order >= 2:
         def assoc():
@@ -375,16 +348,12 @@ def star_checks(state: FedosovState, f, g, fwd, points, mode, tolerances):
                         worst = max(worst, max(abs(d.eval_at(p)) for p in points))
             return worst
 
-        val, note = _contained(assoc)
-        out.append(_decide("star_associativity", Tier.CLASSICAL, val, *args, note=note))
-    return out
+        suite.measure("star_associativity", assoc)
 
 
-def chern_checks(bundle: GeometryBundle, machine: FedosovMachine, points, probes_scalar, mode, tolerances):
-    alpha = bundle.ctx.alpha
+def chern_checks(suite: Suite, bundle: GeometryBundle, machine: FedosovMachine, points, probes_scalar):
+    """Record the chern checks and return the characteristic forms by report name."""
     dim = bundle.ctx.dim
-    args = (alpha, mode, tolerances)
-    out = []
     gamma = chern_weyl(bundle)
     mu, lam, kappa = lemma_forms(machine)
 
@@ -396,17 +365,15 @@ def chern_checks(bundle: GeometryBundle, machine: FedosovMachine, points, probes
             worst = max(worst, ddf.sample_norm(points))
         return worst
 
-    val, note = _contained(dd)
-    out.append(_decide("chern_d_squared", Tier.CLASSICAL, val, *args, default=1e-10, note=note))
-    val, note = _contained(lambda: exterior_derivative(gamma, machine).sample_norm(points))
-    out.append(_decide("chern_d_gamma", Tier.CLASSICAL, val, *args, note=note))
+    suite.measure("chern_d_squared", dd)
+    suite.measure("chern_d_gamma", lambda: exterior_derivative(gamma, machine).sample_norm(points))
     lhs = kappa + lam.scale(1j) - gamma.scale(0.5j)
-    out.append(_decide("chern_kappa_identity", Tier.CLASSICAL, lhs.sample_norm(points), *args))
+    suite.record("chern_kappa_identity", lhs.sample_norm(points))
     if machine.t_hat.is_zero and machine.r_hat.is_zero:
         flat_resid = max(
             gamma.coeff_norm(), mu.coeff_norm(), lam.coeff_norm(), kappa.coeff_norm()
         )
-        out.append(_decide("chern_flat_zero", Tier.EXACT, flat_resid, *args, default=0.0))
+        suite.record("chern_flat_zero", flat_resid)
     if bundle.ctx.classical:
         omega = adapted_form(dim, [((i,), c) for i, c in enumerate(lagrange_one_form(bundle.spec))])
         domega = exterior_derivative(omega, machine)
@@ -418,13 +385,5 @@ def chern_checks(bundle: GeometryBundle, machine: FedosovMachine, points, probes
                 for b in range(a + 1, dim)
             ],
         )
-        out.append(
-            _decide(
-                "chern_theta_d_omega",
-                Tier.INFO,
-                (domega - theta).sample_norm(points),
-                *args,
-            )
-        )
-    forms = {"gamma": gamma, "mu": mu, "lambda": lam, "kappa": kappa, "c0": c0_representative(gamma)}
-    return out, forms
+        suite.record("chern_theta_d_omega", (domega - theta).sample_norm(points))
+    return {"gamma": gamma, "mu": mu, "lambda": lam, "kappa": kappa, "c0": c0_representative(gamma)}

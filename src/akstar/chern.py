@@ -45,21 +45,27 @@ def exterior_derivative(form: WickElement, machine: FedosovMachine) -> WickEleme
     return machine.dconn_apply(form)
 
 
+def _j_trace(bundle: GeometryBundle, component) -> Signomial:
+    """Sum over t, a' of J^a'_t X^t_{a' ...}, where ``component(t, a')`` is that X entry."""
+    J = bundle.J
+    acc = Signomial.zero(bundle.ctx.dim)
+    for t in range(bundle.ctx.dim):
+        for ap in range(bundle.ctx.dim):
+            if J[ap][t] == 0.0:
+                continue
+            x = component(t, ap)
+            if not x.is_zero:
+                acc = acc + x.scale(J[ap][t])
+    return acc
+
+
 def _curvature_trace(bundle: GeometryBundle) -> WickElement:
     """The 2-form J^a'_t R^t_{a' a b} e^a ^ e^b behind both gamma and kappa."""
     dim = bundle.ctx.dim
-    J = bundle.J
     entries = []
     for a in range(dim):
         for b in range(a + 1, dim):
-            acc = Signomial.zero(dim)
-            for t in range(dim):
-                for ap in range(dim):
-                    if J[ap][t] == 0.0:
-                        continue
-                    r = bundle.curvature[t][ap][a][b]
-                    if not r.is_zero:
-                        acc = acc + r.scale(J[ap][t])
+            acc = _j_trace(bundle, lambda t, ap: bundle.curvature[t][ap][a][b])
             if not acc.is_zero:
                 entries.append(((a, b), acc))
     return adapted_form(dim, entries)
@@ -74,17 +80,9 @@ def lemma_forms(machine: FedosovMachine):
     """The (mu, lam, kappa) triple built from torsion and curvature traces."""
     bundle = machine.bundle
     dim = bundle.ctx.dim
-    J = bundle.J
     mu_entries = []
     for b in range(dim):
-        acc = Signomial.zero(dim)
-        for t in range(dim):
-            for ap in range(dim):
-                if J[ap][t] == 0.0:
-                    continue
-                tt = bundle.torsion[t][ap][b]
-                if not tt.is_zero:
-                    acc = acc + tt.scale(J[ap][t])
+        acc = _j_trace(bundle, lambda t, ap: bundle.torsion[t][ap][b])
         if not acc.is_zero:
             mu_entries.append(((b,), acc.scale(1.0 / 6.0)))
     mu = adapted_form(dim, mu_entries)

@@ -180,7 +180,7 @@ def parse_config_dict(raw: dict) -> RunSpec:
     if not isinstance(tolerances, dict):
         _fail("/tolerances", "expected an object of name -> threshold")
     for name, v in tolerances.items():
-        if name not in checklib.CHECK_NAMES:
+        if name not in checklib.CHECKS:
             _fail(f"/tolerances/{name}", "unknown check name")
         if not _is_number(v) or v < 0:
             _fail(f"/tolerances/{name}", "threshold must be a finite nonnegative number")
@@ -302,10 +302,11 @@ STAR_STAGES = ("geometry", "recursion", "star")
 class Pipeline:
     """The stages of one invocation over one configuration, in order.
 
-    Each stage adds its report section and its check results as it
-    finishes, and ``stage`` names the stage in progress, so after a
-    computation failure ``finish(err)`` still reports every finished
-    section and says where the run stopped.
+    Each stage adds its report section as it finishes and records its
+    checks in ``suite``, the one ``checks.Suite`` of the run, and ``stage``
+    names the stage in progress, so after a computation failure
+    ``finish(err)`` still reports every finished section and check and
+    says where the run stopped.
     """
 
     def __init__(self, spec: RunSpec, star_order: int | None = None):
@@ -319,7 +320,7 @@ class Pipeline:
         self.scalar_probes = [Signomial.constant(ctx.dim, 1.0)] + [
             Signomial.coordinate(ctx.dim, i) for i in range(ctx.dim)
         ] + [spec.observable_f, spec.observable_g]
-        self.results = []
+        self.suite = checklib.Suite(spec.alpha, spec.mode, spec.tolerances)
         self.stage = None
         self.report = {
             "engine": {"name": "akstar", "version": __version__},
@@ -338,7 +339,7 @@ class Pipeline:
     def finish(self, err: EngineError | None = None) -> dict:
         """Add the check list and the status; with ``err``, the abort too."""
         spec = self.spec
-        failed = sorted(r.name for r in self.results if r.status == "fail")
+        failed = sorted(e["name"] for e in self.suite.entries if e["status"] == "fail")
         if err is not None:
             self.report["error"] = {
                 "type": type(err).__name__,
@@ -354,14 +355,13 @@ class Pipeline:
             exit_code = EXIT_CHECK_FAILED
         else:
             exit_code = EXIT_OK
-        self.report["checks"] = [reportlib.check_entry(r) for r in self.results]
+        self.report["checks"] = self.suite.entries
         self.report["status"] = {"mode": spec.mode, "exit_code": exit_code, "failed": failed}
         return self.report
 
     def _caputo(self):
-        spec = self.spec
-        if spec.alpha < 1.0:
-            self.results.extend(checklib.caputo_checks(spec.alpha, spec.mode, spec.tolerances))
+        if self.spec.alpha < 1.0:
+            checklib.caputo_checks(self.suite)
 
     def _geometry(self):
         spec = self.spec
@@ -373,17 +373,11 @@ class Pipeline:
         self.machine = FedosovMachine(self.bundle)
 
     def _algebra(self):
-        spec = self.spec
-        self.results.extend(
-            checklib.algebra_checks(self.machine, spec.seed, spec.mode, spec.tolerances)
-        )
+        checklib.algebra_checks(self.suite, self.machine, self.spec.seed)
 
     def _geometry_checks(self):
-        spec = self.spec
-        self.results.extend(
-            checklib.geometry_checks(
-                self.bundle, spec.sample_points, self.scalar_probes, spec.mode, spec.tolerances
-            )
+        checklib.geometry_checks(
+            self.suite, self.bundle, self.spec.sample_points, self.scalar_probes
         )
 
     def _recursion(self):
@@ -401,11 +395,7 @@ class Pipeline:
     def _fedosov_checks(self):
         spec = self.spec
         probes = make_probes(self.bundle, seed=spec.seed, count=8)
-        self.results.extend(
-            checklib.fedosov_checks(
-                self.machine, self.state, spec.sample_points, probes, spec.mode, spec.tolerances
-            )
-        )
+        checklib.fedosov_checks(self.suite, self.machine, self.state, spec.sample_points, probes)
 
     def _star(self):
         f, g = self.spec.observable_f, self.spec.observable_g
@@ -421,20 +411,15 @@ class Pipeline:
 
     def _star_checks(self):
         spec = self.spec
-        self.results.extend(
-            checklib.star_checks(
-                self.state, spec.observable_f, spec.observable_g, self.star_coeffs,
-                spec.sample_points, spec.mode, spec.tolerances,
-            )
+        checklib.star_checks(
+            self.suite, self.state, spec.observable_f, spec.observable_g, self.star_coeffs,
+            spec.sample_points,
         )
 
     def _chern(self):
-        spec = self.spec
-        results, forms = checklib.chern_checks(
-            self.bundle, self.machine, spec.sample_points, self.scalar_probes, spec.mode,
-            spec.tolerances,
+        forms = checklib.chern_checks(
+            self.suite, self.bundle, self.machine, self.spec.sample_points, self.scalar_probes
         )
-        self.results.extend(results)
         chern = {name: reportlib.form_components(form) for name, form in sorted(forms.items())}
         chern["note"] = (
             "c0 entry is the representative 2-form -(1/(2i)) gamma; no cohomology "

@@ -44,17 +44,6 @@ def config_digest(canonical_config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def check_entry(result) -> dict:
-    return {
-        "name": result.name,
-        "tier": result.tier,
-        "value": result.value,
-        "threshold": result.threshold,
-        "status": result.status,
-        "note": result.note,
-    }
-
-
 def emit_json(report: dict) -> bytes:
     return json.dumps(report, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
 

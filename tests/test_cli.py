@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from akstar.checks import CHECK_NAMES
+from akstar.checks import CHECKS
 from akstar.cli import (
     CHECK_STAGES,
     EXIT_CHECK_FAILED,
@@ -110,7 +110,51 @@ def test_check_names_match_emitted_checks():
     emitted = set()
     for cfg in (flat_config(mode="diagnostic"), flat_config(alpha=0.45, mode="diagnostic", truncation_order=3)):
         emitted |= {c["name"] for c in run_pipeline(parse_config_dict(cfg))["checks"]}
-    assert emitted == CHECK_NAMES
+    assert emitted == set(CHECKS)
+
+
+@pytest.mark.parametrize(
+    "name,tier,alpha",
+    [
+        ("geometry_j_squared", "exact", 1.0),
+        ("algebra_delta_squared", "algebra", 1.0),
+        ("fedosov_r_residual", "classical", 1.0),
+        ("chern_theta_d_omega", "info", 1.0),
+        ("caputo_power_rule", "oracle", 0.45),
+    ],
+)
+def test_config_tolerance_replaces_the_gate(name, tier, alpha):
+    cfg = flat_config(alpha=alpha, truncation_order=3, tolerances={name: 0.25})
+    rep = run_pipeline(parse_config_dict(cfg))
+    (entry,) = [c for c in rep["checks"] if c["name"] == name]
+    assert (entry["tier"], entry["threshold"]) == (tier, 0.25)
+    assert CHECKS[name][1] != 0.25  # the tolerance, not the table, set the threshold
+
+
+POLE_CONFIG = {
+    "alpha": 0.45,
+    "n": 1,
+    "lagrangian": [{"c": 1, "exp": [0, 2]}],
+    # d^2 of 1/x meets the Gamma(0) pole of the Caputo derivative of x^-1
+    "observables": {"f": [{"c": 1, "exp": [-1, 0]}]},
+    "tolerances": {"geometry_anholonomy": 1e-8},
+}
+
+
+def test_gated_check_at_a_pole_fails_in_strict_mode(tmp_path):
+    path = write_config(tmp_path, dict(POLE_CONFIG, mode="strict"))
+    assert main(["check", "geometry", "--config", path], stream=io.StringIO()) == EXIT_CHECK_FAILED
+    rep = Pipeline(parse_config_dict(dict(POLE_CONFIG, mode="strict"))).run(CHECK_STAGES["geometry"])
+    assert rep["status"]["failed"] == ["geometry_anholonomy"]
+    (entry,) = [c for c in rep["checks"] if c["name"] == "geometry_anholonomy"]
+    assert entry["value"] is None and entry["status"] == "fail"
+    assert entry["note"].startswith("left the differentiable class: ")
+    rep = Pipeline(parse_config_dict(dict(POLE_CONFIG, mode="diagnostic"))).run(
+        CHECK_STAGES["geometry"]
+    )
+    assert rep["status"] == {"mode": "diagnostic", "exit_code": EXIT_OK, "failed": []}
+    (entry,) = [c for c in rep["checks"] if c["name"] == "geometry_anholonomy"]
+    assert entry["status"] == "flagged"
 
 
 # -- pipeline ------------------------------------------------------------------

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from akstar.checks import fedosov_checks
+from akstar.checks import Suite, fedosov_checks
 from akstar.errors import FractionalDomainError, MalformedInputError
 from akstar.expr import Signomial, coeff_distance
 from akstar.geometry import poisson_bracket
@@ -359,8 +359,9 @@ def _certificate(bundle):
     """The generator D-hat^2 defect and the D-check Leibniz defect, as the suite reports them."""
     m = FedosovMachine(bundle)
     probes = make_probes(bundle, seed=7, count=8)
-    results = fedosov_checks(m, m.solve_r(3), sample_points(1), probes, "diagnostic", {})
-    values = {r.name: r.value for r in results}
+    suite = Suite(bundle.ctx.alpha, "diagnostic", {})
+    fedosov_checks(suite, m, m.solve_r(3), sample_points(1), probes)
+    values = {entry["name"]: entry["value"] for entry in suite.entries}
     return values["fedosov_dsq_probe"], values["fedosov_dconn_derivation"]
 
 
