@@ -19,9 +19,11 @@ estimate.  ``f'`` is reconstructed by Richardson-extrapolated central
 differences (falling back to a one-sided stencil where the central one
 would leave ``(0, x]``).
 
-numpy and ``scipy.special`` are imported by the functions that call them,
-not with the module: the CLI loads this module on every invocation, but
-only the fractional (alpha < 1) check suite runs the quadrature.
+The prefactor 1/Gamma(1-alpha) comes from the pure-Python Cephes port in
+:mod:`akstar.expr`, which returns the same bits as ``scipy.special.gamma``.
+numpy is imported by the functions that call it, not with the module: the
+CLI loads this module on every invocation, but only the fractional
+(alpha < 1) check suite runs the quadrature.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import MalformedInputError, QuadratureFailureError
+from .expr import _gamma, power_rule_factor
 
 _EPS = sys.float_info.epsilon
 # optimal steps for 4th/3rd order finite-difference stencils
@@ -110,10 +113,8 @@ def caputo_quad(
     if max_intervals < 16:
         raise MalformedInputError(f"max_intervals must be >= 16, got {max_intervals}")
 
-    from scipy.special import gamma
-
     fp = _numeric_derivative(f, x)
-    front = 1.0 / gamma(1.0 - alpha)
+    front = 1.0 / _gamma(1.0 - alpha)
 
     n = 64
     prev = _graded_pass(fp, x, alpha, n)
@@ -134,8 +135,6 @@ def caputo_quad(
 
 def power_rule_closed_form(p: float, alpha: float, x: float) -> float:
     """Closed-form Caputo derivative of u^p, for cross-checks."""
-    from .expr import power_rule_factor
-
     return power_rule_factor(p, alpha) * x ** (p - alpha)
 
 

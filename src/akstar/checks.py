@@ -26,7 +26,14 @@ from __future__ import annotations
 import itertools
 
 from .caputo_quad import power_rule_residual
-from .chern import adapted_form, c0_representative, chern_weyl, exterior_derivative, lemma_forms
+from .chern import (
+    adapted_form,
+    c0_representative,
+    chern_weyl,
+    curvature_trace,
+    exterior_derivative,
+    lemma_forms,
+)
 from .errors import FractionalDomainError
 from .expr import Signomial, coeff_distance
 from .fedosov import (
@@ -354,8 +361,9 @@ def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
 def chern_checks(suite: Suite, bundle: GeometryBundle, machine: FedosovMachine, points, probes_scalar):
     """Record the chern checks and return the characteristic forms by report name."""
     dim = bundle.ctx.dim
-    gamma = chern_weyl(bundle)
-    mu, lam, kappa = lemma_forms(machine)
+    trace = curvature_trace(bundle)
+    gamma = chern_weyl(bundle, trace)
+    mu, lam, kappa = lemma_forms(machine, trace)
 
     def dd():
         worst = 0.0

@@ -59,7 +59,7 @@ def _j_trace(bundle: GeometryBundle, component) -> Signomial:
     return acc
 
 
-def _curvature_trace(bundle: GeometryBundle) -> WickElement:
+def curvature_trace(bundle: GeometryBundle) -> WickElement:
     """The 2-form J^a'_t R^t_{a' a b} e^a ^ e^b behind both gamma and kappa."""
     dim = bundle.ctx.dim
     entries = []
@@ -71,13 +71,18 @@ def _curvature_trace(bundle: GeometryBundle) -> WickElement:
     return adapted_form(dim, entries)
 
 
-def chern_weyl(bundle: GeometryBundle) -> WickElement:
-    """Curvature-trace 2-form gamma."""
-    return _curvature_trace(bundle).scale(-0.25)
+def chern_weyl(bundle: GeometryBundle, trace: WickElement | None = None) -> WickElement:
+    """Curvature-trace 2-form gamma; ``trace`` is ``curvature_trace(bundle)`` if already built."""
+    if trace is None:
+        trace = curvature_trace(bundle)
+    return trace.scale(-0.25)
 
 
-def lemma_forms(machine: FedosovMachine):
-    """The (mu, lam, kappa) triple built from torsion and curvature traces."""
+def lemma_forms(machine: FedosovMachine, trace: WickElement | None = None):
+    """The (mu, lam, kappa) triple built from torsion and curvature traces.
+
+    ``trace`` is ``curvature_trace(machine.bundle)`` if the caller built it.
+    """
     bundle = machine.bundle
     dim = bundle.ctx.dim
     mu_entries = []
@@ -87,7 +92,9 @@ def lemma_forms(machine: FedosovMachine):
             mu_entries.append(((b,), acc.scale(1.0 / 6.0)))
     mu = adapted_form(dim, mu_entries)
     lam = exterior_derivative(mu, machine)
-    kappa = _curvature_trace(bundle).scale(-0.125j) - lam.scale(1j)
+    if trace is None:
+        trace = curvature_trace(bundle)
+    kappa = trace.scale(-0.125j) - lam.scale(1j)
     return mu, lam, kappa
 
 

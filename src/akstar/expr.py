@@ -77,15 +77,122 @@ def _is_nonpositive_integer(value: float) -> bool:
     return value < 0.5 and abs(value - round(value)) <= 1e-12
 
 
+# The Gamma functions below port the Cephes routines ``lgam`` and ``Gamma``
+# (S. L. Moshier) that ``scipy.special`` runs, with the same constants and
+# the same order of floating-point operations, so they return the same bits.
+# Which terms of a fractional recursion cancel into the dead zone can turn
+# on the last bit of a Gamma ratio, so a different log-gamma
+# (``math.lgamma``, say) would change reported term counts.
+
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+# Cephes' p1evl leaves this leading 1 implicit; 1 * x is exact, so the bits agree
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_LOGPI = 1.14472988584940017414
+_MAXLGM = 2.556348e305
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule, highest coefficient first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _lgamma(x: float) -> float:
+    """log|Gamma(x)| for finite ``x``; ``inf`` at the poles (Cephes ``lgam``)."""
+    if x < -34.0:
+        q = -x
+        w = _lgamma(q)
+        p = math.floor(q)
+        if p == q:
+            return math.inf
+        z = q - p
+        if z > 0.5:
+            p += 1.0
+            z = p - q
+        z = q * math.sin(math.pi * z)
+        return _LOGPI - math.log(z) - w
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        z = abs(z)
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    else:
+        q += _polevl(p, _LGAM_A) / x
+    return q
+
+
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) off the poles: 1 for x > 0, else (-1)^ceil(-x)."""
+    if x > 0.0:
+        return 1.0
+    return -1.0 if math.ceil(-x) % 2 else 1.0
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for 0 < x <= 33 (Cephes ``Gamma``; the oracle needs (0, 1))."""
+    if not 0.0 < x <= 33.0:
+        raise ValueError(f"_gamma is ported for 0 < x <= 33 only, got {x!r}")
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
 @lru_cache(maxsize=None)
 def power_rule_factor(p: float, alpha: float) -> float:
     """Gamma(p+1)/Gamma(p+1-alpha) via log-gamma with sign tracking.
 
     Returns 0.0 when the denominator sits at a pole; raises
     :class:`FractionalDomainError` when the numerator does (negative
-    integer ``p``).  Only the Caputo derivative (alpha < 1) calls this, so
-    ``scipy.special`` is imported here rather than with the module: a
-    classical run never loads it.
+    integer ``p``).  The log-gamma and the sign rule are the pure-Python
+    Cephes port above, bit-exact against the C routines, so no numeric
+    library is loaded for it.
     """
     a = p + 1.0
     b = p + 1.0 - alpha
@@ -95,10 +202,7 @@ def power_rule_factor(p: float, alpha: float) -> float:
         )
     if _is_nonpositive_integer(b):
         return 0.0
-    from scipy.special import gammaln, gammasgn
-
-    sign = float(gammasgn(a)) * float(gammasgn(b))
-    return sign * math.exp(float(gammaln(a)) - float(gammaln(b)))
+    return _gamma_sign(a) * _gamma_sign(b) * math.exp(_lgamma(a) - _lgamma(b))
 
 
 def _canonical(dim: int, items: Iterable[tuple[complex, Sequence[float]]]) -> dict:

@@ -553,12 +553,14 @@ print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
         ((), {"numpy", "scipy"}),
         (("star", "--config", str(GOLDEN / "y4_a1.config.json"), "--order", "1"), {"numpy", "scipy"}),
         (("run", "--config", str(GOLDEN / "y4_a1.config.json")), {"scipy"}),
+        (("run", "--config", str(GOLDEN / "y2p5_a0.3.config.json")), {"scipy"}),
     ],
-    ids=["import", "star_a1", "run_a1"],
+    ids=["import", "star_a1", "run_a1", "run_a0.3"],
 )
 def test_numeric_libraries_load_only_where_called(argv, absent):
-    # an alpha = 1 run takes no Gamma ratio, so never imports scipy; star
-    # draws no seeded probes either, so imports neither library
+    # the Gamma ratios and the oracle's 1/Gamma(1 - alpha) are pure Python,
+    # so no run imports scipy, not even a fractional one; star draws no
+    # seeded probes either, so imports neither library
     proc = fresh_interpreter("-c", _FOOTPRINT, *argv)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
