@@ -71,17 +71,15 @@ def curvature_trace(bundle: GeometryBundle) -> WickElement:
     return adapted_form(dim, entries)
 
 
-def chern_weyl(bundle: GeometryBundle, trace: WickElement | None = None) -> WickElement:
-    """Curvature-trace 2-form gamma; ``trace`` is ``curvature_trace(bundle)`` if already built."""
-    if trace is None:
-        trace = curvature_trace(bundle)
+def chern_weyl(bundle: GeometryBundle, trace: WickElement) -> WickElement:
+    """Curvature-trace 2-form gamma from ``trace = curvature_trace(bundle)``."""
     return trace.scale(-0.25)
 
 
-def lemma_forms(machine: FedosovMachine, trace: WickElement | None = None):
-    """The (mu, lam, kappa) triple built from torsion and curvature traces.
+def lemma_forms(machine: FedosovMachine, trace: WickElement):
+    """The (mu, lam, kappa) triple from the torsion trace and the curvature trace.
 
-    ``trace`` is ``curvature_trace(machine.bundle)`` if the caller built it.
+    ``trace`` is ``curvature_trace(machine.bundle)``.
     """
     bundle = machine.bundle
     dim = bundle.ctx.dim
@@ -92,8 +90,6 @@ def lemma_forms(machine: FedosovMachine, trace: WickElement | None = None):
             mu_entries.append(((b,), acc.scale(1.0 / 6.0)))
     mu = adapted_form(dim, mu_entries)
     lam = exterior_derivative(mu, machine)
-    if trace is None:
-        trace = curvature_trace(bundle)
     kappa = trace.scale(-0.125j) - lam.scale(1j)
     return mu, lam, kappa
 

@@ -7,6 +7,7 @@ from akstar.chern import (
     adapted_form,
     c0_representative,
     chern_weyl,
+    curvature_trace,
     exterior_derivative,
     lemma_forms,
 )
@@ -92,7 +93,7 @@ def test_theta_is_d_of_canonical_one_form_classically():
 
 def test_gamma_zero_on_flat_config():
     b = make_bundle("flat", 1, 1.0)
-    gamma = chern_weyl(b)
+    gamma = chern_weyl(b, curvature_trace(b))
     assert gamma.is_zero
     assert c0_representative(gamma).is_zero
 
@@ -100,7 +101,7 @@ def test_gamma_zero_on_flat_config():
 def test_gamma_closed_classically():
     for kind, n in (("coupled", 1), ("coupled", 2), ("cross", 2)):
         b = make_bundle(kind, n, 1.0)
-        gamma = chern_weyl(b)
+        gamma = chern_weyl(b, curvature_trace(b))
         dgamma = exterior_derivative(gamma, FedosovMachine(b))
         assert dgamma.sample_norm(sample_points(n)) < 1e-8
 
@@ -111,7 +112,7 @@ def test_gamma_vanishes_by_block_structure():
     # is empty even where the curvature itself is not
     b = make_bundle("coupled", 1, 0.45)
     assert not b.curvature[0][0][0][1].is_zero
-    gamma = chern_weyl(b)
+    gamma = chern_weyl(b, curvature_trace(b))
     assert gamma.is_zero
     res = exterior_derivative(gamma, FedosovMachine(b)).sample_norm(sample_points(1))
     assert res == 0.0
@@ -122,13 +123,13 @@ def test_gamma_vanishes_by_block_structure():
 
 def test_lemma_forms_zero_on_flat_config():
     b = make_bundle("flat", 1, 1.0)
-    mu, lam, kappa = lemma_forms(FedosovMachine(b))
+    mu, lam, kappa = lemma_forms(FedosovMachine(b), curvature_trace(b))
     assert mu.is_zero and lam.is_zero and kappa.is_zero
 
 
 def test_mu_from_fractional_torsion():
     b = make_bundle("flat", 1, 0.5)
-    mu, lam, kappa = lemma_forms(FedosovMachine(b))
+    mu, lam, kappa = lemma_forms(FedosovMachine(b), curvature_trace(b))
     assert {key[2] for key in mu.terms} <= {(0,), (1,)}
     assert not mu.is_zero
     # single torsion component C y^{-1/2} contracts against the constant J
@@ -149,8 +150,8 @@ def test_kappa_assembly_identity():
         ("y4", 1, 1.0),
     ):
         b = make_bundle(kind, n, alpha)
-        gamma = chern_weyl(b)
-        mu, lam, kappa = lemma_forms(FedosovMachine(b))
+        gamma = chern_weyl(b, curvature_trace(b))
+        mu, lam, kappa = lemma_forms(FedosovMachine(b), curvature_trace(b))
         lhs = kappa + lam.scale(1j)
         rhs = gamma.scale(0.5j)
         assert (lhs - rhs).sample_norm(sample_points(n)) < 1e-8
@@ -161,7 +162,7 @@ def test_kappa_assembly_identity():
 
 def test_lambda_is_exact_by_construction():
     m = FedosovMachine(make_bundle("coupled", 1, 1.0))
-    mu, lam, kappa = lemma_forms(m)
+    mu, lam, kappa = lemma_forms(m, curvature_trace(m.bundle))
     dlam = exterior_derivative(lam, m)
     assert dlam.sample_norm(sample_points(1)) < 1e-10
 
@@ -170,7 +171,7 @@ def test_d_lambda_is_d_squared_mu_on_w4():
     # n = 2 with non-zero torsion: lam is a genuine 2-form and d lam has
     # 3-form components that cancel only numerically
     m = FedosovMachine(make_bundle("w4", 2, 1.0))
-    mu, lam, kappa = lemma_forms(m)
+    mu, lam, kappa = lemma_forms(m, curvature_trace(m.bundle))
     assert len(lam.terms) == 6
     dlam = exterior_derivative(lam, m)
     assert len(dlam.terms) == 4
@@ -182,7 +183,7 @@ def test_d_lambda_is_d_squared_mu_on_w4():
 
 def test_c0_scales_linearly_and_matches_pointwise():
     b = make_bundle("coupled", 1, 0.45)
-    gamma = chern_weyl(b)
+    gamma = chern_weyl(b, curvature_trace(b))
     rep = c0_representative(gamma)
     rep2 = c0_representative(gamma.scale(2.0))
     assert (rep2 - rep.scale(2.0)).coeff_norm() <= 1e-13
