@@ -24,6 +24,7 @@ abort the pipeline.
 from __future__ import annotations
 
 import itertools
+import random
 
 from .caputo_quad import power_rule_residual
 from .chern import (
@@ -176,25 +177,29 @@ def caputo_checks(suite: Suite):
 
 
 def algebra_checks(suite: Suite, machine: FedosovMachine, seed: int):
-    import numpy as np
-
     alg = machine.algebra
     dim = machine.dim
-    rng = np.random.default_rng(seed)
+    # only Random.random() repeats across Python versions (see make_probes);
+    # coefficients are uniform in [-1, 1)
+    rng = random.Random(seed)
+
+    def draw(k):
+        return int(rng.random() * k)
 
     def rand_elem(max_s=3, max_forms=2):
         terms = []
-        for _ in range(int(rng.integers(1, 4))):
-            v = int(rng.integers(0, 2))
+        for _ in range(1 + draw(3)):
+            v = draw(2)
             z = [0] * dim
-            for _ in range(int(rng.integers(0, max_s + 1))):
-                z[int(rng.integers(dim))] += 1
-            nf = int(rng.integers(0, max_forms + 1))
-            forms = tuple(sorted(rng.choice(dim, size=nf, replace=False).tolist()))
+            for _ in range(draw(max_s + 1)):
+                z[draw(dim)] += 1
+            unused = list(range(dim))
+            nf = draw(max_forms + 1)
+            forms = tuple(sorted(unused.pop(draw(len(unused))) for _ in range(nf)))
             coeff = Signomial.monomial(
                 dim,
-                complex(rng.normal(), rng.normal()),
-                [0.5 * int(rng.integers(3)) for _ in range(dim)],
+                complex(2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0),
+                [0.5 * draw(3) for _ in range(dim)],
             )
             terms.append((v, z, forms, coeff))
         return WickElement.from_terms(dim, terms)

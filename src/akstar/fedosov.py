@@ -34,6 +34,7 @@ where they are gated.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from .errors import FractionalDomainError, MalformedInputError
@@ -475,28 +476,30 @@ def star_series(series_a: tuple, series_b: tuple, state: FedosovState, order: in
     return tuple(out)
 
 
-def make_probes(bundle: GeometryBundle, seed: int, count: int = 10):
+def make_probes(bundle: GeometryBundle, seed: int, count: int):
     """Seeded monomial probes with deg_s <= 3 and deg_a <= 1.
 
     Coefficients are drawn from the coordinate observables, matching the
-    fields the star product is exercised on.
+    fields the star product is exercised on.  Every draw is
+    ``int(u * k)`` for ``u`` from ``random.Random(seed).random()``, the
+    one stream Python promises to repeat across versions.
     """
-    import numpy as np
-
     dim = bundle.ctx.dim
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+
+    def draw(k):
+        return int(rng.random() * k)
+
     pool = [Signomial.constant(dim, 1.0)] + [
         Signomial.coordinate(dim, i) for i in range(dim)
     ]
     probes = []
     for _ in range(count):
         z = [0] * dim
-        for _ in range(int(rng.integers(0, 4))):
-            z[int(rng.integers(dim))] += 1
-        forms = ()
-        if rng.integers(2):
-            forms = (int(rng.integers(dim)),)
-        coeff = pool[int(rng.integers(len(pool)))]
+        for _ in range(draw(4)):
+            z[draw(dim)] += 1
+        forms = (draw(dim),) if draw(2) else ()
+        coeff = pool[draw(len(pool))]
         probes.append(WickElement.from_term(dim, 0, tuple(z), forms, coeff))
     return probes
 

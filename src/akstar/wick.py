@@ -168,7 +168,7 @@ class WickElement:
             return WickElement.zero(self.dim)
         return WickElement(self.dim, {k: c.scale(factor) for k, c in self.terms.items()})
 
-    def div_v(self, scale: float = 0.0) -> "WickElement":
+    def div_v(self, scale: float) -> "WickElement":
         """Divide by the formal parameter.
 
         Terms without a v factor must have cancelled (they do, identically,

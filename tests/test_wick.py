@@ -316,7 +316,7 @@ def test_module_level_helpers():
 def test_div_v_guard():
     w = WickElement.from_signomial(Signomial.constant(2, 1.0))
     with pytest.raises(Exception):
-        w.div_v()
+        w.div_v(0.0)
     one = Signomial.constant(2, 1.0)
     v2 = WickElement.from_term(2, 2, (0, 0), (), one)
-    assert (v2.div_v() - WickElement.from_term(2, 1, (0, 0), (), one)).coeff_norm() == 0.0
+    assert (v2.div_v(0.0) - WickElement.from_term(2, 1, (0, 0), (), one)).coeff_norm() == 0.0
