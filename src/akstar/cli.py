@@ -102,14 +102,13 @@ def _term_list(raw, pointer: str, dim: int) -> Signomial:
 
 
 def _default_points(dim: int) -> list:
-    base = [
+    return [
         [1.0] * dim,
         [(1.5, 0.7, 0.9, 1.1, 1.3, 0.6)[i % 6] for i in range(dim)],
         [(0.8, 1.3, 1.4, 0.6, 1.1, 1.6)[i % 6] for i in range(dim)],
         [(2.0, 0.5, 1.0, 1.5, 0.7, 1.2)[i % 6] for i in range(dim)],
         [(1.2, 2.0, 0.7, 0.9, 1.5, 0.8)[i % 6] for i in range(dim)],
     ]
-    return base
 
 
 def parse_config_dict(raw: dict) -> RunSpec:
@@ -225,7 +224,7 @@ def parse_config(path: str) -> RunSpec:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     return parse_config_dict(raw)
 
@@ -482,6 +481,12 @@ def main(argv=None, stream=None) -> int:
             if args.order < 2:
                 _fail("--order", "truncation order must be an integer >= 2")
             spec = parse_config_dict(dict(spec.canonical, truncation_order=args.order))
+        if args.command == "run" and args.out:
+            # fail before the pipeline runs; append mode keeps an existing file
+            try:
+                open(args.out, "a").close()
+            except OSError as err:
+                _fail("--out", f"cannot write the report: {err}")
         if args.command == "star" and args.order is not None and args.order < 0:
             _fail("--order", "order must be nonnegative")
         if args.command == "check" and args.group == "caputo" and spec.alpha >= 1.0:

@@ -505,7 +505,5 @@ class AlphaContext:
         return self.alpha == 1.0
 
     def deriv(self, f: Signomial, coord: int) -> Signomial:
-        """Coordinate derivative in the configured backend."""
-        if self.classical:
-            return f.partial(coord)
+        """Coordinate derivative of order alpha; ``caputo`` hands alpha = 1 to ``partial``."""
         return f.caputo(coord, self)

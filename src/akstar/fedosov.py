@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from .errors import FractionalDomainError, MalformedInputError
 from .expr import Signomial
 from .geometry import GeometryBundle
-from .wick import WickAlgebra, WickElement, sort_word, wedge_merge
+from .wick import WickAlgebra, WickElement, sort_word
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +54,7 @@ def delta(w: WickElement) -> WickElement:
             for g in range(w.dim):
                 if z[g] == 0:
                     continue
-                merged = wedge_merge((g,), forms)
+                merged = sort_word((g,) + forms)
                 if merged is None:
                     continue
                 sign, nf = merged
@@ -192,7 +192,7 @@ class FedosovMachine:
         def terms():
             for (v, z, forms), c in w.terms.items():
                 for al in range(self.dim):
-                    merged = wedge_merge((al,), forms)
+                    merged = sort_word((al,) + forms)
                     if merged is None:
                         continue
                     sign, nf = merged
@@ -224,23 +224,23 @@ class FedosovMachine:
             return comm
         return comm.scale(1j).div_v(a.coeff_norm() * b.coeff_norm())
 
-    # -- operator-identity residuals -------------------------------------------
+    # -- operator-identity residuals, each the largest value at ``points`` -----
 
-    def comf_delta_residual(self, probe: WickElement, points=None) -> float:
+    def comf_delta_residual(self, probe: WickElement, points) -> float:
         """[D-check, delta] - (i/v) ad(T-hat) on a probe."""
         lhs = self.dconn_apply(delta(probe)) + delta(self.dconn_apply(probe))
-        return _norm(lhs - self.i_over_v_commutator(self.t_hat, probe), points)
+        return (lhs - self.i_over_v_commutator(self.t_hat, probe)).sample_norm(points)
 
-    def comf_dsq_residual(self, probe: WickElement, points=None) -> float:
+    def comf_dsq_residual(self, probe: WickElement, points) -> float:
         """D-check^2 + (i/v) ad(R-hat) on a probe."""
         lhs = self.dconn_apply(self.dconn_apply(probe))
-        return _norm(lhs + self.i_over_v_commutator(self.r_hat, probe), points)
+        return (lhs + self.i_over_v_commutator(self.r_hat, probe)).sample_norm(points)
 
-    def delta_torsion_residual(self, points=None) -> float:
-        return _norm(delta(self.t_hat), points)
+    def delta_torsion_residual(self, points) -> float:
+        return delta(self.t_hat).sample_norm(points)
 
-    def delta_curvature_residual(self, points=None) -> float:
-        return _norm(delta(self.r_hat) - self.dconn_apply(self.t_hat), points)
+    def delta_curvature_residual(self, points) -> float:
+        return (delta(self.r_hat) - self.dconn_apply(self.t_hat)).sample_norm(points)
 
     # -- recursion ---------------------------------------------------------------
 
@@ -266,8 +266,6 @@ class FedosovMachine:
             pair_scale = 0.0
             for j in range(2, m + 1):
                 k = m + 2 - j
-                if k < 2:
-                    continue
                 rj = r_comp.get(j)
                 rk = r_comp.get(k)
                 if rj is None or rk is None or rj.is_zero or rk.is_zero:
@@ -296,10 +294,6 @@ class FedosovMachine:
             r_components={d: r_comp[d] for d in range(2, K + 3)},
             residuals=residuals,
         )
-
-
-def _norm(w: WickElement, points=None) -> float:
-    return w.coeff_norm() if points is None else w.sample_norm(points)
 
 
 @dataclass
@@ -360,8 +354,9 @@ def flat_d(w: WickElement, state: FedosovState, max_deg=None) -> WickElement:
     return out if max_deg is None else out.truncate(max_deg)
 
 
-def flat_d_squared_residual(probe: WickElement, state: FedosovState, points=None) -> float:
-    """Defect of D-hat^2 = 0 on a probe, on degrees the truncation covers.
+def flat_d_squared_residual(probe: WickElement, state: FedosovState, points) -> float:
+    """Defect of D-hat^2 = 0 on a probe at ``points``, on degrees the
+    truncation covers.
 
     With r solved through Deg K + 2, the Deg-m component of D-hat^2 a is
     complete only for m <= Deg(a) + K - 1; higher components would need
@@ -389,15 +384,15 @@ def flat_d_squared_residual(probe: WickElement, state: FedosovState, points=None
     # is to be discarded
     top = first.component(bound + 1)
     val = flat_d(first.truncate(bound), state, max_deg=bound) - delta(top)
-    return _norm(val, points)
+    return val.sample_norm(points)
 
 
 def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
     """Deg-homogeneous components of the lift, 0 through ``order``."""
     if order > state.K + 1:
         raise MalformedInputError(
-            f"lift order {order} needs the recursion solved past Deg {order + 1}; "
-            f"have K = {state.K}"
+            f"lift order {order} needs the recursion solved through Deg {order + 1}; "
+            f"solve with K >= {order - 1} (have {state.K})"
         )
     machine = state.machine
     comps = {0: WickElement.from_signomial(f)}
@@ -430,10 +425,10 @@ def tau_lift(f: Signomial, state: FedosovState, order: int) -> WickElement:
     return out
 
 
-def flat_section_residual(f: Signomial, state: FedosovState, order: int, points=None) -> float:
-    """Defect of D-hat tau(f) = 0 through Deg ``order - 1``."""
+def flat_section_residual(f: Signomial, state: FedosovState, order: int, points) -> float:
+    """Defect of D-hat tau(f) = 0 through Deg ``order - 1``, at ``points``."""
     lift = tau_lift(f, state, order)
-    return _norm(flat_d(lift, state, max_deg=order - 1), points)
+    return flat_d(lift, state, max_deg=order - 1).sample_norm(points)
 
 
 def star(f: Signomial, g: Signomial, state: FedosovState, order: int) -> tuple:
@@ -442,18 +437,14 @@ def star(f: Signomial, g: Signomial, state: FedosovState, order: int) -> tuple:
     Returns the coefficients (C_0, ..., C_order) of f * g = sum_r C_r v^r.
 
     Exactness through the requested order needs lifts through Deg 2*order,
-    hence a state solved with K >= 2*order - 1.
+    hence a state solved with K >= 2*order - 1; ``tau_components`` raises
+    otherwise.  At order 0 the lifts are the fields themselves.
     """
     if order < 0:
         raise MalformedInputError("order must be nonnegative")
     lift_deg = 2 * order
-    if lift_deg > 0 and state.K < lift_deg - 1:
-        raise MalformedInputError(
-            f"star order {order} needs lifts through Deg {lift_deg}; "
-            f"solve with K >= {lift_deg - 1} (have {state.K})"
-        )
-    tf = tau_lift(f, state, lift_deg) if lift_deg else WickElement.from_signomial(f)
-    tg = tau_lift(g, state, lift_deg) if lift_deg else WickElement.from_signomial(g)
+    tf = tau_lift(f, state, lift_deg)
+    tg = tau_lift(g, state, lift_deg)
     prod = state.machine.algebra.product(tf, tg, max_deg=lift_deg, sigma_only=True)
     series = sigma_series(prod)
     dim = state.machine.dim

@@ -6,7 +6,7 @@ derives, in order:
 
 * the Sasaki-type metric  g_ij = (1/4)(D_i D_j + D_j D_i) L  in the fiber
   derivatives, with the v-block given by the same formulas,
-* the semi-spray  G^k = (1/4) g^{kj} [ y^m D_{y^m}(D_{x^j} L) - D_{x^j} L ]
+* the semi-spray  G^k = (1/4) h^{kk} [ y^m D_{x^m}(D_{y^k} L) - D_{x^k} L ]
   and the nonlinear connection  N^a_j = D_{y^j} G^a,
 * the adapted frames  e_j = D_j - N^a_j D_a,  e_b = D_b,
 * the canonical metric d-connection: one Koszul rule, applied along the h-
@@ -177,7 +177,8 @@ def hessian_metric(spec: LagrangianSpec) -> tuple:
 def semi_spray(spec: LagrangianSpec, h_inv: Matrix) -> list:
     """Semi-spray of the Lagrangian's Euler-Lagrange dynamics.
 
-    G^k = (1/4) g^{kj} [ y^m D_{y^j} D_{x^m} L - D_{x^j} L ]: the base
+    G^k = (1/4) h^{kk} [ y^m D_{x^m}(D_{y^k} L) - D_{x^k} L ], with h^{-1}
+    diagonal (:func:`hessian_metric` rejects any other): the base
     derivative is contracted against y^m and the fiber derivative carries
     the free index, which is what the equations of motion produce.  (For
     diagonal mixed Hessians the transposed contraction is identical; for
@@ -188,19 +189,13 @@ def semi_spray(spec: LagrangianSpec, h_inv: Matrix) -> list:
     n = ctx.n
     out = []
     for k in range(n):
-        acc = Signomial.zero(ctx.dim)
-        for j in range(n):
-            gkj = h_inv[k][j]
-            if gkj.is_zero:
-                continue
-            dyj = ctx.deriv(spec.L, n + j)
-            inner = Signomial.zero(ctx.dim)
-            for m in range(n):
-                ym = Signomial.coordinate(ctx.dim, n + m)
-                inner = inner + ym * ctx.deriv(dyj, m)
-            inner = inner - ctx.deriv(spec.L, j)
-            acc = acc + gkj * inner
-        out.append(acc.scale(0.25))
+        dyk = ctx.deriv(spec.L, n + k)
+        inner = Signomial.zero(ctx.dim)
+        for m in range(n):
+            ym = Signomial.coordinate(ctx.dim, n + m)
+            inner = inner + ym * ctx.deriv(dyk, m)
+        inner = inner - ctx.deriv(spec.L, k)
+        out.append((h_inv[k][k] * inner).scale(0.25))
     return out
 
 
@@ -228,8 +223,9 @@ def canonical_d_connection(h: Matrix, h_inv: Matrix, N: Matrix, ctx: AlphaContex
     """Koszul coefficients of the metric d-connection in the adapted frame: gamma.
 
     One Koszul rule serves both direction blocks, o = 0 (h: L^i_{jk}) and
-    o = n (v: C^a_{bc}):
-        K^i_{jk} = (1/2) h^{ir} (e_{o+k} h_{jr} + e_{o+j} h_{kr} - e_{o+r} h_{jk}).
+    o = n (v: C^a_{bc}); with h diagonal (:func:`hessian_metric` rejects
+    any other) it reads
+        K^i_{jk} = (1/2) h^{ii} (e_{o+k} h_{ji} + e_{o+j} h_{ki} - e_{o+i} h_{jk}).
     K^i_{jk} is the e_i component of the derivative of e_j along e_{o+k}.
     Under the h/v index identification the same entry fills the h-h and the
     v-v target/source block; mixed target/source entries are one shared zero.
@@ -242,18 +238,13 @@ def canonical_d_connection(h: Matrix, h_inv: Matrix, N: Matrix, ctx: AlphaContex
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    acc = Signomial.zero(dim)
-                    for r in range(n):
-                        gir = h_inv[i][r]
-                        if gir.is_zero:
-                            continue
-                        term = (
-                            adapted_derivative(h[j][r], o + k, N, ctx)
-                            + adapted_derivative(h[k][r], o + j, N, ctx)
-                            - adapted_derivative(h[j][k], o + r, N, ctx)
-                        )
-                        acc = acc + gir * term
-                    gamma[i][o + k][j] = gamma[n + i][o + k][n + j] = acc.scale(0.5)
+                    term = (
+                        adapted_derivative(h[j][i], o + k, N, ctx)
+                        + adapted_derivative(h[k][i], o + j, N, ctx)
+                        - adapted_derivative(h[j][k], o + i, N, ctx)
+                    )
+                    entry = (h_inv[i][i] * term).scale(0.5)
+                    gamma[i][o + k][j] = gamma[n + i][o + k][n + j] = entry
     return gamma
 
 
@@ -308,17 +299,12 @@ def curvature(gamma: list, N: Matrix, anhol: list, ctx: AlphaContext) -> list:
     of the quantization layer close at alpha = 1.
     """
     dim = ctx.dim
-    full = [[[ [None] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     zero = Signomial.zero(dim)
+    full = [[[[zero] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     for t in range(dim):
         for f in range(dim):
-            for a in range(dim):
-                full[t][f][a][a] = zero
             # mixed target/source blocks vanish for a d-connection
             if (t < ctx.n) != (f < ctx.n):
-                for a in range(dim):
-                    for b in range(dim):
-                        full[t][f][a][b] = zero
                 continue
             for a in range(dim):
                 for b in range(a + 1, dim):
@@ -367,16 +353,14 @@ def build_geometry(spec: LagrangianSpec) -> GeometryBundle:
     J = [[0.0] * dim for _ in range(dim)]
     theta_lower = [[zero] * dim for _ in range(dim)]
     theta_upper = [[zero] * dim for _ in range(dim)]
+    # h and h^{-1} are diagonal, so theta pairs each e_i with e_{n+i} only
     for i in range(n):
         J[n + i][i] = -1.0
         J[i][n + i] = 1.0
-        for j in range(n):
-            if not h[i][j].is_zero:
-                theta_lower[i][n + j] = -h[i][j]
-                theta_lower[n + j][i] = h[i][j]
-            if not h_inv[i][j].is_zero:
-                theta_upper[i][n + j] = h_inv[i][j]
-                theta_upper[n + j][i] = -h_inv[i][j]
+        theta_lower[i][n + i] = -h[i][i]
+        theta_lower[n + i][i] = h[i][i]
+        theta_upper[i][n + i] = h_inv[i][i]
+        theta_upper[n + i][i] = -h_inv[i][i]
     g_upper = blocks(h_inv)
     lam = [[theta_upper[a][b] + g_upper[a][b].scale(-1j) for b in range(dim)] for a in range(dim)]
     return GeometryBundle(

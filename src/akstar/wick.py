@@ -15,7 +15,9 @@ The fiberwise product twists multiplication by the tensor
             (d_{z^a1} ... d_{z^ar} a) (d_{z^b1} ... d_{z^br} b),
 
 a finite sum because fiber derivatives eventually annihilate either
-factor.  Form factors multiply by wedge with sign tracking.
+factor.  Form factors multiply by wedge: ``sort_word`` sorts the
+concatenated co-frame words with the permutation sign, and a repeated
+index drops the term.
 
 Elements are canonical in and canonical out.  Raw terms enter only
 through ``WickElement.from_terms`` (``from_term`` is its one-term form),
@@ -50,32 +52,6 @@ from .expr import Signomial
 
 # key: (v_power, z_degrees tuple, strictly increasing form tuple)
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
-
-
-def wedge_merge(a: tuple, b: tuple):
-    """Merge two increasing index tuples; None if they collide.
-
-    Returns (sign, merged) with the sign of the permutation sorting the
-    concatenation a + b.
-    """
-    i = j = 0
-    sign = 1
-    out = []
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining entries of a
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
 
 
 def sort_word(word):
@@ -319,7 +295,7 @@ class WickAlgebra:
             for (v2, z2, a2), c2, deg2, s2 in ys:
                 if deg2 > room or (sigma_only and s2 != s1):
                     continue
-                merged = wedge_merge(a1, a2)
+                merged = sort_word(a1 + a2)
                 if merged is None:
                     continue
                 wsign, forms = merged

@@ -216,7 +216,7 @@ def test_criterion_5_fedosov_flatness():
     z = [0] * 4
     z[3] = 3
     probes.append(WickElement.from_term(4, 0, tuple(z), (0,), Signomial.constant(4, 1.0)))
-    dsq = max(flat_d_squared_residual(p, state) for p in probes)
+    dsq = max(flat_d_squared_residual(p, state, sample_points(2)) for p in probes)
     elapsed = time.monotonic() - t0
     ok = res < 1e-9 and dsq < 1e-8 and elapsed < 60.0
     report_line(

@@ -106,16 +106,47 @@ def test_gamma_closed_classically():
         assert dgamma.sample_norm(sample_points(n)) < 1e-8
 
 
-def test_gamma_vanishes_by_block_structure():
+# Every config kind at alpha = 1 and, where its bundle builds, at alpha =
+# 0.45 (cross and w4 hit a Gamma pole at every fractional alpha), with
+# whether its frame curvature has a non-zero entry.
+BLOCK_CASES = [
+    ("flat", 1, 1.0, False),
+    ("flat", 1, 0.45, False),
+    ("flat", 2, 1.0, False),
+    ("flat", 2, 0.45, False),
+    ("coupled", 1, 1.0, False),
+    ("coupled", 1, 0.45, True),
+    ("coupled", 2, 1.0, False),
+    ("coupled", 2, 0.45, True),
+    ("cross", 2, 1.0, False),
+    ("y4", 1, 1.0, False),
+    ("y4", 1, 0.45, False),
+    ("x2y3", 1, 1.0, False),
+    ("x2y3", 1, 0.45, True),
+    ("w4", 2, 1.0, True),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n,alpha,curved", BLOCK_CASES, ids=[f"{k}-{n}-{a}" for k, n, a, _ in BLOCK_CASES]
+)
+def test_gamma_vanishes_by_block_structure(kind, n, alpha, curved):
     # the almost-complex matrix swaps the h/v blocks while the
     # d-connection curvature preserves them, so the trace defining gamma
     # is empty even where the curvature itself is not
-    b = make_bundle("coupled", 1, 0.45)
-    assert not b.curvature[0][0][0][1].is_zero
-    gamma = chern_weyl(b, curvature_trace(b))
+    b = make_bundle(kind, n, alpha)
+    dim = 2 * n
+    mixed = [(t, f) for t in range(dim) for f in range(dim) if (t < n) != (f < n)]
+    for t, f in mixed:
+        assert all(entry.is_zero for row in b.curvature[t][f] for entry in row), (t, f)
+    assert {(r, c) for r in range(dim) for c in range(dim) if b.J[r][c]} <= set(mixed)
+    assert any(not entry.is_zero for block in b.curvature for row in block for col in row
+               for entry in col) == curved
+    trace = curvature_trace(b)
+    assert trace.is_zero
+    gamma = chern_weyl(b, trace)
     assert gamma.is_zero
-    res = exterior_derivative(gamma, FedosovMachine(b)).sample_norm(sample_points(1))
-    assert res == 0.0
+    assert exterior_derivative(gamma, FedosovMachine(b)).sample_norm(sample_points(n)) == 0.0
 
 
 # -- lemma forms ----------------------------------------------------------------

@@ -441,6 +441,23 @@ def test_run_order_below_two_is_a_config_error(tmp_path, capsys):
     assert "--order" in err and "/truncation_order" not in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000], ids=["undecodable", "too-deep"])
+def test_unparsable_config_file_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["run", "--config", str(path)], stream=io.StringIO()) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
+
+
+def test_unwritable_out_path_fails_before_the_pipeline(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, flat_config())
+    monkeypatch.setattr(Pipeline, "run", lambda *args: pytest.fail("the pipeline ran"))
+    out_path = tmp_path / "missing" / "r.json"
+    assert main(["run", "--config", path, "--out", str(out_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: --out: cannot write the report")
+    assert not out_path.parent.exists()
+
+
 def test_check_caputo_requires_fractional_alpha(tmp_path, capsys):
     path = write_config(tmp_path, flat_config())
     assert main(["check", "caputo", "--config", path], stream=io.StringIO()) == EXIT_CONFIG_ERROR

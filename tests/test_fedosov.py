@@ -254,9 +254,10 @@ def test_proof_identities_classical(kind, n):
 def test_operator_identities_fractional_are_finite(alpha):
     m = machine("flat", 1, alpha)
     probes = make_probes(m.bundle, seed=5, count=4)
-    vals = [m.comf_delta_residual(p) for p in probes]
-    vals += [m.comf_dsq_residual(p) for p in probes]
-    vals += [m.delta_torsion_residual(), m.delta_curvature_residual()]
+    pts = sample_points(1)
+    vals = [m.comf_delta_residual(p, pts) for p in probes]
+    vals += [m.comf_dsq_residual(p, pts) for p in probes]
+    vals += [m.delta_torsion_residual(pts), m.delta_curvature_residual(pts)]
     assert all(np.isfinite(v) for v in vals)
 
 
@@ -342,7 +343,7 @@ def test_flat_d_on_flat_config():
 def test_flat_d_squared_classical(kind, n):
     st = solved(kind, n, 4)
     for probe in make_probes(st.bundle, seed=42, count=8):
-        assert flat_d_squared_residual(probe, st) < 1e-8
+        assert flat_d_squared_residual(probe, st, sample_points(n)) < 1e-8
 
 
 def test_generator_probes_are_the_fiber_and_coframe_generators():
@@ -393,7 +394,7 @@ def test_flat_d_squared_fractional_diagnostic(alpha):
     finite = 0
     for p in make_probes(st.bundle, seed=3, count=8):
         try:
-            v = flat_d_squared_residual(p, st)
+            v = flat_d_squared_residual(p, st, sample_points(1))
         except FractionalDomainError:
             continue
         assert np.isfinite(v)
@@ -460,7 +461,7 @@ def test_tau_components_are_deg_homogeneous():
 def test_flat_section_residual_classical():
     st = solved("coupled", 1, 7)
     for f in (Signomial.coordinate(2, 0), Signomial.coordinate(2, 1)):
-        assert flat_section_residual(f, st, 6) < 1e-9
+        assert flat_section_residual(f, st, 6, sample_points(1)) < 1e-9
 
 
 def test_tau_lift_memo_keeps_signed_zeros_apart():
@@ -612,7 +613,7 @@ def test_star_equals_sigma_of_full_product_exactly():
 
 def test_star_order_guard():
     st = solved("flat", 1, 3)
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match=r"solve with K >= 5 \(have 3\)"):
         star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), st, 3)
 
 

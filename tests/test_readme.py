@@ -25,6 +25,9 @@ def test_library_use_example_runs():
 
 
 def test_check_table_matches_checks():
-    rows = re.findall(r"^\| `(\w+)` \| (\w+) \| (\S+) \|$", README.read_text(encoding="utf-8"), re.M)
+    # the fourth column says why a check reads exactly 0.0, and may be empty
+    rows = re.findall(
+        r"^\| `(\w+)` \| (\w+) \| (\S+) \| [^|]*\|$", README.read_text(encoding="utf-8"), re.M
+    )
     table = [(name, tier, None if gate == "-" else float(gate)) for name, tier, gate in rows]
     assert table == [(name, tier, gate) for name, (tier, gate) in CHECKS.items()]

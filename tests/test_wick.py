@@ -10,7 +10,6 @@ from akstar.wick import (
     WickAlgebra,
     WickElement,
     sort_word,
-    wedge_merge,
 )
 
 from _configs import exact, make_bundle, z_var
@@ -43,11 +42,14 @@ def rand_element(rng, dim, max_s=3, max_forms=2, max_v=1):
 
 
 def test_wedge_merge_signs():
-    assert wedge_merge((0,), (1,)) == (1, (0, 1))
-    assert wedge_merge((1,), (0,)) == (-1, (0, 1))
-    assert wedge_merge((0,), (0,)) is None
-    assert wedge_merge((), (3, 5)) == (1, (3, 5))
-    assert wedge_merge((0, 2), (1, 3)) == (-1, (0, 1, 2, 3))
+    # the wedge of two sorted words is their concatenation, sorted with its sign
+    assert sort_word((0,) + (1,)) == (1, (0, 1))
+    assert sort_word((1,) + (0,)) == (-1, (0, 1))
+    assert sort_word((0,) + (0,)) is None
+    assert sort_word(() + (3, 5)) == (1, (3, 5))
+    assert sort_word((0, 2) + (1, 3)) == (-1, (0, 1, 2, 3))
+    assert sort_word((1, 3) + (0, 2)) == (-1, (0, 1, 2, 3))
+    assert sort_word((0, 2) + (2, 3)) is None
 
 
 def test_sort_word():

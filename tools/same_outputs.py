@@ -12,7 +12,10 @@ a process.  The invocations are read from CHANGE_ROOT:
   that file loaded by path and only read.
 
 The script prints each invocation whose stdout, stderr or exit code differs
-between the roots and exits 1 if any differs, 0 otherwise.
+between the roots and exits 1 if any differs, 0 otherwise.  When both
+stdouts of a differing invocation parse as JSON, it also prints the leaves
+that moved, as JSON pointers with ``old -> new``, at most ``MAX_MOVED`` per
+invocation.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SEED = 7
+MAX_MOVED = 12
+# stands in for the missing side of a key or index present on one side only
+ABSENT = object()
 GOLDEN_COMMANDS = (
     ("run",),
     ("run", "--format", "text"),
@@ -78,6 +84,46 @@ def run_all(root: Path, invs: list, cwd: Path) -> list:
     return results
 
 
+def moved_leaves(old, new, pointer: str = "") -> list:
+    """(JSON pointer, old, new) for each leaf where two JSON values differ.
+
+    Objects are matched by key and arrays by index; a side that lacks the
+    key or index reads ``ABSENT`` there.  Leaves compare by their JSON text,
+    so 1 and 1.0 differ as they do in the bytes.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = list(old) + [k for k in new if k not in old]
+        parts = [(k.replace("~", "~0").replace("/", "~1"), old.get(k, ABSENT), new.get(k, ABSENT))
+                 for k in keys]
+    elif isinstance(old, list) and isinstance(new, list):
+        size = max(len(old), len(new))
+        parts = [(i, old[i] if i < len(old) else ABSENT, new[i] if i < len(new) else ABSENT)
+                 for i in range(size)]
+    else:
+        return [] if leaf_text(old) == leaf_text(new) else [(pointer, old, new)]
+    out = []
+    for key, a, b in parts:
+        out.extend(moved_leaves(a, b, f"{pointer}/{key}"))
+    return out
+
+
+def leaf_text(value) -> str:
+    return "(absent)" if value is ABSENT else json.dumps(value)
+
+
+def describe_moves(old_stdout: bytes, new_stdout: bytes, cap: int = MAX_MOVED) -> list:
+    """Lines naming the moved leaves of two JSON stdouts; none unless both parse."""
+    try:
+        old, new = json.loads(old_stdout), json.loads(new_stdout)
+    except ValueError:
+        return []
+    moved = moved_leaves(old, new)
+    lines = [f"    {p or '(root)'}: {leaf_text(a)} -> {leaf_text(b)}" for p, a, b in moved[:cap]]
+    if len(moved) > cap:
+        lines.append(f"    ... and {len(moved) - cap} more moved leaves")
+    return lines
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -95,6 +141,9 @@ def main(argv=None) -> int:
         if streams:
             differing += 1
             print(f"DIFFERS ({', '.join(streams)}): {label}")
+            if "stdout" in streams:
+                for line in describe_moves(old[0], new[0]):
+                    print(line)
     print(f"{len(invs) - differing} of {len(invs)} invocations identical")
     return 1 if differing else 0
 
