@@ -31,7 +31,18 @@ The combinatorics of a term pair depend only on its fiber degrees, so
 first use: per pattern r, the output fiber degrees, the integer weight
 (falling factorials), prod k! and the Lambda powers.  ``product`` applies
 ``wsign * weight / denom * (i/2)^r`` and the Lambda powers one at a time,
-the arithmetic of a fresh enumeration in its order, so bits are unchanged.
+the arithmetic of a fresh enumeration in its order, so each contribution
+has the bits a fresh enumeration gives it.
+
+``product`` sums the contributions to one output key raw, with
+``Signomial.__add__``'s arithmetic in pattern order, and applies the
+Signomial dead zone once per key after the last one: a key with a single
+contribution holds that operand unchanged, and a key whose sum comes out
+empty is dropped.  ``from_terms``, ``+`` and ``-`` keep the running dead
+zone of ``_accum`` instead.  For ``from_terms`` that is load-bearing:
+summing its terms raw keeps cancellation debris that the running zone
+drops, which moved 10 of the 85 command-line outputs ``tools/same_outputs.py``
+compares, among them the Deg 7 r-term count of x^2 y^3 (26 -> 28).
 
 Deg is additive under this product: a contraction trades two units of
 deg_s for one power of v, so every output of a term pair has the Deg sum
@@ -39,7 +50,8 @@ of the pair.  ``product`` and ``commutator`` therefore accept a degree cap
 that skips a pair before its contractions are looked up, and ``product``
 a sigma-projection that keeps only the deg_s = deg_a = 0 part.  Both
 return exactly the uncapped result restricted to the kept keys: each kept
-key receives the same additions in the same order.
+key receives the same contributions in the same order, and its dead zone
+looks at no other key.
 """
 
 from __future__ import annotations
@@ -48,7 +60,7 @@ from math import factorial, inf
 from operator import add
 
 from .errors import MalformedInputError
-from .expr import Signomial
+from .expr import Signomial, _drop_debris
 
 # key: (v_power, z_degrees tuple, strictly increasing form tuple)
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -98,7 +110,8 @@ class WickElement:
 
         Each term is validated (v >= 0, ``dim`` non-negative fiber degrees),
         its co-frame word sorted with the permutation sign (a repeated index
-        drops the term), and like keys merge in order through ``_accum``.
+        drops the term), and like keys merge in order through ``_accum``,
+        with a dead zone after every add (the module docstring says why).
         """
         terms: dict = {}
         for v_power, z_degrees, word, coeff in raw:
@@ -282,6 +295,8 @@ class WickAlgebra:
         sigma-projection keeps the 0-form pairs with equal deg_s and, of
         those, the fully contracting patterns.
         """
+        # key -> its one contribution so far (a Signomial) or the raw
+        # {exponent key: complex} sum of several, dead-zoned once at the end
         out: dict = {}
         cap = inf if max_deg is None else max_deg
         xs, ys = x.terms.items(), y.terms.items()
@@ -305,7 +320,7 @@ class WickAlgebra:
                 if s1 == 0 or s2 == 0:
                     # no contraction possible beyond r = 0
                     key = (v1 + v2, tuple(p + q for p, q in zip(z1, z2)), forms)
-                    _accum(out, key, base.scale(wsign) if wsign < 0 else base)
+                    _add_raw(out, key, base.scale(wsign) if wsign < 0 else base)
                     continue
                 for r, z_out, weight, denom, lams in self._contractions(z1, z2):
                     if sigma_only and r != s1:
@@ -315,7 +330,14 @@ class WickAlgebra:
                         coeff = coeff * lam
                     if coeff.is_zero:
                         continue
-                    _accum(out, (v1 + v2 + r, z_out, forms), coeff)
+                    _add_raw(out, (v1 + v2 + r, z_out, forms), coeff)
+        for key, c in list(out.items()):
+            if type(c) is dict:
+                c = _drop_debris(c)
+                if c:
+                    out[key] = Signomial(x.dim, c)
+                else:
+                    del out[key]
         return WickElement(self.dim, out)
 
     def commutator(self, x: WickElement, y: WickElement, *, max_deg=None) -> WickElement:
@@ -331,6 +353,23 @@ class WickAlgebra:
         out = out - prod(ye, xe) - prod(ye, xo) - prod(yo, xe)
         out = out + prod(yo, xo)
         return out
+
+
+def _add_raw(store: dict, key, coeff: Signomial):
+    """Add ``coeff`` to ``store[key]`` without a dead zone.
+
+    The first contribution is stored as given; a second turns the entry
+    into a raw ``{exponent key: complex}`` dict, built with ``Signomial.__add__``'s
+    arithmetic in its order (``0j + c``, then ``d.get(k, 0j) + c``).
+    """
+    prev = store.get(key)
+    if prev is None:
+        store[key] = coeff
+        return
+    if type(prev) is not dict:
+        prev = store[key] = {k: 0j + c for k, c in prev.terms.items()}
+    for k, c in coeff.terms.items():
+        prev[k] = prev.get(k, 0j) + c
 
 
 def _accum(store: dict, key, coeff: Signomial):

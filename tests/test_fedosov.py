@@ -242,12 +242,24 @@ def test_comf_identities_classical(kind, n):
         assert m.comf_dsq_residual(probe, pts) < 1e-8
 
 
-@pytest.mark.parametrize("kind,n", [("flat", 1), ("coupled", 1), ("coupled", 2), ("cross", 2)])
+@pytest.mark.parametrize(
+    "kind,n", [("flat", 1), ("coupled", 1), ("coupled", 2), ("cross", 2), ("w4", 2)]
+)
 def test_proof_identities_classical(kind, n):
     m = machine(kind, n, 1.0)
     pts = sample_points(n)
     assert m.delta_torsion_residual(pts) < 1e-8
     assert m.delta_curvature_residual(pts) < 1e-8
+
+
+def test_w4_delta_curvature_identity_is_not_trivial():
+    # on W4 both sides of delta R-hat = D-check T-hat are of order 10, so the
+    # residual above is a cancellation, not 0 = 0; delta T-hat vanishes term-wise
+    m = machine("w4", 2, 1.0)
+    pts = sample_points(2)
+    assert delta(m.r_hat).sample_norm(pts) > 1.0
+    assert m.dconn_apply(m.t_hat).sample_norm(pts) > 1.0
+    assert delta(m.t_hat).is_zero
 
 
 @pytest.mark.parametrize("alpha", ALPHAS_FRACTIONAL)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from akstar.errors import MalformedInputError
-from akstar.expr import Signomial
-from akstar.fedosov import sigma
+from akstar.expr import Signomial, _drop_debris
+from akstar.fedosov import FedosovMachine, delta_inv, sigma
 from akstar.wick import (
     WickAlgebra,
     WickElement,
@@ -289,6 +289,118 @@ def test_contraction_table_is_exact(kind, n, alpha):
         assert exact(warm.product(x, y, sigma_only=True)) == exact(
             WickAlgebra(lam).product(x, y, sigma_only=True)
         )
+
+
+# -- accumulation of output keys -------------------------------------------------
+
+
+def raw_sum_reference(alg, x, y):
+    """x o y with each key's contributions summed raw and dead-zoned once,
+    and the number of contributions per key."""
+    sums, counts = {}, {}
+    for (v1, z1, a1), c1 in x.terms.items():
+        for (v2, z2, a2), c2 in y.terms.items():
+            merged = sort_word(a1 + a2)
+            if merged is None:
+                continue
+            wsign, forms = merged
+            for r, z_out, weight, denom, lams in alg._contractions(z1, z2):
+                coeff = (c1 * c2).scale(complex(wsign * weight) / denom * (0.5j) ** r)
+                for lam in lams:
+                    coeff = coeff * lam
+                if coeff.is_zero:
+                    continue
+                key = (v1 + v2 + r, z_out, forms)
+                raw = sums.setdefault(key, {})
+                for k, c in coeff.terms.items():
+                    raw[k] = raw.get(k, 0j) + c
+                counts[key] = counts.get(key, 0) + 1
+    kept = {}
+    for key, raw in sums.items():
+        raw = _drop_debris(raw)
+        if raw:
+            kept[key] = Signomial(x.dim, raw)
+    return WickElement(x.dim, kept), counts
+
+
+def w4_machine():
+    return FedosovMachine(make_bundle("w4", 2, 1.0))
+
+
+def test_product_matches_raw_sum_reference():
+    one = Signomial.constant(2, 1.0)
+    big = Signomial.monomial(2, 1.0, [1.0, 0.0])
+    tiny = Signomial.monomial(2, 1e-15, [0.0, 1.0])
+    # (0, (2, 0), ()) receives big, tiny and -big in that order: a dead zone
+    # after every add drops tiny beside big and then the key; summed raw,
+    # tiny is what is left
+    debris = (
+        algebra(),
+        WickElement.from_terms(2, [(0, (0, 0), (), one), (0, (1, 0), (), one), (0, (2, 0), (), one)]),
+        WickElement.from_terms(2, [(0, (2, 0), (), big), (0, (1, 0), (), tiny), (0, (0, 0), (), -big)]),
+    )
+    m = w4_machine()
+    r2 = delta_inv(m.t_hat)
+    cases = [debris, (m.algebra, r2, r2), (m.algebra, r2, m.r_hat)]
+    rng = np.random.default_rng(43)
+    for kind, n, alpha in CAP_CASES:
+        alg = algebra(alpha, kind, n)
+        cases += [(alg, *rand_pair(rng, 2 * n)) for _ in range(4)]
+    shared = 0
+    for alg, x, y in cases:
+        got = alg.product(x, y)
+        ref, counts = raw_sum_reference(alg, x, y)
+        assert list(got.terms) == list(ref.terms)
+        # == on coefficients, since a one-contribution key keeps its
+        # operand's imaginary -0.0 where the reference's 0j + c clears it
+        assert got.terms == ref.terms
+        shared += sum(k > 1 for k in counts.values())
+    assert shared >= 100
+    alg, x, y = debris
+    assert alg.product(x, y).terms[(0, (2, 0), ())] == tiny
+
+
+def test_product_drops_a_key_whose_contributions_cancel():
+    one = Signomial.constant(2, 1.0)
+    a = Signomial.monomial(2, 0.7 - 0.2j, [0.5, 1.0])
+    x = WickElement.from_terms(2, [(0, (0, 0), (), one), (0, (1, 0), (), one)])
+    y = WickElement.from_terms(2, [(0, (1, 0), (), a), (0, (0, 0), (), -a)])
+    got = algebra().product(x, y)
+    # z^0 * a and z * (-a) meet at (0, (1, 0), ()) and sum to exactly 0
+    assert (0, (1, 0), ()) not in got.terms
+    assert got.terms[(0, (0, 0), ())] == -a
+
+
+def test_single_contribution_key_keeps_its_operand():
+    # e^1 e^0 sorts with sign -1, and (-1) * (-1 + 0j) leaves an imaginary
+    # -0.0 that 0j + c would turn into 0.0
+    minus_one = Signomial.constant(2, -1.0)
+    one = Signomial.constant(2, 1.0)
+    x = WickElement.from_term(2, 0, (0, 0), (1,), minus_one)
+    y = WickElement.from_term(2, 0, (0, 0), (0,), one)
+    operand = (minus_one * one).scale(-1)
+    assert repr(operand) == "<signomial (1-0j)>"
+    got = algebra().product(x, y)
+    assert repr(got.terms) == repr({(0, (0, 0), (0, 1)): operand})
+
+
+def test_product_does_not_call_signomial_add(monkeypatch):
+    m = w4_machine()
+    r2 = delta_inv(m.t_hat)
+    calls = []
+    add = Signomial.__add__
+
+    def counting_add(self, other):
+        calls.append(None)
+        return add(self, other)
+
+    monkeypatch.setattr(Signomial, "__add__", counting_add)
+    got = m.algebra.product(r2, r2)
+    assert len(r2.terms) == 13 and len(got.terms) >= 33
+    assert calls == []
+    # the patch is live: a Wick sum still adds coefficients through it
+    got + got
+    assert len(calls) == len(got.terms)
 
 
 def test_commutator_of_even_element_with_itself_vanishes():
