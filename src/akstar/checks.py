@@ -255,7 +255,7 @@ def geometry_checks(suite: Suite, bundle: GeometryBundle, points, probes):
     suite.measure("geometry_nijenhuis", lambda: nijenhuis_residual(bundle, points))
 
 
-def fedosov_checks(suite: Suite, machine: FedosovMachine, state: FedosovState, points, probes):
+def fedosov_checks(suite: Suite, state: FedosovState, points, probes):
     """Operator identities of the recursion, on ``probes`` (seeded monomials).
 
     ``fedosov_dsq_probe`` certifies D-hat^2 = 0 at alpha = 1 on the 4n
@@ -266,6 +266,7 @@ def fedosov_checks(suite: Suite, machine: FedosovMachine, state: FedosovState, p
     ordered pairs of ``probes``.  At alpha < 1 the frame operators are not
     derivations, so no generator set suffices and D-hat^2 runs on ``probes``.
     """
+    machine = state.machine
     suite.measure("fedosov_comf_delta", lambda p: machine.comf_delta_residual(p, points), probes)
     suite.measure("fedosov_comf_dsq", lambda p: machine.comf_dsq_residual(p, points), probes)
     suite.measure("fedosov_delta_torsion", lambda: machine.delta_torsion_residual(points))
@@ -337,11 +338,8 @@ def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
     suite.record("star_unit_neutral", unit_resid)
 
     if order >= 1:
-        anti = fwd[1] - rev[1]
-        expect = poisson_bracket(f, g, bundle).scale(1j)
-        diff = anti - expect
-        val = max(abs(diff.eval_at(p)) for p in points) if not diff.is_zero else 0.0
-        suite.record("star_c1_bracket", val)
+        diff = fwd[1] - rev[1] - poisson_bracket(f, g, bundle).scale(1j)
+        suite.record("star_c1_bracket", diff.sample_norm(points))
 
     suite.measure(
         "fedosov_flat_section",
@@ -355,19 +353,18 @@ def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
                 left_s = star_series(star(f, g, state, 2), (h,), state, 2)
                 right_s = star_series((f,), star(g, h, state, 2), state, 2)
                 for s in range(3):
-                    d = left_s[s] - right_s[s]
-                    if not d.is_zero:
-                        worst = max(worst, max(abs(d.eval_at(p)) for p in points))
+                    worst = max(worst, (left_s[s] - right_s[s]).sample_norm(points))
             return worst
 
         suite.measure("star_associativity", assoc)
 
 
-def chern_checks(suite: Suite, bundle: GeometryBundle, machine: FedosovMachine, points, probes_scalar):
+def chern_checks(suite: Suite, machine: FedosovMachine, points, probes_scalar):
     """Record the chern checks and return the characteristic forms by report name."""
+    bundle = machine.bundle
     dim = bundle.ctx.dim
     trace = curvature_trace(bundle)
-    gamma = chern_weyl(bundle, trace)
+    gamma = chern_weyl(trace)
     mu, lam, kappa = lemma_forms(machine, trace)
 
     def dd():

@@ -71,7 +71,7 @@ def curvature_trace(bundle: GeometryBundle) -> WickElement:
     return adapted_form(dim, entries)
 
 
-def chern_weyl(bundle: GeometryBundle, trace: WickElement) -> WickElement:
+def chern_weyl(trace: WickElement) -> WickElement:
     """Curvature-trace 2-form gamma from ``trace = curvature_trace(bundle)``."""
     return trace.scale(-0.25)
 

@@ -394,7 +394,7 @@ class Pipeline:
     def _fedosov_checks(self):
         spec = self.spec
         probes = make_probes(self.bundle, seed=spec.seed, count=8)
-        checklib.fedosov_checks(self.suite, self.machine, self.state, spec.sample_points, probes)
+        checklib.fedosov_checks(self.suite, self.state, spec.sample_points, probes)
 
     def _star(self):
         f, g = self.spec.observable_f, self.spec.observable_g
@@ -417,7 +417,7 @@ class Pipeline:
 
     def _chern(self):
         forms = checklib.chern_checks(
-            self.suite, self.bundle, self.machine, self.spec.sample_points, self.scalar_probes
+            self.suite, self.machine, self.spec.sample_points, self.scalar_probes
         )
         chern = {name: reportlib.form_components(form) for name, form in sorted(forms.items())}
         chern["note"] = (

@@ -438,6 +438,12 @@ class Signomial:
             raise EvaluationDomainError(f"value at {list(point)} is not finite")
         return total
 
+    def sample_norm(self, points: Iterable[Sequence[float]]) -> float:
+        """Largest |value| at ``points``; 0.0 for zero, which is not evaluated."""
+        if not self.terms:
+            return 0.0
+        return max((abs(self.eval_at(p)) for p in points), default=0.0)
+
     # -- inspection ---------------------------------------------------------
 
     @property

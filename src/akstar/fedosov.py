@@ -9,6 +9,10 @@ The graded operators on Wick-algebra-valued forms:
   coefficients, linear transport on fiber variables, anholonomic exterior
   action on the form factor.
 
+``delta`` and ``dconn_apply`` put the new co-frame index in front of the
+word and leave its wedge sign to ``WickElement.from_terms``; a term whose
+new index repeats one in the word is skipped before its coefficient is built.
+
 ``delta_inv`` uses the interior product and carries no imaginary unit: that
 is the unique normalization under which
 ``a = (delta delta_inv + delta_inv delta + sigma)(a)`` holds identically,
@@ -36,11 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import FractionalDomainError, MalformedInputError
 from .expr import Signomial
 from .geometry import GeometryBundle
-from .wick import WickAlgebra, WickElement, sort_word
+from .wick import WickAlgebra, WickElement
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +57,11 @@ def delta(w: WickElement) -> WickElement:
     def terms():
         for (v, z, forms), c in w.terms.items():
             for g in range(w.dim):
-                if z[g] == 0:
+                if z[g] == 0 or g in forms:
                     continue
-                merged = sort_word((g,) + forms)
-                if merged is None:
-                    continue
-                sign, nf = merged
                 nz = list(z)
                 nz[g] -= 1
-                yield v, nz, nf, c.scale(sign * z[g])
+                yield v, nz, (g,) + forms, c.scale(z[g])
 
     return WickElement.from_terms(w.dim, terms())
 
@@ -114,28 +115,20 @@ class FedosovMachine:
         self.bundle = bundle
         self.dim = bundle.ctx.dim
         self.algebra = WickAlgebra(bundle.lam)
+        dim = self.dim
+        G, W = bundle.gamma, bundle.anholonomy
         # nonzero Gamma entries grouped by wedge direction:
         # transport term  - Gamma(tgt, dir, src) z^src d/dz^tgt
-        self.gamma_by_dir = []
-        for al in range(self.dim):
-            entries = []
-            for tgt in range(self.dim):
-                for src in range(self.dim):
-                    gam = bundle.gamma[tgt][al][src]
-                    if not gam.is_zero:
-                        entries.append((tgt, src, gam))
-            self.gamma_by_dir.append(entries)
+        self.gamma_by_dir = [
+            [(t, s, G[t][al][s]) for t in range(dim) for s in range(dim) if not G[t][al][s].is_zero]
+            for al in range(dim)
+        ]
         # nonzero anholonomy entries with ordered index pairs, grouped by
         # the form index they replace
-        self.w_by_form = []
-        for g in range(self.dim):
-            entries = []
-            for a in range(self.dim):
-                for b in range(a + 1, self.dim):
-                    wgab = bundle.anholonomy[g][a][b]
-                    if not wgab.is_zero:
-                        entries.append((a, b, wgab))
-            self.w_by_form.append(entries)
+        self.w_by_form = [
+            [(a, b, W[g][a][b]) for a, b in combinations(range(dim), 2) if not W[g][a][b].is_zero]
+            for g in range(dim)
+        ]
         self.t_hat = self._torsion_element()
         self.r_hat = self._curvature_element()
 
@@ -187,32 +180,28 @@ class FedosovMachine:
 
     def dconn_apply(self, w: WickElement) -> WickElement:
         """D-check: raises deg_a by one, preserves the total degree."""
-        bundle = self.bundle
 
         def terms():
             for (v, z, forms), c in w.terms.items():
                 for al in range(self.dim):
-                    merged = sort_word((al,) + forms)
-                    if merged is None:
+                    if al in forms:
                         continue
-                    sign, nf = merged
-                    yield v, z, nf, bundle.e(c, al).scale(sign)
+                    word = (al,) + forms
+                    yield v, z, word, self.bundle.e(c, al)
                     for tgt, src, gam in self.gamma_by_dir[al]:
                         if z[tgt] == 0:
                             continue
                         nz = list(z)
                         nz[tgt] -= 1
                         nz[src] += 1
-                        yield v, nz, nf, (gam * c).scale(-sign * z[tgt])
+                        yield v, nz, word, (gam * c).scale(-z[tgt])
                 for m, g in enumerate(forms):
                     rest = forms[:m] + forms[m + 1:]
                     msign = -1.0 if m % 2 else 1.0
                     for a, b, wgab in self.w_by_form[g]:
-                        srt = sort_word((a, b) + rest)
-                        if srt is None:
+                        if a in rest or b in rest:
                             continue
-                        ssign, nf = srt
-                        yield v, z, nf, (wgab * c).scale(-msign * ssign)
+                        yield v, z, (a, b) + rest, (wgab * c).scale(-msign)
 
         return WickElement.from_terms(self.dim, terms())
 
@@ -339,8 +328,8 @@ class FedosovState:
 # ---------------------------------------------------------------------------
 
 
-def flat_d(w: WickElement, state: FedosovState, max_deg=None) -> WickElement:
-    """D-hat = -delta + D-check - (i/v) ad(r), through Deg ``max_deg`` if given.
+def flat_d(w: WickElement, state: FedosovState, max_deg) -> WickElement:
+    """D-hat = -delta + D-check - (i/v) ad(r), through Deg ``max_deg``.
 
     Dividing by v lowers Deg by 2, so the commutator is capped at
     ``max_deg + 2``.
@@ -349,9 +338,8 @@ def flat_d(w: WickElement, state: FedosovState, max_deg=None) -> WickElement:
     out = -delta(w) + machine.dconn_apply(w)
     r = state.r_total()
     if not r.is_zero and not w.is_zero:
-        cap = None if max_deg is None else max_deg + 2
-        out = out - machine.i_over_v_commutator(r, w, max_deg=cap)
-    return out if max_deg is None else out.truncate(max_deg)
+        out = out - machine.i_over_v_commutator(r, w, max_deg=max_deg + 2)
+    return out.truncate(max_deg)
 
 
 def flat_d_squared_residual(probe: WickElement, state: FedosovState, points) -> float:

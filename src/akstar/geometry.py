@@ -44,12 +44,6 @@ from .expr import AlphaContext, Signomial
 Matrix = list[list[Signomial]]
 
 
-def _zeros(ctx: AlphaContext, *shape: int) -> list:
-    if len(shape) == 1:
-        return [Signomial.zero(ctx.dim) for _ in range(shape[0])]
-    return [_zeros(ctx, *shape[1:]) for _ in range(shape[0])]
-
-
 @dataclass(frozen=True)
 class LagrangianSpec:
     """A regular Lagrangian along with its differentiation context.
@@ -259,7 +253,8 @@ def anholonomy(N: Matrix, ctx: AlphaContext) -> list:
     """
     n = ctx.n
     dim = ctx.dim
-    w = _zeros(ctx, dim, dim, dim)
+    zero = Signomial.zero(dim)
+    w = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for a in range(n):
         for i in range(n):
             for j in range(i + 1, n):
@@ -278,7 +273,8 @@ def anholonomy(N: Matrix, ctx: AlphaContext) -> list:
 def torsion(gamma: list, anhol: list, ctx: AlphaContext) -> list:
     """Frame torsion T^g_{ab} = gamma[g][a][b] - gamma[g][b][a] - w^g_{ab}."""
     dim = ctx.dim
-    full = _zeros(ctx, dim, dim, dim)
+    zero = Signomial.zero(dim)
+    full = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for g in range(dim):
         for a in range(dim):
             for b in range(a + 1, dim):
@@ -537,8 +533,7 @@ def acp_residual(bundle: GeometryBundle, points: Sequence) -> float:
                         th_g = bundle.theta_lower[g][t]
                         if not th_g.is_zero:
                             res = res - th_g * bundle.curvature[t][f][a][b]
-                    for p in points:
-                        worst = max(worst, abs(res.eval_at(p)))
+                    worst = max(worst, res.sample_norm(points))
     return worst
 
 
@@ -550,8 +545,7 @@ def anholonomy_residual(
     Zero (to round-off) at alpha = 1; genuinely nonzero for alpha < 1
     because Caputo frame operators are not derivations.
     """
-    ctx = bundle.ctx
-    dim = ctx.dim
+    dim = bundle.ctx.dim
     worst = 0.0
     for f in probes:
         ef = [bundle.e(f, a) for a in range(dim)]
@@ -562,8 +556,7 @@ def anholonomy_residual(
                     w = bundle.anholonomy[g][a][b]
                     if not w.is_zero:
                         res = res - w * ef[g]
-                for p in points:
-                    worst = max(worst, abs(res.eval_at(p)))
+                worst = max(worst, res.sample_norm(points))
     return worst
 
 
@@ -600,7 +593,5 @@ def nijenhuis_residual(bundle: GeometryBundle, points: Sequence) -> float:
                 acc = acc - w[g][a][b]
                 t02 = T[g][a][b] - T[g][ja][jb].scale(sa * sb)
                 t02 = t02 - T[jg][ja][b].scale(sa * sg) - T[jg][a][jb].scale(sb * sg)
-                res = acc - t02
-                for p in points:
-                    worst = max(worst, abs(res.eval_at(p)))
+                worst = max(worst, (acc - t02).sample_norm(points))
     return worst

@@ -22,8 +22,10 @@ index drops the term.
 Elements are canonical in and canonical out.  Raw terms enter only
 through ``WickElement.from_terms`` (``from_term`` is its one-term form),
 which validates each key, sorts the co-frame word with its permutation
-sign and merges like keys; ``+``, ``-``, ``scale`` and the product trust
-canonical operands and build canonical results without re-checking them.
+sign (the one place the linear operators of :mod:`akstar.fedosov` get
+their wedge sign) and merges like keys; ``+``, ``-``, ``scale`` and the
+product trust canonical operands and build canonical results without
+re-checking them.
 The bare constructor is for those internal results only.
 
 The combinatorics of a term pair depend only on its fiber degrees, so
@@ -211,11 +213,7 @@ class WickElement:
         return max((c.max_abs_coeff() for c in self.terms.values()), default=0.0)
 
     def sample_norm(self, points) -> float:
-        worst = 0.0
-        for c in self.terms.values():
-            for p in points:
-                worst = max(worst, abs(c.eval_at(p)))
-        return worst
+        return max((c.sample_norm(points) for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
         bits = []

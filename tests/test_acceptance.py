@@ -194,7 +194,7 @@ def test_criterion_4_integer_limit_operator_suite():
             worst = max(worst, m.delta_torsion_residual(pts))
             worst = max(worst, m.delta_curvature_residual(pts))
             worst = max(worst, nijenhuis_residual(b, pts))
-            gamma = chern_weyl(b, curvature_trace(b))
+            gamma = chern_weyl(curvature_trace(b))
             worst = max(worst, exterior_derivative(gamma, m).sample_norm(pts))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-8 and elapsed < 30.0
@@ -343,19 +343,19 @@ def test_criterion_7_fractional_end_to_end():
 
 def test_criterion_8_chern_layer():
     b_flat = make_bundle("flat", 1, 1.0)
-    gamma = chern_weyl(b_flat, curvature_trace(b_flat))
+    gamma = chern_weyl(curvature_trace(b_flat))
     mu, lam, kappa = lemma_forms(FedosovMachine(b_flat), curvature_trace(b_flat))
     flat_zero = (
         gamma.is_zero and mu.is_zero and lam.is_zero and kappa.is_zero
     )
     b = make_bundle("coupled", 1, 1.0)
     pts = sample_points(1)
-    gamma = chern_weyl(b, curvature_trace(b))
+    gamma = chern_weyl(curvature_trace(b))
     dgamma = exterior_derivative(gamma, FedosovMachine(b)).sample_norm(pts)
     worst_kappa = 0.0
     for kind, n, alpha in (("coupled", 1, 1.0), ("coupled", 1, 0.5), ("flat", 1, 0.5)):
         bb = make_bundle(kind, n, alpha)
-        g2 = chern_weyl(bb, curvature_trace(bb))
+        g2 = chern_weyl(curvature_trace(bb))
         m2, l2, k2 = lemma_forms(FedosovMachine(bb), curvature_trace(bb))
         resid = (k2 + l2.scale(1j) - g2.scale(0.5j)).sample_norm(sample_points(n))
         worst_kappa = max(worst_kappa, resid)

@@ -93,7 +93,7 @@ def test_theta_is_d_of_canonical_one_form_classically():
 
 def test_gamma_zero_on_flat_config():
     b = make_bundle("flat", 1, 1.0)
-    gamma = chern_weyl(b, curvature_trace(b))
+    gamma = chern_weyl(curvature_trace(b))
     assert gamma.is_zero
     assert c0_representative(gamma).is_zero
 
@@ -101,7 +101,7 @@ def test_gamma_zero_on_flat_config():
 def test_gamma_closed_classically():
     for kind, n in (("coupled", 1), ("coupled", 2), ("cross", 2)):
         b = make_bundle(kind, n, 1.0)
-        gamma = chern_weyl(b, curvature_trace(b))
+        gamma = chern_weyl(curvature_trace(b))
         dgamma = exterior_derivative(gamma, FedosovMachine(b))
         assert dgamma.sample_norm(sample_points(n)) < 1e-8
 
@@ -144,7 +144,7 @@ def test_gamma_vanishes_by_block_structure(kind, n, alpha, curved):
                for entry in col) == curved
     trace = curvature_trace(b)
     assert trace.is_zero
-    gamma = chern_weyl(b, trace)
+    gamma = chern_weyl(trace)
     assert gamma.is_zero
     assert exterior_derivative(gamma, FedosovMachine(b)).sample_norm(sample_points(n)) == 0.0
 
@@ -183,7 +183,7 @@ def test_kappa_assembly_identity():
         ("y4", 1, 1.0),
     ):
         b = make_bundle(kind, n, alpha)
-        gamma = chern_weyl(b, curvature_trace(b))
+        gamma = chern_weyl(curvature_trace(b))
         mu, lam, kappa = lemma_forms(FedosovMachine(b), curvature_trace(b))
         lhs = kappa + lam.scale(1j)
         rhs = gamma.scale(0.5j)

@@ -288,6 +288,22 @@ def test_eval_overflow_is_a_domain_error():
         sig(2, (1e308, [1, 0]), (1e308, [0, 1])).eval_at((1.5, 1.5))  # the sum does
 
 
+def test_sample_norm_is_the_largest_value_and_skips_zero(monkeypatch):
+    s = sig(2, (1.0, [2, 0]), (-4.0, [0, 1]))
+    points = ((2.0, 3.0), (1.0, 1.0), (3.0, 0.5))
+    # values -8, -3 and 7
+    assert s.sample_norm(points) == max(abs(s.eval_at(p)) for p in points) == 8.0
+    calls = []
+    evaluate = Signomial.eval_at
+    monkeypatch.setattr(
+        Signomial, "eval_at", lambda self, p: calls.append(p) or evaluate(self, p)
+    )
+    assert Signomial.zero(2).sample_norm(points) == 0.0
+    assert calls == []
+    assert s.sample_norm(points) == 8.0
+    assert len(calls) == 3
+
+
 # -- context -----------------------------------------------------------------
 
 

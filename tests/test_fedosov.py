@@ -1,6 +1,7 @@
 """Grading-shift operators, flatness recursion, lift, and star product."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -127,6 +128,78 @@ def test_delta_is_graded_derivation(alpha):
 
 
 # -- connection lift -------------------------------------------------------------
+
+
+# The wedge sign of delta and D-check is applied once, by WickElement.from_terms, to
+# the word with the new index in front.  Each expected coefficient below is written
+# out by hand for a W4 element; applying the sign twice or not at all flips it.
+
+
+def test_delta_sign_for_an_index_landing_mid_word():
+    w = WickElement.from_term(4, 0, (0, 2, 1, 1), (0, 2), Signomial.constant(4, 3.0))
+    got = delta(w)
+    assert got.terms.keys() == {(0, (0, 1, 1, 1), (0, 1, 2)), (0, (0, 2, 1, 0), (0, 2, 3))}
+    # e^1 passes e^0 (one swap, -) with weight z^1 degree 2; e^3 passes two (+)
+    assert got.terms[(0, (0, 1, 1, 1), (0, 1, 2))] == Signomial.constant(4, -6.0)
+    assert got.terms[(0, (0, 2, 1, 0), (0, 2, 3))] == Signomial.constant(4, 3.0)
+
+
+def test_dconn_frame_and_anholonomy_signs_for_mid_word_indices():
+    m = machine("w4", 2, 1.0)
+    b = m.bundle
+    W = b.anholonomy
+    f = Signomial.from_terms(4, [(1.0, [1, 0, 2, 0])])
+    got = m.dconn_apply(WickElement.from_term(4, 0, (0, 0, 0, 0), (1, 3), f))
+    z = (0, 0, 0, 0)
+    expect = {
+        # frame derivative e_0 f e^0 e^1 e^3 (+); anholonomy: e^3 -> -(1/2) w^3_ab e^a e^b,
+        # and (0, 3) + (1,) sorts with one swap (-), past e^1 (-): -w^3_03 f
+        (0, z, (0, 1, 3)): b.e(f, 0) - W[3][0][3] * f,
+        # frame derivative e^2 passes e^1 (-)
+        (0, z, (1, 2, 3)): -b.e(f, 2),
+        # (0, 2) + (1,) sorts with one swap (-), past e^1 (-): -w^3_02 f
+        (0, z, (0, 1, 2)): -(W[3][0][2] * f),
+    }
+    assert got.terms.keys() == expect.keys()
+    for key, coeff in expect.items():
+        assert not coeff.is_zero
+        assert coeff_distance(got.terms[key], coeff) <= 1e-14 * coeff.max_abs_coeff()
+
+
+def test_dconn_transport_sign_for_an_index_landing_mid_word():
+    m = machine("w4", 2, 1.0)
+    b = m.bundle
+    G, W = b.gamma, b.anholonomy
+    one = Signomial.constant(4, 1.0)
+    got = m.dconn_apply(WickElement.from_term(4, 0, (0, 1, 0, 0), (0, 2), one))
+    # e_a of a constant is zero, so only transport -G^1_{1 src} z^src d/dz^1 along e^1
+    # (e^1 passes e^0: -, so +G) and the anholonomy of e^2 (past e^0: +) remain
+    expect = {
+        (0, (1, 0, 0, 0), (0, 1, 2)): G[1][1][0],
+        (0, (0, 1, 0, 0), (0, 1, 2)): G[1][1][1] + W[2][1][2],
+        (0, (0, 1, 0, 0), (0, 1, 3)): W[2][1][3],
+    }
+    assert got.terms.keys() == expect.keys()
+    for key, coeff in expect.items():
+        assert not coeff.is_zero
+        assert coeff_distance(got.terms[key], coeff) <= 1e-14 * coeff.max_abs_coeff()
+
+
+def test_a_repeated_index_drops_the_term_before_its_coefficient(monkeypatch):
+    m = machine("w4", 2, 1.0)
+    f = Signomial.from_terms(4, [(1.0, [1, 1, 2, 1])])
+    # every new index repeats one of e^0 e^1 e^2 e^3, so every term drops
+    top = WickElement.from_term(4, 0, (1, 2, 0, 1), (0, 1, 2, 3), f)
+    built = []
+    for name in ("__mul__", "scale", "caputo"):
+        def counted(self, *args, _orig=getattr(Signomial, name), _name=name):
+            built.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(Signomial, name, counted)
+    assert delta(top).is_zero
+    assert m.dconn_apply(top).is_zero
+    assert built == []
 
 
 def test_dconn_flat_annihilates_fiber_generator():
@@ -346,9 +419,9 @@ def test_truncation_order_validated():
 def test_flat_d_on_flat_config():
     st = solved("flat", 1, 3)
     zx = z_var(2, 0)
-    once = flat_d(zx, st)
+    once = flat_d(zx, st, max_deg=math.inf)
     assert (once + delta(zx)).coeff_norm() == 0.0  # D-hat = -delta here
-    assert flat_d(once, st).coeff_norm() == 0.0
+    assert flat_d(once, st, max_deg=math.inf).coeff_norm() == 0.0
 
 
 @pytest.mark.parametrize("kind,n", [("coupled", 1), ("coupled", 2)])
@@ -373,7 +446,7 @@ def _certificate(bundle):
     m = FedosovMachine(bundle)
     probes = make_probes(bundle, seed=7, count=8)
     suite = Suite(bundle.ctx.alpha, "diagnostic", {})
-    fedosov_checks(suite, m, m.solve_r(3), sample_points(1), probes)
+    fedosov_checks(suite, m.solve_r(3), sample_points(1), probes)
     values = {entry["name"]: entry["value"] for entry in suite.entries}
     return values["fedosov_dsq_probe"], values["fedosov_dconn_derivation"]
 
@@ -423,7 +496,7 @@ def test_capped_flat_d_is_exact_truncation(kind, alpha):
     for _ in range(12):
         w = rand_wick(rng, 2)
         try:
-            full = flat_d(w, st)
+            full = flat_d(w, st, max_deg=math.inf)
         except FractionalDomainError:
             continue
         for d in range(max(full.total_degrees(), default=0) + 1):

@@ -9,7 +9,9 @@ a process.  The invocations are read from CHANGE_ROOT:
 * every ``tests/golden/*.config.json`` under ``run``, ``run --format text``,
   ``check algebra|geometry|fedosov|caputo`` and ``star --order 1``;
 * every invocation of every workload in ``perfbench/workloads.py`` at seed 7,
-  that file loaded by path and only read.
+  that file loaded by path and only read;
+* the full ``run`` of that file's ``W4`` Lagrangian (n = 2, K = 3) in strict
+  mode, which no workload covers.
 
 The script prints each invocation whose stdout, stderr or exit code differs
 between the roots and exits 1 if any differs, 0 otherwise.  When both
@@ -68,6 +70,10 @@ def invocations(root: Path, work: Path) -> list:
             path = work / f"{workload}.{inv.name}.config.json"
             path.write_text(json.dumps(inv.config))
             out.append((f"{workload} {inv.name}: {' '.join(inv.command)}", inv.command, path))
+    config = dict(workloads._config(1.0, 2, workloads.W4, 3, SEED), mode="strict")
+    path = work / "w4_run.config.json"
+    path.write_text(json.dumps(config))
+    out.append(("w4 full: run", ("run",), path))
     return out
 
 
