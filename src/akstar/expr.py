@@ -77,10 +77,9 @@ def _is_nonpositive_integer(value: float) -> bool:
     return value < 0.5 and abs(value - round(value)) <= 1e-12
 
 
-# The Gamma functions below port the Cephes routines ``lgam`` and ``Gamma``
-# (S. L. Moshier) that ``scipy.special`` runs, with the same constants and
-# the same order of floating-point operations, so they return the same bits.
-# Which terms of a fractional recursion cancel into the dead zone can turn
+# The log-gamma below ports the Cephes routine ``lgam`` (S. L. Moshier)
+# that ``scipy.special`` runs, with the same constants and the same order
+# of floating-point operations, so it returns the same bits.  Which terms of a fractional recursion cancel into the dead zone can turn
 # on the last bit of a Gamma ratio, so a different log-gamma
 # (``math.lgamma``, say) would change reported term counts.
 
@@ -94,12 +93,6 @@ _LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.2052859
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _LOGPI = 1.14472988584940017414
 _MAXLGM = 2.556348e305
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
-            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
-            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
 
 
 def _polevl(x: float, coef: tuple) -> float:
@@ -163,25 +156,6 @@ def _gamma_sign(x: float) -> float:
     if x > 0.0:
         return 1.0
     return -1.0 if math.ceil(-x) % 2 else 1.0
-
-
-def _gamma(x: float) -> float:
-    """Gamma(x) for 0 < x <= 33 (Cephes ``Gamma``; the oracle needs (0, 1))."""
-    if not 0.0 < x <= 33.0:
-        raise ValueError(f"_gamma is ported for 0 < x <= 33 only, got {x!r}")
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        if x < 1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 @lru_cache(maxsize=None)

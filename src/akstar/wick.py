@@ -31,20 +31,20 @@ The bare constructor is for those internal results only.
 The combinatorics of a term pair depend only on its fiber degrees, so
 ``WickAlgebra`` keeps one contraction table entry per (z1, z2), filled on
 first use: per pattern r, the output fiber degrees, the integer weight
-(falling factorials), prod k! and the Lambda powers.  ``product`` applies
+(falling factorials), prod k! and the Lambda powers.  The pair loop applies
 ``wsign * weight / denom * (i/2)^r`` and the Lambda powers one at a time,
 the arithmetic of a fresh enumeration in its order, so each contribution
 has the bits a fresh enumeration gives it.
 
-``product`` sums the contributions to one output key raw, with
-``Signomial.__add__``'s arithmetic in pattern order, and applies the
-Signomial dead zone once per key after the last one: a key with a single
-contribution holds that operand unchanged, and a key whose sum comes out
-empty is dropped.  ``from_terms``, ``+`` and ``-`` keep the running dead
-zone of ``_accum`` instead.  For ``from_terms`` that is load-bearing:
-summing its terms raw keeps cancellation debris that the running zone
-drops, which moved 10 of the 85 command-line outputs ``tools/same_outputs.py``
-compares, among them the Deg 7 r-term count of x^2 y^3 (26 -> 28).
+One accumulation rule serves ``product``, ``commutator``, ``+`` and ``-``:
+``_add_raw`` sums the contributions to an output key raw, with
+``Signomial.__add__``'s arithmetic in order, and ``_finish`` applies the
+dead zone once per key, so a key with one contribution holds that operand
+unchanged and a key whose sum comes out empty is dropped.  ``commutator``
+is two passes of the pair loop (x o y, then y o x with the graded sign)
+into one store.  ``from_terms`` is the exception: it keeps a dead zone
+after every add, because summing its terms raw keeps cancellation debris
+the running zone drops (the Deg 7 r-term count of x^2 y^3 moves 26 -> 28).
 
 Deg is additive under this product: a contraction trades two units of
 deg_s for one power of v, so every output of a term pair has the Deg sum
@@ -112,8 +112,9 @@ class WickElement:
 
         Each term is validated (v >= 0, ``dim`` non-negative fiber degrees),
         its co-frame word sorted with the permutation sign (a repeated index
-        drops the term), and like keys merge in order through ``_accum``,
-        with a dead zone after every add (the module docstring says why).
+        drops the term), and like keys merge in order through
+        ``Signomial.__add__``, with a dead zone after every add (the module
+        docstring says why).
         """
         terms: dict = {}
         for v_power, z_degrees, word, coeff in raw:
@@ -128,7 +129,12 @@ class WickElement:
                 continue
             sign, forms = srt
             key = (int(v_power), tuple(int(d) for d in z_degrees), forms)
-            _accum(terms, key, coeff.scale(sign) if sign < 0 else coeff)
+            c = coeff.scale(sign) if sign < 0 else coeff
+            c = terms[key] + c if key in terms else c
+            if c.is_zero:
+                del terms[key]
+            else:
+                terms[key] = c
         return cls(dim, terms)
 
     @classmethod
@@ -142,8 +148,8 @@ class WickElement:
             raise MalformedInputError("dimension mismatch in Wick sum")
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            _accum(terms, key, -c if negate else c)
-        return WickElement(self.dim, terms)
+            _add_raw(terms, key, -c if negate else c)
+        return WickElement(self.dim, _finish(terms, self.dim))
 
     def __add__(self, other):
         return self._merged(other, False)
@@ -283,19 +289,11 @@ class WickAlgebra:
         entries = self._table[(z1, z2)] = tuple(entries)
         return entries
 
-    def product(
-        self, x: WickElement, y: WickElement, *, max_deg=None, sigma_only=False
-    ) -> WickElement:
-        """x o y; with ``max_deg`` only its terms of Deg <= max_deg, with
-        ``sigma_only`` only its deg_s = deg_a = 0 terms.
-
-        A pair whose Deg sum exceeds ``max_deg`` is skipped whole.  The
-        sigma-projection keeps the 0-form pairs with equal deg_s and, of
-        those, the fully contracting patterns.
-        """
-        # key -> its one contribution so far (a Signomial) or the raw
-        # {exponent key: complex} sum of several, dead-zoned once at the end
-        out: dict = {}
+    def _add_pairs(self, out: dict, x, y, max_deg, sigma_only=False, swapped=False):
+        """``_add_raw`` each contribution of x o y into ``out``; ``swapped``
+        folds the sign -(-1)^{|A1| |A2|} of a commutator's y o x half into
+        each pair's wedge sign.  The sigma-projection keeps the 0-form pairs
+        with equal deg_s and, of those, the fully contracting patterns."""
         cap = inf if max_deg is None else max_deg
         xs, ys = x.terms.items(), y.terms.items()
         if sigma_only:
@@ -312,6 +310,8 @@ class WickAlgebra:
                 if merged is None:
                     continue
                 wsign, forms = merged
+                if swapped and len(a1) * len(a2) % 2 == 0:
+                    wsign = -wsign
                 base = c1 * c2
                 if base.is_zero:
                     continue
@@ -329,28 +329,24 @@ class WickAlgebra:
                     if coeff.is_zero:
                         continue
                     _add_raw(out, (v1 + v2 + r, z_out, forms), coeff)
-        for key, c in list(out.items()):
-            if type(c) is dict:
-                c = _drop_debris(c)
-                if c:
-                    out[key] = Signomial(x.dim, c)
-                else:
-                    del out[key]
-        return WickElement(self.dim, out)
+
+    def product(
+        self, x: WickElement, y: WickElement, *, max_deg=None, sigma_only=False
+    ) -> WickElement:
+        """x o y; with ``max_deg`` only its terms of Deg <= max_deg, with
+        ``sigma_only`` only its deg_s = deg_a = 0 terms."""
+        out: dict = {}
+        self._add_pairs(out, x, y, max_deg, sigma_only)
+        return WickElement(self.dim, _finish(out, x.dim))
 
     def commutator(self, x: WickElement, y: WickElement, *, max_deg=None) -> WickElement:
-        """deg_a-graded commutator, extended bilinearly off homogeneity;
-        with ``max_deg`` only its terms of Deg <= max_deg."""
-        xe, xo = x.split_form_parity()
-        ye, yo = y.split_form_parity()
-
-        def prod(a, b):
-            return self.product(a, b, max_deg=max_deg)
-
-        out = prod(x, y)
-        out = out - prod(ye, xe) - prod(ye, xo) - prod(yo, xe)
-        out = out + prod(yo, xo)
-        return out
+        """deg_a-graded commutator x o y - sum_{p,q} (-1)^{pq} y_p o x_q, with
+        p, q the form-degree parities; with ``max_deg`` only its terms of
+        Deg <= max_deg."""
+        out: dict = {}
+        self._add_pairs(out, x, y, max_deg)
+        self._add_pairs(out, y, x, max_deg, swapped=True)
+        return WickElement(self.dim, _finish(out, x.dim))
 
 
 def _add_raw(store: dict, key, coeff: Signomial):
@@ -370,12 +366,14 @@ def _add_raw(store: dict, key, coeff: Signomial):
         prev[k] = prev.get(k, 0j) + c
 
 
-def _accum(store: dict, key, coeff: Signomial):
-    if key in store:
-        s = store[key] + coeff
-        if s.is_zero:
-            del store[key]
-        else:
-            store[key] = s
-    else:
-        store[key] = coeff
+def _finish(out: dict, dim: int) -> dict:
+    """Dead-zone each raw entry of an ``_add_raw`` store once, dropping the
+    entries it empties; returns ``out``."""
+    for key, c in list(out.items()):
+        if type(c) is dict:
+            c = _drop_debris(c)
+            if c:
+                out[key] = Signomial(dim, c)
+            else:
+                del out[key]
+    return out

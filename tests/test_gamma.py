@@ -1,4 +1,4 @@
-"""The pure-Python Gamma port returns the same bits as ``scipy.special``.
+"""The pure-Python log-gamma and sign rule return the same bits as ``scipy.special``.
 
 scipy is a test dependency only: it is the oracle that the Cephes port in
 :mod:`akstar.expr` must match exactly (``==``, not ``approx``), because the
@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-import akstar.caputo_quad
 import akstar.expr
 from akstar.cli import main
-from akstar.expr import _gamma, _gamma_sign, _lgamma, power_rule_factor
+from akstar.expr import _gamma_sign, _lgamma, power_rule_factor
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -75,22 +74,6 @@ def test_gamma_sign_equals_gammasgn_on_dense_grid():
     assert _same_bits(_gamma_sign, special.gammasgn, xs) == []
 
 
-def test_gamma_equals_scipy_gamma_on_dense_grid():
-    rng = np.random.default_rng(20260417)
-    xs = np.concatenate([
-        rng.uniform(0.0, 1.0, 20000),   # 1 - alpha, the oracle's prefactor
-        rng.uniform(0.0, 33.0, 5000),
-        [1e-10, 1e-9, 0.5, 1.0, 2.0, 3.0, 33.0],
-    ])
-    assert _same_bits(_gamma, special.gamma, [float(x) for x in xs if x > 0.0]) == []
-
-
-def test_gamma_refuses_arguments_outside_the_port():
-    for x in (0.0, -0.5, 33.5, math.inf):
-        with pytest.raises(ValueError):
-            _gamma(x)
-
-
 # -- the sign rule against a hand-written table ----------------------------
 
 # sign of Gamma(x) on each open interval of (-4, 4) between poles
@@ -125,8 +108,8 @@ def _reached_configs():
 
 @pytest.fixture(scope="module")
 def reached(tmp_path_factory):
-    """The arguments of every log-gamma, sign and Gamma call of those runs."""
-    args = {"lgamma": set(), "sign": set(), "gamma": set()}
+    """The arguments of every log-gamma and sign call of those runs."""
+    args = {"lgamma": set(), "sign": set()}
 
     def recorder(kind, fn):
         def wrapped(x):
@@ -140,7 +123,6 @@ def reached(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(akstar.expr, "_lgamma", recorder("lgamma", _lgamma))
         mp.setattr(akstar.expr, "_gamma_sign", recorder("sign", _gamma_sign))
-        mp.setattr(akstar.caputo_quad, "_gamma", recorder("gamma", _gamma))
         for raw in _reached_configs():
             config.write_text(json.dumps(raw))
             main(["run", "--config", str(config)], stream=io.StringIO())
@@ -152,7 +134,6 @@ def test_reached_arguments_were_recorded(reached):
     # the fractional sweep alone reaches about 180 log-gamma arguments
     assert len(reached["lgamma"]) > 150
     assert reached["sign"] == reached["lgamma"]
-    assert len(reached["gamma"]) >= 5
 
 
 def test_reached_lgamma_equals_gammaln(reached):
@@ -161,7 +142,3 @@ def test_reached_lgamma_equals_gammaln(reached):
 
 def test_reached_gamma_sign_equals_gammasgn(reached):
     assert _same_bits(_gamma_sign, special.gammasgn, reached["sign"]) == []
-
-
-def test_reached_gamma_equals_scipy_gamma(reached):
-    assert _same_bits(_gamma, special.gamma, reached["gamma"]) == []

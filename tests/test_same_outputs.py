@@ -57,3 +57,22 @@ def test_invocations_include_the_full_w4_run_in_strict_mode(tmp_path):
     assert config["mode"] == "strict"
     assert config["truncation_order"] == 3
     assert config["lagrangian"] == same_outputs._workloads(root).W4
+
+
+def test_round_off_only_uses_the_golden_tolerance():
+    def dump(value):
+        return json.dumps({"checks": [{"status": "pass", "value": value}], "n": 3}).encode()
+
+    assert same_outputs.round_off_only(dump(1.76e-15), dump(1.11e-15))
+    assert same_outputs.round_off_only(dump(-0.003472222222222222), dump(-0.0034722222222222225))
+    # the bound is relative above |old| = 1
+    assert same_outputs.round_off_only(dump(5000.0), dump(5000.0 + 4e-9))
+    assert not same_outputs.round_off_only(dump(5000.0), dump(5000.0 + 6e-9))
+    assert not same_outputs.round_off_only(dump(0.0), dump(2e-12))
+    # only float leaves count: an int, a string or a missing leaf is not round-off
+    assert not same_outputs.round_off_only(dump(1), dump(1.0))
+    assert not same_outputs.round_off_only(dump(0.0), dump(0.0).replace(b"pass", b"fail"))
+    assert not same_outputs.round_off_only(dump(0.0), dump(0.0).replace(b', "n": 3', b""))
+    # identical or non-JSON stdouts are never flagged
+    assert not same_outputs.round_off_only(dump(0.5), dump(0.5))
+    assert not same_outputs.round_off_only(b"a 1e-16\n", b"a 2e-16\n")

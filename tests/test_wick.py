@@ -398,9 +398,75 @@ def test_product_does_not_call_signomial_add(monkeypatch):
     got = m.algebra.product(r2, r2)
     assert len(r2.terms) == 13 and len(got.terms) >= 33
     assert calls == []
-    # the patch is live: a Wick sum still adds coefficients through it
-    got + got
-    assert len(calls) == len(got.terms)
+    # the patch is live: from_terms still adds a repeated key through it
+    one = Signomial.constant(2, 1.0)
+    WickElement.from_terms(2, [(0, (1, 0), (), one), (0, (1, 0), (), one)])
+    assert len(calls) == 1
+
+
+# -- the graded commutator ---------------------------------------------------------
+
+
+def parity_reference(alg, x, y, max_deg=None):
+    """x o y - sum_{p,q} (-1)^{pq} y_p o x_q from products and sums."""
+    out = alg.product(x, y, max_deg=max_deg)
+    for p, yp in enumerate(y.split_form_parity()):
+        for q, xq in enumerate(x.split_form_parity()):
+            out = out - alg.product(yp, xq, max_deg=max_deg).scale((-1) ** (p * q))
+    return out
+
+
+def commutator_cases():
+    m = w4_machine()
+    r2 = delta_inv(m.t_hat)
+    # r2 is a 1-form and r_hat a 2-form; their sum has both parities
+    mixed = r2 + m.r_hat
+    cases = [(m.algebra, r2, r2), (m.algebra, r2, m.r_hat), (m.algebra, mixed, mixed)]
+    rng = np.random.default_rng(47)
+    for kind, n, alpha in CAP_CASES:
+        alg = algebra(alpha, kind, n)
+        cases += [(alg, *rand_pair(rng, 2 * n)) for _ in range(4)]
+    return cases
+
+
+def test_commutator_matches_parity_reference():
+    checked = 0
+    for alg, x, y in commutator_cases():
+        top = max(alg.commutator(x, y).total_degrees(), default=0)
+        scale = max(x.coeff_norm() * y.coeff_norm(), 1.0)
+        for max_deg in [None, *range(top + 1)]:
+            got = alg.commutator(x, y, max_deg=max_deg)
+            ref = parity_reference(alg, x, y, max_deg)
+            assert (got - ref).coeff_norm() <= 1e-14 * scale
+            checked += not ref.is_zero
+    assert checked >= 80
+
+
+def test_commutator_makes_no_product_or_signomial_add_call(monkeypatch):
+    m = w4_machine()
+    r2 = delta_inv(m.t_hat)
+    calls = {"product": 0, "add": 0}
+    add = Signomial.__add__
+    product = WickAlgebra.product
+
+    def counting_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    def counting_product(self, *args, **kwargs):
+        calls["product"] += 1
+        return product(self, *args, **kwargs)
+
+    monkeypatch.setattr(Signomial, "__add__", counting_add)
+    monkeypatch.setattr(WickAlgebra, "product", counting_product)
+    got = m.algebra.commutator(r2, m.r_hat)
+    assert not got.is_zero
+    assert calls == {"product": 0, "add": 0}
+    # both patches are live
+    m.algebra.product(r2, r2)
+    one = Signomial.constant(2, 1.0)
+    WickElement.from_terms(2, [(0, (1, 0), (), one), (0, (1, 0), (), one)])
+    assert calls == {"product": 1, "add": 1}
 
 
 def test_commutator_of_even_element_with_itself_vanishes():

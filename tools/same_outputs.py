@@ -17,7 +17,9 @@ The script prints each invocation whose stdout, stderr or exit code differs
 between the roots and exits 1 if any differs, 0 otherwise.  When both
 stdouts of a differing invocation parse as JSON, it also prints the leaves
 that moved, as JSON pointers with ``old -> new``, at most ``MAX_MOVED`` per
-invocation.
+invocation, and flags the invocation ``round-off only`` when its stdout is
+all that differs and every moved leaf is a float within the golden tests'
+tolerance, ``ROUND_OFF * max(1, |old|)``, of its old value.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 
 SEED = 7
 MAX_MOVED = 12
+ROUND_OFF = 1e-12
 # stands in for the missing side of a key or index present on one side only
 ABSENT = object()
 GOLDEN_COMMANDS = (
@@ -117,17 +120,31 @@ def leaf_text(value) -> str:
     return "(absent)" if value is ABSENT else json.dumps(value)
 
 
+def json_moves(old_stdout: bytes, new_stdout: bytes):
+    """``moved_leaves`` of two JSON stdouts, or None unless both parse."""
+    try:
+        return moved_leaves(json.loads(old_stdout), json.loads(new_stdout))
+    except ValueError:
+        return None
+
+
 def describe_moves(old_stdout: bytes, new_stdout: bytes, cap: int = MAX_MOVED) -> list:
     """Lines naming the moved leaves of two JSON stdouts; none unless both parse."""
-    try:
-        old, new = json.loads(old_stdout), json.loads(new_stdout)
-    except ValueError:
-        return []
-    moved = moved_leaves(old, new)
+    moved = json_moves(old_stdout, new_stdout) or []
     lines = [f"    {p or '(root)'}: {leaf_text(a)} -> {leaf_text(b)}" for p, a, b in moved[:cap]]
     if len(moved) > cap:
         lines.append(f"    ... and {len(moved) - cap} more moved leaves")
     return lines
+
+
+def round_off_only(old_stdout: bytes, new_stdout: bytes) -> bool:
+    """Whether two JSON stdouts differ, and only in float leaves that moved
+    by at most ``ROUND_OFF * max(1, |old|)``."""
+    moved = json_moves(old_stdout, new_stdout)
+    return bool(moved) and all(
+        type(a) is float and type(b) is float and abs(b - a) <= ROUND_OFF * max(1.0, abs(a))
+        for _, a, b in moved
+    )
 
 
 def main(argv=None) -> int:
@@ -141,16 +158,20 @@ def main(argv=None) -> int:
         invs = invocations(change, work)
         with ThreadPoolExecutor(max_workers=2) as pool:
             before, after = pool.map(lambda root: run_all(root, invs, work), (parent, change))
-    differing = 0
+    differing = round_off = 0
     for (label, _, _), old, new in zip(invs, before, after):
         streams = [s for s, a, b in zip(("stdout", "stderr", "exit code"), old, new) if a != b]
         if streams:
             differing += 1
+            if streams == ["stdout"] and round_off_only(old[0], new[0]):
+                round_off += 1
+                streams.append("round-off only")
             print(f"DIFFERS ({', '.join(streams)}): {label}")
             if "stdout" in streams:
                 for line in describe_moves(old[0], new[0]):
                     print(line)
-    print(f"{len(invs) - differing} of {len(invs)} invocations identical")
+    print(f"{len(invs) - differing} of {len(invs)} invocations identical, "
+          f"{round_off} of the {differing} that differ by round-off only")
     return 1 if differing else 0
 
 
