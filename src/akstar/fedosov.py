@@ -206,12 +206,13 @@ class FedosovMachine:
         return WickElement.from_terms(self.dim, terms())
 
     def i_over_v_commutator(self, a: WickElement, b: WickElement, max_deg=None) -> WickElement:
-        """(i/v)[a, b], through Deg ``max_deg`` of [a, b] if given; v^0 debris
-        of [a, b] is judged against |a|*|b| (see ``div_v``)."""
+        """(i/v)[a, b], through Deg ``max_deg`` of [a, b] if given; [a, b]
+        has no v^0 key (see ``WickAlgebra.commutator``), so ``div_v`` needs
+        no debris scale."""
         comm = self.algebra.commutator(a, b, max_deg=max_deg)
         if comm.is_zero:
             return comm
-        return comm.scale(1j).div_v(a.coeff_norm() * b.coeff_norm())
+        return comm.scale(1j).div_v(0.0)
 
     # -- operator-identity residuals, each the largest value at ``points`` -----
 

@@ -31,7 +31,8 @@ The bare constructor is for those internal results only.
 The combinatorics of a term pair depend only on its fiber degrees, so
 ``WickAlgebra`` keeps one contraction table entry per (z1, z2), filled on
 first use: per pattern r, the output fiber degrees, the integer weight
-(falling factorials), prod k! and the Lambda powers.  The pair loop applies
+(falling factorials), prod k!, the Lambda powers and the parity of the
+number of off-diagonal (a != b) contractions.  The pair loop applies
 ``wsign * weight / denom * (i/2)^r`` and the Lambda powers one at a time,
 the arithmetic of a fresh enumeration in its order, so each contribution
 has the bits a fresh enumeration gives it.
@@ -41,10 +42,18 @@ One accumulation rule serves ``product``, ``commutator``, ``+`` and ``-``:
 ``Signomial.__add__``'s arithmetic in order, and ``_finish`` applies the
 dead zone once per key, so a key with one contribution holds that operand
 unchanged and a key whose sum comes out empty is dropped.  ``commutator``
-is two passes of the pair loop (x o y, then y o x with the graded sign)
-into one store.  ``from_terms`` is the exception: it keeps a dead zone
-after every add, because summing its terms raw keeps cancellation debris
-the running zone drops (the Deg 7 r-term count of x^2 y^3 moves 26 -> 28).
+is one pass of the pair loop over x o y that keeps the odd patterns, each
+doubled.  It rests on the symmetry of the twist: g is diagonal and theta
+antisymmetric, so Lambda^{ba} = -Lambda^{ab} for a != b (``WickAlgebra``
+refuses any other Lambda), and the graded y o x that the commutator
+subtracts repeats each pattern of x o y times (-1)^(its number of
+off-diagonal contractions).  Even patterns, the
+r = 0 ones among them, cancel, odd ones double: the Wick form of "the
+Moyal bracket is the odd part of the Moyal product" (Fedosov 1994), and a
+commutator has no v^0 key.  ``from_terms`` is the exception to the one
+accumulation rule: it keeps a dead zone after every add, because summing
+its terms raw keeps cancellation debris the running zone drops (the Deg 7
+r-term count of x^2 y^3 moves 26 -> 28).
 
 Deg is additive under this product: a contraction trades two units of
 deg_s for one power of v, so every output of a term pair has the Deg sum
@@ -61,7 +70,7 @@ from __future__ import annotations
 from math import factorial, inf
 from operator import add
 
-from .errors import MalformedInputError
+from .errors import ExpressionClassError, MalformedInputError
 from .expr import Signomial, _drop_debris
 
 # key: (v_power, z_degrees tuple, strictly increasing form tuple)
@@ -233,6 +242,13 @@ class WickAlgebra:
 
     def __init__(self, lam):
         self.dim = len(lam)
+        for a in range(self.dim):
+            for b in range(a):
+                if lam[b][a] != -lam[a][b]:
+                    raise ExpressionClassError(
+                        f"twist entries ({a},{b}) and ({b},{a}) are not opposite: the "
+                        "commutator needs an antisymmetric off-diagonal Lambda"
+                    )
         self.lam = lam
         self.pairs = [
             (a, b)
@@ -256,15 +272,17 @@ class WickAlgebra:
 
     def _contractions(self, z1, z2) -> tuple:
         """Table entry for fiber degrees (z1, z2), built on first use: one
-        ``(r, z_out, weight, denom, lam_powers)`` tuple per pattern of k
-        contractions per pair, patterns in depth-first order over ``pairs``."""
+        ``(r, z_out, weight, denom, lam_powers, odd)`` tuple per pattern of k
+        contractions per pair, patterns in depth-first order over ``pairs``;
+        ``odd`` is the parity of the number of off-diagonal (a != b)
+        contractions."""
         entries = self._table.get((z1, z2))
         if entries is not None:
             return entries
         entries = []
         shared = self._shared
 
-        def rec(idx, rows, cols, r, denom, powers):
+        def rec(idx, rows, cols, r, denom, powers, odd):
             # rows and cols hold the fiber degrees not yet contracted;
             # powers lists the (a, b, k) with k > 0 so far
             if idx == len(self.pairs):
@@ -274,31 +292,39 @@ class WickAlgebra:
                 z_out = tuple(map(add, rows, cols))
                 if powers not in shared:
                     shared[powers] = tuple(self._lam_power(*p) for p in powers)
-                entries.append((r, shared.setdefault(z_out, z_out), weight, denom, shared[powers]))
+                entries.append(
+                    (r, shared.setdefault(z_out, z_out), weight, denom, shared[powers], odd)
+                )
                 return
             a, b = self.pairs[idx]
             for k in range(min(rows[a], cols[b]) + 1):
                 rows[a] -= k
                 cols[b] -= k
                 more = ((a, b, k),) if k else ()
-                rec(idx + 1, rows, cols, r + k, denom * factorial(k), powers + more)
+                rec(idx + 1, rows, cols, r + k, denom * factorial(k), powers + more,
+                    odd ^ (a != b and k % 2 == 1))
                 rows[a] += k
                 cols[b] += k
 
-        rec(0, list(z1), list(z2), 0, 1, ())
+        rec(0, list(z1), list(z2), 0, 1, (), False)
         entries = self._table[(z1, z2)] = tuple(entries)
         return entries
 
-    def _add_pairs(self, out: dict, x, y, max_deg, sigma_only=False, swapped=False):
-        """``_add_raw`` each contribution of x o y into ``out``; ``swapped``
-        folds the sign -(-1)^{|A1| |A2|} of a commutator's y o x half into
-        each pair's wedge sign.  The sigma-projection keeps the 0-form pairs
-        with equal deg_s and, of those, the fully contracting patterns."""
+    def _add_pairs(self, out: dict, x, y, max_deg, sigma_only=False, odd_only=False):
+        """``_add_raw`` each contribution of x o y into ``out``.  The
+        sigma-projection keeps the 0-form pairs with equal deg_s and, of
+        those, the fully contracting patterns; ``odd_only`` keeps the
+        patterns with an odd number of off-diagonal contractions, each
+        doubled, which is the graded commutator (see ``commutator``)."""
         cap = inf if max_deg is None else max_deg
         xs, ys = x.terms.items(), y.terms.items()
         if sigma_only:
             xs = [t for t in xs if not t[0][2]]
             ys = [t for t in ys if not t[0][2]]
+        if odd_only:
+            # an odd pattern contracts at least once, so both factors carry z
+            xs = [t for t in xs if any(t[0][1])]
+            ys = [t for t in ys if any(t[0][1])]
         ys = [(key, c, 2 * key[0] + sum(key[1]), sum(key[1])) for key, c in ys]
         for (v1, z1, a1), c1 in xs:
             s1 = sum(z1)
@@ -310,8 +336,8 @@ class WickAlgebra:
                 if merged is None:
                     continue
                 wsign, forms = merged
-                if swapped and len(a1) * len(a2) % 2 == 0:
-                    wsign = -wsign
+                if odd_only:
+                    wsign *= 2
                 base = c1 * c2
                 if base.is_zero:
                     continue
@@ -320,8 +346,8 @@ class WickAlgebra:
                     key = (v1 + v2, tuple(p + q for p, q in zip(z1, z2)), forms)
                     _add_raw(out, key, base.scale(wsign) if wsign < 0 else base)
                     continue
-                for r, z_out, weight, denom, lams in self._contractions(z1, z2):
-                    if sigma_only and r != s1:
+                for r, z_out, weight, denom, lams, odd in self._contractions(z1, z2):
+                    if (sigma_only and r != s1) or (odd_only and not odd):
                         continue
                     coeff = base.scale(complex(wsign * weight) / denom * (0.5j) ** r)
                     for lam in lams:
@@ -342,10 +368,14 @@ class WickAlgebra:
     def commutator(self, x: WickElement, y: WickElement, *, max_deg=None) -> WickElement:
         """deg_a-graded commutator x o y - sum_{p,q} (-1)^{pq} y_p o x_q, with
         p, q the form-degree parities; with ``max_deg`` only its terms of
-        Deg <= max_deg."""
+        Deg <= max_deg.
+
+        One pass over x o y that forms only its odd patterns, doubled: with
+        Lambda^{ba} = -Lambda^{ab} off the diagonal (checked in ``__init__``)
+        the even ones, every r = 0 pattern among them, cancel against the
+        graded y o x, so no result has a v^0 key."""
         out: dict = {}
-        self._add_pairs(out, x, y, max_deg)
-        self._add_pairs(out, y, x, max_deg, swapped=True)
+        self._add_pairs(out, x, y, max_deg, odd_only=True)
         return WickElement(self.dim, _finish(out, x.dim))
 
 

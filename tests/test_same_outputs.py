@@ -73,6 +73,23 @@ def test_round_off_only_uses_the_golden_tolerance():
     assert not same_outputs.round_off_only(dump(1), dump(1.0))
     assert not same_outputs.round_off_only(dump(0.0), dump(0.0).replace(b"pass", b"fail"))
     assert not same_outputs.round_off_only(dump(0.0), dump(0.0).replace(b', "n": 3', b""))
-    # identical or non-JSON stdouts are never flagged
+    # identical stdouts are never flagged
     assert not same_outputs.round_off_only(dump(0.5), dump(0.5))
-    assert not same_outputs.round_off_only(b"a 1e-16\n", b"a 2e-16\n")
+
+
+def test_round_off_only_compares_text_renderings_number_by_number():
+    old = b"  algebra_graded_jacobi  pass  value  4.441e-16  tol 1.0e-12\nx2y3 K 5\n"
+    new = old.replace(b"4.441e-16", b"3.511e-16")
+    assert same_outputs.text_moves(old, new) == [(0, 4.441e-16, 3.511e-16)]
+    assert same_outputs.round_off_only(old, new)
+    assert same_outputs.round_off_only(b"a -0.0035\n", b"a -0.0035000000000001\n")
+    # other text, a moved count, a number beyond the bound or an extra
+    # number is not round-off
+    assert same_outputs.text_moves(old, new.replace(b"pass", b"fail")) is None
+    assert not same_outputs.round_off_only(old, new.replace(b"pass", b"fail"))
+    assert not same_outputs.round_off_only(b"Deg 7: 26\n", b"Deg 7: 28\n")
+    assert not same_outputs.round_off_only(b"a 0.0\n", b"a 2e-12\n")
+    assert not same_outputs.round_off_only(b"a 1e-16\n", b"a 1e-16 2\n")
+    # identical text is never flagged
+    assert same_outputs.text_moves(old, old) == []
+    assert not same_outputs.round_off_only(old, old)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from akstar.errors import MalformedInputError
+from akstar.errors import ExpressionClassError, MalformedInputError
 from akstar.expr import Signomial, _drop_debris
 from akstar.fedosov import FedosovMachine, delta_inv, sigma
 from akstar.wick import (
@@ -294,27 +294,36 @@ def test_contraction_table_is_exact(kind, n, alpha):
 # -- accumulation of output keys -------------------------------------------------
 
 
-def raw_sum_reference(alg, x, y):
-    """x o y with each key's contributions summed raw and dead-zoned once,
-    and the number of contributions per key."""
-    sums, counts = {}, {}
+def pattern_terms(alg, x, y, graded=False):
+    """(odd, key, coefficient) of each contribution to x o y, one per term
+    pair and contraction pattern; ``graded`` applies the sign
+    -(-1)^{|A1| |A2|} of the commutator's y o x half."""
     for (v1, z1, a1), c1 in x.terms.items():
         for (v2, z2, a2), c2 in y.terms.items():
             merged = sort_word(a1 + a2)
             if merged is None:
                 continue
             wsign, forms = merged
-            for r, z_out, weight, denom, lams in alg._contractions(z1, z2):
+            if graded and len(a1) * len(a2) % 2 == 0:
+                wsign = -wsign
+            for r, z_out, weight, denom, lams, odd in alg._contractions(z1, z2):
                 coeff = (c1 * c2).scale(complex(wsign * weight) / denom * (0.5j) ** r)
                 for lam in lams:
                     coeff = coeff * lam
-                if coeff.is_zero:
-                    continue
-                key = (v1 + v2 + r, z_out, forms)
-                raw = sums.setdefault(key, {})
-                for k, c in coeff.terms.items():
-                    raw[k] = raw.get(k, 0j) + c
-                counts[key] = counts.get(key, 0) + 1
+                yield odd, (v1 + v2 + r, z_out, forms), coeff
+
+
+def raw_sum_reference(alg, x, y):
+    """x o y with each key's contributions summed raw and dead-zoned once,
+    and the number of contributions per key."""
+    sums, counts = {}, {}
+    for _odd, key, coeff in pattern_terms(alg, x, y):
+        if coeff.is_zero:
+            continue
+        raw = sums.setdefault(key, {})
+        for k, c in coeff.terms.items():
+            raw[k] = raw.get(k, 0j) + c
+        counts[key] = counts.get(key, 0) + 1
     kept = {}
     for key, raw in sums.items():
         raw = _drop_debris(raw)
@@ -440,6 +449,38 @@ def test_commutator_matches_parity_reference():
             assert (got - ref).coeff_norm() <= 1e-14 * scale
             checked += not ref.is_zero
     assert checked >= 80
+
+
+def test_even_patterns_of_the_two_halves_cancel():
+    # the identity the one-pass commutator rests on: each even pattern of
+    # x o y meets its mirror in the graded y o x with the opposite sign
+    cancelled = 0
+    for alg, x, y in commutator_cases():
+        scale = max(x.coeff_norm() * y.coeff_norm(), 1.0)
+        halves = [pattern_terms(alg, x, y), pattern_terms(alg, y, x, graded=True)]
+        even = [[(*key, c) for odd, key, c in half if not odd] for half in halves]
+        both = WickElement.from_terms(x.dim, even[0] + even[1])
+        assert both.coeff_norm() <= 1e-14 * scale
+        cancelled += WickElement.from_terms(x.dim, even[0]).coeff_norm() > 0.1
+    assert cancelled >= 15
+
+
+def test_commutator_has_no_v0_key():
+    products_with_v0 = 0
+    for alg, x, y in commutator_cases():
+        assert all(v > 0 for v, _, _ in alg.commutator(x, y).terms)
+        products_with_v0 += any(v == 0 for v, _, _ in alg.product(x, y).terms)
+    assert products_with_v0 >= 12
+
+
+def test_twist_must_be_antisymmetric_off_the_diagonal():
+    for kind, n, alpha in CAP_CASES:
+        WickAlgebra(make_bundle(kind, n, alpha).lam)
+    lam = [list(row) for row in make_bundle("y4", 1, 1.0).lam]
+    assert not lam[0][1].is_zero
+    lam[1][0] = lam[0][1]
+    with pytest.raises(ExpressionClassError, match="not opposite"):
+        WickAlgebra(lam)
 
 
 def test_commutator_makes_no_product_or_signomial_add_call(monkeypatch):

@@ -17,9 +17,11 @@ The script prints each invocation whose stdout, stderr or exit code differs
 between the roots and exits 1 if any differs, 0 otherwise.  When both
 stdouts of a differing invocation parse as JSON, it also prints the leaves
 that moved, as JSON pointers with ``old -> new``, at most ``MAX_MOVED`` per
-invocation, and flags the invocation ``round-off only`` when its stdout is
-all that differs and every moved leaf is a float within the golden tests'
-tolerance, ``ROUND_OFF * max(1, |old|)``, of its old value.
+invocation.  It flags an invocation ``round-off only`` when its stdout is
+all that differs and every moved value is a float within the golden tests'
+tolerance, ``ROUND_OFF * max(1, |old|)``, of its old value: the leaves of
+two JSON stdouts, or the numbers of two text stdouts whose other text is
+identical.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,6 +41,8 @@ MAX_MOVED = 12
 ROUND_OFF = 1e-12
 # stands in for the missing side of a key or index present on one side only
 ABSENT = object()
+# a decimal number in a text rendering, sign and exponent included
+NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 GOLDEN_COMMANDS = (
     ("run",),
     ("run", "--format", "text"),
@@ -137,10 +142,24 @@ def describe_moves(old_stdout: bytes, new_stdout: bytes, cap: int = MAX_MOVED) -
     return lines
 
 
+def text_moves(old_stdout: bytes, new_stdout: bytes):
+    """(index, old, new) for each number that differs between two text
+    stdouts, as floats; None unless the text between the numbers is identical."""
+    old_parts, new_parts = NUMBER.split(old_stdout), NUMBER.split(new_stdout)
+    # split puts the text at even and the numbers at odd positions
+    if old_parts[::2] != new_parts[::2]:
+        return None
+    pairs = zip(old_parts[1::2], new_parts[1::2])
+    return [(i, float(a), float(b)) for i, (a, b) in enumerate(pairs) if a != b]
+
+
 def round_off_only(old_stdout: bytes, new_stdout: bytes) -> bool:
-    """Whether two JSON stdouts differ, and only in float leaves that moved
-    by at most ``ROUND_OFF * max(1, |old|)``."""
+    """Whether two stdouts differ, and only in float values that moved by at
+    most ``ROUND_OFF * max(1, |old|)``: the leaves of two JSON stdouts, else
+    the numbers of two text stdouts that agree everywhere else."""
     moved = json_moves(old_stdout, new_stdout)
+    if moved is None:
+        moved = text_moves(old_stdout, new_stdout)
     return bool(moved) and all(
         type(a) is float and type(b) is float and abs(b - a) <= ROUND_OFF * max(1.0, abs(a))
         for _, a, b in moved
