@@ -20,11 +20,24 @@ puts the numerator Gamma at a pole and raises
 makes the term vanish instead.
 
 Exponents are exact integer counts of ``10**-12``, rounded once where raw
-terms enter (:meth:`Signomial.from_terms`); after that ``*`` adds counts,
-``partial`` subtracts ``10**12``, ``caputo`` subtracts alpha's count and
-``reciprocal`` negates, so like terms merge by exact key equality whatever
-path made them.  The float exponent ``count / 10**12`` is formed only for
-the power-rule factor, evaluation and :meth:`Signomial.sorted_terms`.
+terms enter (:meth:`Signomial.from_terms`).  A term's key is one Python
+int packing its ``dim`` counts: each count plus a bias of ``2**126`` fills
+one 128-bit field, coordinate 0 the most significant, so int order is the
+lexicographic order of the count vectors.  A product's key is ``k1 + k2``
+less the bias in every field, ``partial`` and ``caputo`` subtract
+``10**12`` or alpha's count shifted into the coordinate's field, and
+``reciprocal`` subtracts the key from twice the all-field bias, so like
+terms merge by exact key equality whatever path made them.  The top bit of
+each field is a guard bit, clear for every count in ``[-2**126, 2**126)``.
+An operation that takes any count out of that range leaves some guard bit
+set: an overflowing field sets its own, and a field that drops below zero
+sets its own as it borrows from its neighbour.  Every operation that makes
+new keys ORs them and tests the guard bits once, raising
+:class:`~akstar.errors.MalformedInputError` rather than carrying into the
+next field.  ``_pack`` and ``_unpack`` (shift and mask, the one decode
+site) define the layout.  The float exponent ``count / 10**12`` is formed
+only for the power-rule factor, evaluation and
+:meth:`Signomial.sorted_terms`.
 Input is validated once: finite coefficients, exponent vectors of the
 right length, and finite exponents of magnitude at most ``MAX_EXPONENT``.
 ``+``, ``*`` and ``scale`` trust canonical operands; a result coefficient
@@ -40,8 +53,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -53,13 +66,17 @@ from .errors import (
 
 # Exponent keys count steps of 1 / GRID.
 GRID = 10**12
-# Largest input exponent magnitude.  Each operation adds at most one input
-# exponent, -1 or -alpha to an exponent, so none leaves float range.
+# Largest input exponent magnitude: about 2**90 counts, far inside a field.
 MAX_EXPONENT = 1e15
 # Relative magnitude below which a coefficient counts as cancellation debris.
 DEAD_ZONE = 1e-13
 
-ExponentKey = tuple[int, ...]
+# Packed keys: one _WIDTH-bit field per coordinate holding count + _BIAS.
+_WIDTH = 128
+_BIAS = 1 << (_WIDTH - 2)
+_FIELD = (1 << _WIDTH) - 1
+_OUT_OF_RANGE = f"an exponent left the representable range of +-{_BIAS / GRID:g}"
+
 ExponentVector = tuple[float, ...]
 
 
@@ -68,9 +85,41 @@ def _grid_count(value: float) -> int:
     return round(Fraction(value) * GRID)
 
 
-def _exponents(key: ExponentKey) -> ExponentVector:
+def _pack(counts: Iterable[int]) -> int:
+    """Key of a count vector; coordinate 0 takes the most significant field."""
+    key = 0
+    for count in counts:
+        key = key << _WIDTH | (count + _BIAS)
+    return key
+
+
+def _unpack(key: int, dim: int, coord: int) -> int:
+    """Count of coordinate ``coord`` in a key of ``dim`` fields; inverts :func:`_pack`."""
+    return ((key >> (_WIDTH * (dim - 1 - coord))) & _FIELD) - _BIAS
+
+
+@lru_cache(maxsize=None)
+def _layout(dim: int) -> tuple[int, int]:
+    """``(bias, guard)`` for ``dim`` fields: the key of the zero exponent
+    vector, and the mask of every field's guard bit, which is twice it.
+
+    The OR of the keys one operation makes from in-range keys has a guard
+    bit set iff some count left its field; a top field that underflows
+    makes the key negative, and a negative int has that field's guard bit
+    set, as in two's complement."""
+    bias = _pack((0,) * dim)
+    return bias, bias << 1
+
+
+@lru_cache(maxsize=None)
+def _lowering(dim: int, coord: int, count: int) -> int:
+    """What to subtract from a key to lower coordinate ``coord`` by ``count`` steps."""
+    return _pack(count if i == coord else 0 for i in range(dim)) - _layout(dim)[0]
+
+
+def _exponents(key: int, dim: int) -> ExponentVector:
     # int / int is correctly rounded, so this is the float of round(e, 12)
-    return tuple(k / GRID for k in key)
+    return tuple(_unpack(key, dim, i) / GRID for i in range(dim))
 
 
 def _is_nonpositive_integer(value: float) -> bool:
@@ -181,7 +230,7 @@ def power_rule_factor(p: float, alpha: float) -> float:
 
 def _canonical(dim: int, items: Iterable[tuple[complex, Sequence[float]]]) -> dict:
     """Validate, round to the grid and merge raw ``(coefficient, exponents)`` items."""
-    merged: dict[ExponentKey, complex] = {}
+    merged: dict[int, complex] = {}
     for coef, exps in items:
         c = complex(coef)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
@@ -190,13 +239,13 @@ def _canonical(dim: int, items: Iterable[tuple[complex, Sequence[float]]]) -> di
             raise MalformedInputError(
                 f"exponent vector {list(exps)} has length {len(exps)}, expected {dim}"
             )
-        key = []
+        counts = []
         for e in exps:
             e = float(e)
             if not (math.isfinite(e) and abs(e) <= MAX_EXPONENT):
                 raise MalformedInputError(f"exponent {e!r} is not finite or above {MAX_EXPONENT:g}")
-            key.append(_grid_count(e))
-        key = tuple(key)
+            counts.append(_grid_count(e))
+        key = _pack(counts)
         merged[key] = merged.get(key, 0j) + c
     return _drop_debris(merged)
 
@@ -239,8 +288,10 @@ def _drop_debris(merged: dict) -> dict:
 class Signomial:
     """Canonical-form signomial over ``dim`` coordinates.
 
-    ``terms`` maps exponent keys (integer counts of 10**-12, see the module
-    docstring) to complex coefficients; the empty map is zero.  Use
+    ``terms`` maps exponent keys to complex coefficients; the empty map is
+    zero.  A key is one int packing the ``dim`` exponents as biased 128-bit
+    fields of integer counts of 10**-12 (see the module docstring); read
+    exponents through :meth:`sorted_terms`.  Use
     :meth:`from_terms` (or the convenience constructors) — they normalize:
     like terms merge by exact exponent equality and dead-zone debris is
     dropped.
@@ -307,11 +358,15 @@ class Signomial:
     def __mul__(self, other):
         if isinstance(other, Signomial):
             self._require_same_dim(other)
-            merged: dict[ExponentKey, complex] = {}
+            bias, guard = _layout(self.dim)
+            merged: dict[int, complex] = {}
             for k1, c1 in self.terms.items():
+                k1 -= bias
                 for k2, c2 in other.terms.items():
-                    key = tuple(map(add, k1, k2))
+                    key = k1 + k2
                     merged[key] = merged.get(key, 0j) + c1 * c2
+            if reduce(or_, merged, 0) & guard:
+                raise MalformedInputError(_OUT_OF_RANGE)
             return Signomial(self.dim, _drop_debris(merged))
         return self.scale(other)
 
@@ -331,16 +386,7 @@ class Signomial:
 
     def partial(self, coord: int) -> "Signomial":
         """Classical partial derivative (the alpha = 1 backend)."""
-        merged = {}
-        for key, c in self.terms.items():
-            k = key[coord]
-            if k == 0:
-                continue
-            out = list(key)
-            out[coord] = k - GRID
-            # 0j + keeps _canonical's arithmetic, as in __add__
-            merged[tuple(out)] = 0j + c * (k / GRID)
-        return Signomial(self.dim, _drop_debris(merged))
+        return self._lower(coord, GRID, None)
 
     def caputo(self, coord: int, ctx: "AlphaContext") -> "Signomial":
         """Left Caputo derivative of order ``ctx.alpha`` in ``coord``.
@@ -350,16 +396,25 @@ class Signomial:
         """
         if ctx.alpha == 1.0:
             return self.partial(coord)
-        shift = _grid_count(ctx.alpha)
+        alpha = ctx.alpha
+        return self._lower(coord, _grid_count(alpha), lambda p: power_rule_factor(p, alpha))
+
+    def _lower(self, coord: int, count: int, factor) -> "Signomial":
+        """Each term times ``factor(p)``, p its exponent in ``coord``, with p
+        lowered by ``count`` grid steps; terms with p = 0 or factor 0 drop.
+        No ``factor`` means ``factor(p) = p``, the classical rule."""
+        dim = self.dim
+        step = _lowering(dim, coord, count)
         merged = {}
         for key, c in self.terms.items():
-            k = key[coord]
+            k = _unpack(key, dim, coord)
             if k == 0:
                 continue
+            p = k / GRID
             try:
-                fac = power_rule_factor(k / GRID, ctx.alpha)
+                fac = p if factor is None else factor(p)
             except FractionalDomainError as err:
-                exps = _exponents(key)
+                exps = _exponents(key, dim)
                 raise FractionalDomainError(
                     f"coordinate {coord}, term with exponents {list(exps)}: {err}",
                     coordinate=coord,
@@ -367,10 +422,11 @@ class Signomial:
                 ) from None
             if fac == 0.0:
                 continue
-            out = list(key)
-            out[coord] = k - shift
-            merged[tuple(out)] = 0j + c * fac
-        return Signomial(self.dim, _drop_debris(merged))
+            # 0j + keeps _canonical's arithmetic, as in __add__
+            merged[key - step] = 0j + c * fac
+        if reduce(or_, merged, 0) & _layout(dim)[1]:
+            raise MalformedInputError(_OUT_OF_RANGE)
+        return Signomial(dim, _drop_debris(merged))
 
     # -- inversion and evaluation -------------------------------------------
 
@@ -385,7 +441,12 @@ class Signomial:
                 f"reciprocal needs exactly one term, got {len(self.terms)}"
             )
         (key, c), = self.terms.items()
-        return Signomial(self.dim, _drop_debris({tuple(-k for k in key): 0j + 1.0 / c}))
+        # negating every count maps bias + k to bias - k
+        guard = _layout(self.dim)[1]
+        key = guard - key
+        if key & guard:
+            raise MalformedInputError(_OUT_OF_RANGE)
+        return Signomial(self.dim, _drop_debris({key: 0j + 1.0 / c}))
 
     def eval_at(self, point: Sequence[float]) -> complex:
         """Value at ``point``; :class:`EvaluationDomainError` if it is not finite."""
@@ -402,7 +463,8 @@ class Signomial:
         try:
             for key, c in self.terms.items():
                 prod = 1.0
-                for u, k in zip(point, key):
+                for i, u in enumerate(point):
+                    k = _unpack(key, self.dim, i)
                     if k:
                         prod *= float(u) ** (k / GRID)
                 total += c * prod
@@ -430,7 +492,7 @@ class Signomial:
     def sorted_terms(self) -> list[tuple[ExponentVector, complex]]:
         """``(float exponents, coefficient)`` pairs in exponent order."""
         items = sorted(self.terms.items(), key=lambda kv: kv[0])
-        return [(_exponents(key), c) for key, c in items]
+        return [(_exponents(key, self.dim), c) for key, c in items]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Signomial):

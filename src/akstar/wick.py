@@ -271,11 +271,12 @@ class WickAlgebra:
         return self._pow_cache[key]
 
     def _contractions(self, z1, z2) -> tuple:
-        """Table entry for fiber degrees (z1, z2), built on first use: one
-        ``(r, z_out, weight, denom, lam_powers, odd)`` tuple per pattern of k
-        contractions per pair, patterns in depth-first order over ``pairs``;
-        ``odd`` is the parity of the number of off-diagonal (a != b)
-        contractions."""
+        """Table entry ``(patterns, any_odd)`` for fiber degrees (z1, z2),
+        built on first use: one ``(r, z_out, weight, denom, lam_powers, odd)``
+        tuple per pattern of k contractions per pair, patterns in depth-first
+        order over ``pairs``; ``odd`` is the parity of the number of
+        off-diagonal (a != b) contractions, and ``any_odd`` says whether
+        some pattern is odd."""
         entries = self._table.get((z1, z2))
         if entries is not None:
             return entries
@@ -307,7 +308,7 @@ class WickAlgebra:
                 cols[b] += k
 
         rec(0, list(z1), list(z2), 0, 1, (), False)
-        entries = self._table[(z1, z2)] = tuple(entries)
+        entries = self._table[(z1, z2)] = (tuple(entries), any(e[5] for e in entries))
         return entries
 
     def _add_pairs(self, out: dict, x, y, max_deg, sigma_only=False, odd_only=False):
@@ -315,7 +316,9 @@ class WickAlgebra:
         sigma-projection keeps the 0-form pairs with equal deg_s and, of
         those, the fully contracting patterns; ``odd_only`` keeps the
         patterns with an odd number of off-diagonal contractions, each
-        doubled, which is the graded commutator (see ``commutator``)."""
+        doubled, which is the graded commutator (see ``commutator``), and
+        skips a pair whose table entry has no odd pattern before it
+        multiplies the pair's coefficients."""
         cap = inf if max_deg is None else max_deg
         xs, ys = x.terms.items(), y.terms.items()
         if sigma_only:
@@ -336,17 +339,23 @@ class WickAlgebra:
                 if merged is None:
                     continue
                 wsign, forms = merged
+                contracts = s1 > 0 and s2 > 0
+                if contracts:
+                    patterns, any_odd = self._contractions(z1, z2)
                 if odd_only:
+                    # both factors carry z here; a pair with no odd pattern adds nothing
+                    if not any_odd:
+                        continue
                     wsign *= 2
                 base = c1 * c2
                 if base.is_zero:
                     continue
-                if s1 == 0 or s2 == 0:
+                if not contracts:
                     # no contraction possible beyond r = 0
                     key = (v1 + v2, tuple(p + q for p, q in zip(z1, z2)), forms)
                     _add_raw(out, key, base.scale(wsign) if wsign < 0 else base)
                     continue
-                for r, z_out, weight, denom, lams, odd in self._contractions(z1, z2):
+                for r, z_out, weight, denom, lams, odd in patterns:
                     if (sigma_only and r != s1) or (odd_only and not odd):
                         continue
                     coeff = base.scale(complex(wsign * weight) / denom * (0.5j) ** r)

@@ -1,5 +1,7 @@
 """Signomial arithmetic and fractional differentiation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,8 @@ from akstar.expr import (
     MAX_EXPONENT,
     AlphaContext,
     Signomial,
+    _pack,
+    _unpack,
     coeff_distance,
     power_rule_factor,
 )
@@ -112,8 +116,7 @@ def test_overflow_raises_instead_of_erasing():
         # (1e200 + 1e200i)^2 has real part inf - inf = NaN
         Signomial.constant(2, 1e200 + 1e200j) * Signomial.constant(2, 1e200 + 1e200j)
     with pytest.raises(MalformedInputError):
-        # an exponent beyond MAX_EXPONENT is refused where it enters, so
-        # no exponent sum can overflow
+        # an exponent beyond MAX_EXPONENT is refused where it enters
         sig(2, (1.0, [1e308, 0])) * sig(2, (1.0, [1e308, 0]))
     with pytest.raises(MalformedInputError):
         big.scale(10.0)
@@ -121,7 +124,7 @@ def test_overflow_raises_instead_of_erasing():
         sig(2, (1e308, [1, 0]), (1e308, [1, 0]), (1.0, [0, 1]))
     with pytest.raises(MalformedInputError):
         sig(2, (1.5e308 + 1.5e308j, [0, 0]))  # finite parts, magnitude overflows
-    assert (big + big.scale(-0.5)).terms == {(0.0, 0.0): 5e307 + 0j}
+    assert (big + big.scale(-0.5)).sorted_terms() == [((0.0, 0.0), 5e307 + 0j)]
 
 
 def test_dim_mismatch_rejected():
@@ -371,8 +374,9 @@ def snapping_signomials(draw):
 
 
 def float_items(s):
-    """``s.terms`` in key order, with float exponents."""
-    return [(tuple(k / GRID for k in key), c) for key, c in s.terms.items()]
+    """``s.terms`` in insertion order, with the float exponents of ``sorted_terms``."""
+    exps = dict(zip(sorted(s.terms), (e for e, _ in s.sorted_terms())))
+    return [(exps[key], c) for key, c in s.terms.items()]
 
 
 def raw_items(s):
@@ -399,3 +403,88 @@ def test_kernel_matches_from_terms_exactly(a, b, k):
 def test_product_snaps_exponent_sums():
     p = sig(2, (1.0, [0.1, 0.45])) * sig(2, (1.0, [0.2, -0.45]))
     assert repr([e for e, _ in p.sorted_terms()]) == "[(0.3, 0.0)]"
+
+
+# -- packed exponent keys -------------------------------------------------------
+#
+# A key packs one biased 128-bit field per coordinate, coordinate 0 most
+# significant; a count that leaves its field must raise, never carry.
+
+packed_exponents = st.one_of(
+    st.sampled_from([-MAX_EXPONENT, MAX_EXPONENT, -2.5, -1 / 3, -0.45, 0.0, 0.45, 1.0]),
+    st.floats(min_value=-MAX_EXPONENT, max_value=MAX_EXPONENT),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(
+    st.tuples(st.floats(min_value=0.5, max_value=2.0), st.tuples(*[packed_exponents] * 3)),
+    max_size=6,
+))
+def test_sorted_terms_match_a_tuple_keyed_reference(raw):
+    # positive coefficients never cancel, so no term falls into the dead zone
+    reference = {}
+    for c, exps in raw:
+        key = tuple(round(Fraction(e) * GRID) for e in exps)
+        reference[key] = reference.get(key, 0j) + c
+    expected = [(tuple(k / GRID for k in key), c) for key, c in sorted(reference.items())]
+    assert Signomial.from_terms(3, raw).sorted_terms() == expected
+
+
+@pytest.mark.parametrize("left, right", [
+    ([0.5, -1.25, MAX_EXPONENT], [-0.75, 1.25, -MAX_EXPONENT]),
+    ([-MAX_EXPONENT, 0.0, -2.5], [-MAX_EXPONENT, 1 / 3, 0.45]),
+])
+def test_product_key_is_the_packed_sum_of_counts(left, right):
+    a, b = sig(3, (2.0, left)), sig(3, (3.0, right))
+    (ka,), (kb,), (kp,) = a.terms, b.terms, (a * b).terms
+    assert kp == _pack(_unpack(ka, 3, i) + _unpack(kb, 3, i) for i in range(3))
+    assert tuple(_unpack(kp, 3, i) for i in range(3)) == tuple(
+        round(Fraction(p) * GRID) + round(Fraction(q) * GRID) for p, q in zip(left, right)
+    )
+
+
+def test_lowering_and_reciprocal_on_negative_fractional_exponents():
+    f = sig(2, (2.0, [-2.5, 0.45]))
+    assert f.partial(0).sorted_terms() == [((-3.5, 0.45), -5 + 0j)]
+    assert f.partial(1).sorted_terms() == [((-2.5, -0.55), 0.9 + 0j)]
+    ctx = AlphaContext(0.3, 1)
+    assert f.caputo(0, ctx).sorted_terms() == [
+        ((-2.8, 0.45), 2 * power_rule_factor(-2.5, 0.3) + 0j)
+    ]
+    assert f.caputo(1, ctx).sorted_terms() == [
+        ((-2.5, 0.15), 2 * power_rule_factor(0.45, 0.3) + 0j)
+    ]
+    assert f.reciprocal().sorted_terms() == [((2.5, -0.45), 0.5 + 0j)]
+    edge = sig(2, (4.0, [MAX_EXPONENT, -MAX_EXPONENT]))
+    assert edge.reciprocal().sorted_terms() == [((-MAX_EXPONENT, MAX_EXPONENT), 0.25 + 0j)]
+
+
+@pytest.mark.parametrize("coord", [0, 1])
+def test_exponent_guard_raises_instead_of_carrying(coord):
+    def power(e, squarings):
+        exps = [0.0, 0.0]
+        exps[coord] = e
+        f = sig(2, (1.0, exps))
+        for _ in range(squarings):
+            f = f * f
+        return f
+
+    def exps_of(count):
+        exps = [0.0, 0.0]
+        exps[coord] = count / GRID
+        return exps
+
+    # upward: 10**27 counts doubled 36 times fit a field, 37 times do not
+    high = power(MAX_EXPONENT, 36)
+    assert high.sorted_terms() == [(tuple(exps_of(10**27 * 2**36)), 1 + 0j)]
+    with pytest.raises(MalformedInputError):
+        high * high
+    # downward: -2**51 counts doubled 75 times is the field's lowest count,
+    # -2**126; one partial step or the reciprocal leaves the field
+    low = power(-(2**51) / GRID, 75)
+    assert low.sorted_terms() == [(tuple(exps_of(-(2**126))), 1 + 0j)]
+    with pytest.raises(MalformedInputError):
+        low.partial(coord)
+    with pytest.raises(MalformedInputError):
+        low.reciprocal()

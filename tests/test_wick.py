@@ -306,7 +306,7 @@ def pattern_terms(alg, x, y, graded=False):
             wsign, forms = merged
             if graded and len(a1) * len(a2) % 2 == 0:
                 wsign = -wsign
-            for r, z_out, weight, denom, lams, odd in alg._contractions(z1, z2):
+            for r, z_out, weight, denom, lams, odd in alg._contractions(z1, z2)[0]:
                 coeff = (c1 * c2).scale(complex(wsign * weight) / denom * (0.5j) ** r)
                 for lam in lams:
                     coeff = coeff * lam
@@ -541,3 +541,20 @@ def test_div_v_guard():
     one = Signomial.constant(2, 1.0)
     v2 = WickElement.from_term(2, 2, (0, 0), (), one)
     assert (v2.div_v(0.0) - WickElement.from_term(2, 1, (0, 0), (), one)).coeff_norm() == 0.0
+
+
+def test_pairs_without_an_odd_pattern_multiply_nothing(monkeypatch):
+    # z^0 o z^0 contracts only through the diagonal Lambda^{00}: every
+    # pattern is even, so the commutator skips the pair before c1 * c2
+    alg = algebra()
+    x = z_var(2, 0).scale(2.0)
+    patterns, any_odd = alg._contractions((1, 0), (1, 0))
+    assert patterns and not any_odd and not any(p[5] for p in patterns)
+    assert alg._contractions((1, 0), (0, 1))[1]
+    calls = []
+    real_mul = Signomial.__mul__
+    monkeypatch.setattr(Signomial, "__mul__", lambda a, b: calls.append(1) or real_mul(a, b))
+    assert alg.commutator(x, x).is_zero
+    assert calls == []
+    assert not alg.commutator(x, z_var(2, 1)).is_zero
+    assert calls
