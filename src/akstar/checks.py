@@ -312,7 +312,8 @@ def fedosov_checks(suite: Suite, state: FedosovState, points, probes):
 
 
 def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
-    """Checks of the star product, given ``fwd``, the coefficients of f * g."""
+    """Checks of the star product, given ``fwd``, the coefficients of f * g
+    through an order >= 1 (``run`` asks for (K + 1) // 2, or 1 at alpha < 1)."""
     bundle = state.bundle
     dim = bundle.ctx.dim
     order = len(fwd) - 1
@@ -320,7 +321,7 @@ def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
     rev = star(g, f, state, order)
     suite.record("star_c0_exact", coeff_distance(fwd[0], f * g))
 
-    lift = tau_lift(f, state, 2 * order if order else 2)
+    lift = tau_lift(f, state, 2 * order)
     series = sigma_series(lift)
     resid = 0.0
     for r, c in series.items():
@@ -337,13 +338,12 @@ def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
         unit_resid = max(unit_resid, left[r].max_abs_coeff(), right[r].max_abs_coeff())
     suite.record("star_unit_neutral", unit_resid)
 
-    if order >= 1:
-        diff = fwd[1] - rev[1] - poisson_bracket(f, g, bundle).scale(1j)
-        suite.record("star_c1_bracket", diff.sample_norm(points))
+    diff = fwd[1] - rev[1] - poisson_bracket(f, g, bundle).scale(1j)
+    suite.record("star_c1_bracket", diff.sample_norm(points))
 
     suite.measure(
         "fedosov_flat_section",
-        lambda: flat_section_residual(f, state, 2 * order if order else 2, points),
+        lambda: flat_section_residual(f, state, 2 * order, points),
     )
 
     if order >= 2:

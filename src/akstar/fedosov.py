@@ -206,13 +206,8 @@ class FedosovMachine:
         return WickElement.from_terms(self.dim, terms())
 
     def i_over_v_commutator(self, a: WickElement, b: WickElement, max_deg=None) -> WickElement:
-        """(i/v)[a, b], through Deg ``max_deg`` of [a, b] if given; [a, b]
-        has no v^0 key (see ``WickAlgebra.commutator``), so ``div_v`` needs
-        no debris scale."""
-        comm = self.algebra.commutator(a, b, max_deg=max_deg)
-        if comm.is_zero:
-            return comm
-        return comm.scale(1j).div_v(0.0)
+        """(i/v)[a, b], through Deg ``max_deg`` of [a, b] if given."""
+        return self.algebra.commutator(a, b, max_deg=max_deg).scale(1j).div_v()
 
     # -- operator-identity residuals, each the largest value at ``points`` -----
 
@@ -237,53 +232,31 @@ class FedosovMachine:
     def solve_r(self, K: int):
         """Solve the flatness equation degree by degree up to Deg K + 2.
 
-        The per-degree defect of the equation is recorded in
-        ``residuals``, never raised on; callers gate
-        ``FedosovState.max_residual()``.
+        At Deg m the right-hand side is T-hat_m + R-hat_m + D-check r_m
+        - (i/v) sum_{j=2..m} r_j o r_{m+2-j}; every r_j it reads is solved
+        by then, and r_{m+1} = delta_inv of it.  The per-degree defect of
+        the equation is recorded in ``residuals``, never raised on; callers
+        gate ``FedosovState.max_residual()``.
         """
         if K < 2:
             raise MalformedInputError(f"truncation order must be >= 2, got {K}")
-        dim = self.dim
-        r_comp: dict[int, WickElement] = {}
-        rhs_store: dict[int, WickElement] = {}
-
-        def rhs_at(m: int) -> WickElement:
-            rhs = self.t_hat.component(m) + self.r_hat.component(m)
-            prev = r_comp.get(m)
-            if prev is not None and not prev.is_zero:
-                rhs = rhs + self.dconn_apply(prev)
-            conv = WickElement.zero(dim)
-            pair_scale = 0.0
-            for j in range(2, m + 1):
-                k = m + 2 - j
-                rj = r_comp.get(j)
-                rk = r_comp.get(k)
-                if rj is None or rk is None or rj.is_zero or rk.is_zero:
-                    continue
-                pair_scale = max(pair_scale, rj.coeff_norm() * rk.coeff_norm())
-                conv = conv + self.algebra.product(rj, rk)
-            if not conv.is_zero:
-                rhs = rhs + conv.scale(-1j).div_v(pair_scale)
-            return rhs
-
+        r: dict[int, WickElement] = {}
+        residuals = {}
         for m in range(1, K + 2):
             try:
-                rhs = rhs_at(m)
+                rhs = self.t_hat.component(m) + self.r_hat.component(m)
+                if m > 1:
+                    rhs = rhs + self.dconn_apply(r[m])
+                conv = WickElement.zero(self.dim)
+                for j in range(2, m + 1):
+                    conv = conv + self.algebra.product(r[j], r[m + 2 - j])
+                rhs = rhs + conv.scale(-1j).div_v()
             except FractionalDomainError as err:
                 err.degree = m
                 raise
-            rhs_store[m] = rhs
-            r_comp[m + 1] = delta_inv(rhs)
-
-        residuals = {
-            m: (delta(r_comp[m + 1]) - rhs_store[m]).coeff_norm() for m in range(1, K + 2)
-        }
-        return FedosovState(
-            machine=self,
-            K=K,
-            r_components={d: r_comp[d] for d in range(2, K + 3)},
-            residuals=residuals,
-        )
+            r[m + 1] = delta_inv(rhs)
+            residuals[m] = (delta(r[m + 1]) - rhs).coeff_norm()
+        return FedosovState(machine=self, K=K, r_components=r, residuals=residuals)
 
 
 @dataclass
@@ -337,9 +310,7 @@ def flat_d(w: WickElement, state: FedosovState, max_deg) -> WickElement:
     """
     machine = state.machine
     out = -delta(w) + machine.dconn_apply(w)
-    r = state.r_total()
-    if not r.is_zero and not w.is_zero:
-        out = out - machine.i_over_v_commutator(r, w, max_deg=max_deg + 2)
+    out = out - machine.i_over_v_commutator(state.r_total(), w, max_deg=max_deg + 2)
     return out.truncate(max_deg)
 
 
@@ -388,12 +359,8 @@ def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
     for k in range(order):
         try:
             rhs = machine.dconn_apply(comps[k])
-            for l in range(0, k + 1):
-                rl = state.r_components.get(l + 2)
-                tk = comps.get(k - l)
-                if rl is None or rl.is_zero or tk is None or tk.is_zero:
-                    continue
-                rhs = rhs - machine.i_over_v_commutator(rl, tk)
+            for l in range(k + 1):
+                rhs = rhs - machine.i_over_v_commutator(state.r_components[l + 2], comps[k - l])
         except FractionalDomainError as err:
             err.degree = k + 1
             raise

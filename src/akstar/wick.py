@@ -174,21 +174,24 @@ class WickElement:
             return WickElement.zero(self.dim)
         return WickElement(self.dim, {k: c.scale(factor) for k, c in self.terms.items()})
 
-    def div_v(self, scale: float) -> "WickElement":
+    def div_v(self) -> "WickElement":
         """Divide by the formal parameter.
 
-        Terms without a v factor must have cancelled (they do, identically,
-        in every commutator/squaring expression this engine divides); what
-        float accumulation order leaves behind at v^0 is dead-zone debris
-        relative to ``scale`` (callers pass the product of the input norms)
-        and is dropped, while anything of genuine size signals an internal
-        inconsistency and raises.
+        Terms without a v factor must have cancelled: a commutator has no
+        v^0 key, and the v^0 part of r o r for a 1-form r is r wedge r = 0
+        up to round-off.  What float
+        accumulation order leaves behind at v^0, at most 1e-12 of the
+        element's own ``coeff_norm()``, is debris and is dropped; anything
+        larger signals an internal inconsistency and raises.  The norm is
+        taken once, at the first v^0 key.
         """
-        norm = self.coeff_norm()
-        floor = 1e-12 * max(norm, scale, 1e-300)
+        floor = None
         out = {}
         for (v, z, a), c in self.terms.items():
             if v == 0:
+                if floor is None:
+                    norm = self.coeff_norm()
+                    floor = 1e-12 * max(norm, 1e-300)
                 if c.max_abs_coeff() <= floor:
                     continue
                 raise MalformedInputError(

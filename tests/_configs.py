@@ -74,6 +74,13 @@ def w4_lagrangian():
     return Signomial.from_terms(4, [(1.0, [2, 1, 3, 0]), (1.0, [1, 1, 0, 2])])
 
 
+def w4p_lagrangian():
+    """L = x1^2 x2 y1^2.7 + x1 x2 y2^2.7 (n = 2) — W4 with fiber exponents
+    2.7, whose geometry and recursion at alpha = 0.45 stay in the
+    differentiable class: non-zero torsion, curvature and Omega fractionally."""
+    return Signomial.from_terms(4, [(1.0, [2, 1, 2.7, 0]), (1.0, [1, 1, 0, 2.7])])
+
+
 def make_spec(kind, n, alpha):
     ctx = AlphaContext(alpha=alpha, n=n)
     if kind == "flat":
@@ -92,6 +99,9 @@ def make_spec(kind, n, alpha):
     elif kind == "w4":
         assert n == 2
         L = w4_lagrangian()
+    elif kind == "w4p":
+        assert n == 2
+        L = w4p_lagrangian()
     else:
         raise ValueError(kind)
     return LagrangianSpec(L=L, ctx=ctx, regularity_points=sample_points(n))

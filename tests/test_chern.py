@@ -107,8 +107,9 @@ def test_gamma_closed_classically():
 
 
 # Every config kind at alpha = 1 and, where its bundle builds, at alpha =
-# 0.45 (cross and w4 hit a Gamma pole at every fractional alpha), with
-# whether its frame curvature has a non-zero entry.
+# 0.45 (cross and w4 hit a Gamma pole at every fractional alpha; w4p, which
+# is w4 with fiber exponents 2.7, builds there), with whether its frame
+# curvature has a non-zero entry.
 BLOCK_CASES = [
     ("flat", 1, 1.0, False),
     ("flat", 1, 0.45, False),
@@ -124,6 +125,7 @@ BLOCK_CASES = [
     ("x2y3", 1, 1.0, False),
     ("x2y3", 1, 0.45, True),
     ("w4", 2, 1.0, True),
+    ("w4p", 2, 0.45, True),
 ]
 
 

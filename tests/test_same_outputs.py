@@ -59,6 +59,18 @@ def test_invocations_include_the_full_w4_run_in_strict_mode(tmp_path):
     assert config["lagrangian"] == same_outputs._workloads(root).W4
 
 
+def test_invocations_include_the_full_n3_run_in_strict_mode(tmp_path):
+    invs = same_outputs.invocations(TOOL.parent.parent, tmp_path)
+    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "n3 full: run"]
+    assert len(runs) == 1
+    command, config = runs[0]
+    assert command == ("run",)
+    assert (config["mode"], config["n"], config["alpha"]) == ("strict", 3, 1.0)
+    assert config["truncation_order"] == 3
+    assert config["lagrangian"] == same_outputs.N3
+    assert all(len(term["exp"]) == 6 for term in config["lagrangian"])
+
+
 def test_round_off_only_uses_the_golden_tolerance():
     def dump(value):
         return json.dumps({"checks": [{"status": "pass", "value": value}], "n": 3}).encode()

@@ -534,13 +534,36 @@ def test_module_level_helpers():
     assert (comm - WickElement.from_term(2, 1, (0, 0), (), Signomial.constant(2, 1j))).coeff_norm() <= 1e-14
 
 
-def test_div_v_guard():
-    w = WickElement.from_signomial(Signomial.constant(2, 1.0))
-    with pytest.raises(Exception):
-        w.div_v(0.0)
+def test_div_v_guard(monkeypatch):
     one = Signomial.constant(2, 1.0)
+    with pytest.raises(MalformedInputError):
+        WickElement.from_signomial(one).div_v()
     v2 = WickElement.from_term(2, 2, (0, 0), (), one)
-    assert (v2.div_v(0.0) - WickElement.from_term(2, 1, (0, 0), (), one)).coeff_norm() == 0.0
+    assert exact(v2.div_v()) == exact(WickElement.from_term(2, 1, (0, 0), (), one))
+    assert WickElement.zero(2).div_v().is_zero
+
+    # the floor is 1e-12 of the element's own norm, here 1.0 from the v^1 term
+    def with_v0(c):
+        return WickElement.from_terms(2, [
+            (1, (1, 0), (), one),
+            (0, (0, 1), (), Signomial.constant(2, c)),
+            (0, (0, 2), (), Signomial.constant(2, c / 2)),
+        ])
+
+    expected = exact(WickElement.from_term(2, 0, (1, 0), (), one))
+    assert exact(with_v0(1e-12).div_v()) == expected
+    assert exact(with_v0(-0.5e-12).div_v()) == expected
+    with pytest.raises(MalformedInputError, match=r"magnitude 2\.000e-12 \(element norm 1\.000e\+00\)"):
+        with_v0(2e-12).div_v()
+
+    # the norm is taken once per call, at the first v^0 key, and never without one
+    calls = []
+    real_norm = WickElement.coeff_norm
+    monkeypatch.setattr(WickElement, "coeff_norm", lambda w: calls.append(1) or real_norm(w))
+    with_v0(1e-12).div_v()
+    assert calls == [1]
+    v2.div_v()
+    assert calls == [1]
 
 
 def test_pairs_without_an_odd_pattern_multiply_nothing(monkeypatch):

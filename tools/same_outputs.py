@@ -11,7 +11,9 @@ a process.  The invocations are read from CHANGE_ROOT:
 * every invocation of every workload in ``perfbench/workloads.py`` at seed 7,
   that file loaded by path and only read;
 * the full ``run`` of that file's ``W4`` Lagrangian (n = 2, K = 3) in strict
-  mode, which no workload covers.
+  mode, which no workload covers;
+* the full ``run`` of ``N3`` below (n = 3, K = 3) in strict mode, the one
+  invocation at n = 3.
 
 The script prints each invocation whose stdout, stderr or exit code differs
 between the roots and exits 1 if any differs, 0 otherwise.  When both
@@ -43,6 +45,12 @@ ROUND_OFF = 1e-12
 ABSENT = object()
 # a decimal number in a text rendering, sign and exponent included
 NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+# x1^2 x2 y1^3 + x1 x2 x3 y2^2 + x3 y3^2 over (x1, x2, x3, y1, y2, y3)
+N3 = [
+    {"c": 1, "exp": [2, 1, 0, 3, 0, 0]},
+    {"c": 1, "exp": [1, 1, 1, 0, 2, 0]},
+    {"c": 1, "exp": [0, 0, 1, 0, 0, 2]},
+]
 GOLDEN_COMMANDS = (
     ("run",),
     ("run", "--format", "text"),
@@ -78,10 +86,11 @@ def invocations(root: Path, work: Path) -> list:
             path = work / f"{workload}.{inv.name}.config.json"
             path.write_text(json.dumps(inv.config))
             out.append((f"{workload} {inv.name}: {' '.join(inv.command)}", inv.command, path))
-    config = dict(workloads._config(1.0, 2, workloads.W4, 3, SEED), mode="strict")
-    path = work / "w4_run.config.json"
-    path.write_text(json.dumps(config))
-    out.append(("w4 full: run", ("run",), path))
+    for label, n, lagrangian in (("w4", 2, workloads.W4), ("n3", 3, N3)):
+        config = dict(workloads._config(1.0, n, lagrangian, 3, SEED), mode="strict")
+        path = work / f"{label}_run.config.json"
+        path.write_text(json.dumps(config))
+        out.append((f"{label} full: run", ("run",), path))
     return out
 
 
