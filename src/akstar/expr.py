@@ -38,6 +38,10 @@ next field.  ``_pack`` and ``_unpack`` (shift and mask, the one decode
 site) define the layout.  The float exponent ``count / 10**12`` is formed
 only for the power-rule factor, evaluation and
 :meth:`Signomial.sorted_terms`.
+Products run through one kernel, ``_times``: ``Signomial.__mul__`` and
+each Wick contraction pattern (which first scales the left factor by the
+pattern's scalar) call it on the two term maps, and a one-term right
+factor takes a single comprehension instead of the merging loop.
 Input is validated once: finite coefficients, exponent vectors of the
 right length, and finite exponents of magnitude at most ``MAX_EXPONENT``.
 ``+``, ``*`` and ``scale`` trust canonical operands; a result coefficient
@@ -52,8 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -81,8 +84,14 @@ ExponentVector = tuple[float, ...]
 
 
 def _grid_count(value: float) -> int:
-    """Count of 10**-12 steps nearest ``value``: exactly ``round(value, 12)``."""
-    return round(Fraction(value) * GRID)
+    """Count of 10**-12 steps nearest ``value``, ties to even: exactly
+    ``round(value, 12)``, computed on the float's exact integer ratio."""
+    num, den = value.as_integer_ratio()
+    count, rest = divmod(num * GRID, den)
+    # den > 0, so rest is in [0, den); a tie goes to the even count
+    if 2 * rest > den or (2 * rest == den and count & 1):
+        count += 1
+    return count
 
 
 def _pack(counts: Iterable[int]) -> int:
@@ -285,6 +294,39 @@ def _drop_debris(merged: dict) -> dict:
     return {k: c for (k, c), m in zip(merged.items(), mags) if m > floor}
 
 
+def _times(t1: dict, t2: dict, dim: int, pre: complex | None = None) -> dict:
+    """Terms of the product of two canonical term maps over ``dim`` fields.
+
+    With ``pre``, each coefficient of ``t1`` is first multiplied by it: the
+    arithmetic of ``scale(pre)`` followed by the product, without checking
+    the scaled coefficients (the caller does).  A one-term ``t2`` (every
+    Lambda power in the engine's twists) shifts the keys of ``t1``, which
+    stay distinct, so ``merged.get(key, 0j) + p`` is ``0j + p`` for each
+    and one comprehension gives the merging loop's bits.  Tests the guard
+    bits once and applies the dead zone; the result is a dict of its own.
+    """
+    bias, guard = _layout(dim)
+    if len(t2) == 1:
+        (k2, c2), = t2.items()
+        k2 -= bias
+        if pre is None:
+            merged = {k1 + k2: 0j + c1 * c2 for k1, c1 in t1.items()}
+        else:
+            merged = {k1 + k2: 0j + c1 * pre * c2 for k1, c1 in t1.items()}
+    else:
+        merged = {}
+        for k1, c1 in t1.items():
+            if pre is not None:
+                c1 = c1 * pre
+            k1 -= bias
+            for k2, c2 in t2.items():
+                key = k1 + k2
+                merged[key] = merged.get(key, 0j) + c1 * c2
+    if reduce(or_, merged, 0) & guard:
+        raise MalformedInputError(_OUT_OF_RANGE)
+    return _drop_debris(merged)
+
+
 class Signomial:
     """Canonical-form signomial over ``dim`` coordinates.
 
@@ -358,16 +400,7 @@ class Signomial:
     def __mul__(self, other):
         if isinstance(other, Signomial):
             self._require_same_dim(other)
-            bias, guard = _layout(self.dim)
-            merged: dict[int, complex] = {}
-            for k1, c1 in self.terms.items():
-                k1 -= bias
-                for k2, c2 in other.terms.items():
-                    key = k1 + k2
-                    merged[key] = merged.get(key, 0j) + c1 * c2
-            if reduce(or_, merged, 0) & guard:
-                raise MalformedInputError(_OUT_OF_RANGE)
-            return Signomial(self.dim, _drop_debris(merged))
+            return Signomial(self.dim, _times(self.terms, other.terms, self.dim))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -397,7 +430,7 @@ class Signomial:
         if ctx.alpha == 1.0:
             return self.partial(coord)
         alpha = ctx.alpha
-        return self._lower(coord, _grid_count(alpha), lambda p: power_rule_factor(p, alpha))
+        return self._lower(coord, ctx._step_count, lambda p: power_rule_factor(p, alpha))
 
     def _lower(self, coord: int, count: int, factor) -> "Signomial":
         """Each term times ``factor(p)``, p its exponent in ``coord``, with p
@@ -541,6 +574,11 @@ class AlphaContext:
     @property
     def dim(self) -> int:
         return 2 * self.n
+
+    @cached_property
+    def _step_count(self) -> int:
+        """alpha in grid steps, the exponent drop of one Caputo step."""
+        return _grid_count(self.alpha)
 
     @property
     def classical(self) -> bool:

@@ -32,10 +32,18 @@ The combinatorics of a term pair depend only on its fiber degrees, so
 ``WickAlgebra`` keeps one contraction table entry per (z1, z2), filled on
 first use: per pattern r, the output fiber degrees, the integer weight
 (falling factorials), prod k!, the Lambda powers and the parity of the
-number of off-diagonal (a != b) contractions.  The pair loop applies
-``wsign * weight / denom * (i/2)^r`` and the Lambda powers one at a time,
-the arithmetic of a fresh enumeration in its order, so each contribution
-has the bits a fresh enumeration gives it.
+number of off-diagonal (a != b) contractions.  Its recursion visits only
+the pairs (a, b) with z1[a] > 0 and z2[b] > 0; every other pair can only
+contract zero times.  A pattern's contribution is one
+:func:`~akstar.expr._times` kernel call per Lambda power on the bare term
+maps: the first call scales the pair's coefficient product by the pattern
+scalar ``wsign * weight / denom * (i/2)^r`` before it multiplies, and each
+later call multiplies by the next power.  That is the arithmetic of
+scaling and then multiplying fresh ``Signomial`` operands, in the same
+order, so each contribution has the bits a fresh enumeration gives it;
+where the scaled coefficient could overflow, ``Signomial.scale`` runs
+first so that its error is kept, and a coefficient over a different
+number of coordinates than Lambda raises as a Signomial product would.
 
 One accumulation rule serves ``product``, ``commutator``, ``+`` and ``-``:
 ``_add_raw`` sums the contributions to an output key raw, with
@@ -71,7 +79,7 @@ from math import factorial, inf
 from operator import add
 
 from .errors import ExpressionClassError, MalformedInputError
-from .expr import Signomial, _drop_debris
+from .expr import Signomial, _drop_debris, _times
 
 # key: (v_power, z_degrees tuple, strictly increasing form tuple)
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -245,6 +253,8 @@ class WickAlgebra:
 
     def __init__(self, lam):
         self.dim = len(lam)
+        if len({entry.dim for row in lam for entry in row}) > 1:
+            raise MalformedInputError("twist entries over different numbers of coordinates")
         for a in range(self.dim):
             for b in range(a):
                 if lam[b][a] != -lam[a][b]:
@@ -274,25 +284,25 @@ class WickAlgebra:
         return self._pow_cache[key]
 
     def _contractions(self, z1, z2) -> tuple:
-        """Table entry ``(patterns, any_odd)`` for fiber degrees (z1, z2),
+        """Table entry ``(patterns, any_odd, top)`` for fiber degrees (z1, z2),
         built on first use: one ``(r, z_out, weight, denom, lam_powers, odd)``
         tuple per pattern of k contractions per pair, patterns in depth-first
         order over ``pairs``; ``odd`` is the parity of the number of
-        off-diagonal (a != b) contractions, and ``any_odd`` says whether
-        some pattern is odd."""
+        off-diagonal (a != b) contractions, ``any_odd`` says whether
+        some pattern is odd, and ``top`` is the largest weight / denom / 2^r."""
         entries = self._table.get((z1, z2))
         if entries is not None:
             return entries
         entries = []
         shared = self._shared
+        # a pair whose row or column has no fiber degree only takes k = 0
+        pairs = [(a, b) for a, b in self.pairs if z1[a] and z2[b]]
 
-        def rec(idx, rows, cols, r, denom, powers, odd):
-            # rows and cols hold the fiber degrees not yet contracted;
-            # powers lists the (a, b, k) with k > 0 so far
-            if idx == len(self.pairs):
-                weight = 1
-                for full, left in zip(z1 + z2, rows + cols):
-                    weight *= factorial(full) // factorial(left)
+        def rec(idx, rows, cols, r, weight, denom, powers, odd):
+            # rows and cols hold the fiber degrees not yet contracted, weight
+            # the falling factorials so far; powers lists the (a, b, k) with
+            # k > 0 so far
+            if idx == len(pairs):
                 z_out = tuple(map(add, rows, cols))
                 if powers not in shared:
                     shared[powers] = tuple(self._lam_power(*p) for p in powers)
@@ -300,18 +310,23 @@ class WickAlgebra:
                     (r, shared.setdefault(z_out, z_out), weight, denom, shared[powers], odd)
                 )
                 return
-            a, b = self.pairs[idx]
-            for k in range(min(rows[a], cols[b]) + 1):
-                rows[a] -= k
-                cols[b] -= k
+            a, b = pairs[idx]
+            row, col = rows[a], cols[b]
+            falling = 1
+            for k in range(min(row, col) + 1):
+                if k:
+                    # row!/(row-k)! * col!/(col-k)!, one factor pair at a time
+                    falling *= (row - k + 1) * (col - k + 1)
+                rows[a] = row - k
+                cols[b] = col - k
                 more = ((a, b, k),) if k else ()
-                rec(idx + 1, rows, cols, r + k, denom * factorial(k), powers + more,
-                    odd ^ (a != b and k % 2 == 1))
-                rows[a] += k
-                cols[b] += k
+                rec(idx + 1, rows, cols, r + k, weight * falling, denom * factorial(k),
+                    powers + more, odd ^ (a != b and k % 2 == 1))
+            rows[a], cols[b] = row, col
 
-        rec(0, list(z1), list(z2), 0, 1, (), False)
-        entries = self._table[(z1, z2)] = (tuple(entries), any(e[5] for e in entries))
+        rec(0, list(z1), list(z2), 0, 1, 1, (), False)
+        top = max(weight / denom / 2**r for r, _, weight, denom, _, _ in entries)
+        entries = self._table[(z1, z2)] = (tuple(entries), any(e[5] for e in entries), top)
         return entries
 
     def _add_pairs(self, out: dict, x, y, max_deg, sigma_only=False, odd_only=False):
@@ -323,6 +338,9 @@ class WickAlgebra:
         skips a pair whose table entry has no odd pattern before it
         multiplies the pair's coefficients."""
         cap = inf if max_deg is None else max_deg
+        # every entry has one dimension (checked in __init__); a pair that
+        # contracts has fiber degree, so dim > 0 wherever lam is used
+        lam = self.lam[0][0] if self.lam else None
         xs, ys = x.terms.items(), y.terms.items()
         if sigma_only:
             xs = [t for t in xs if not t[0][2]]
@@ -344,7 +362,7 @@ class WickAlgebra:
                 wsign, forms = merged
                 contracts = s1 > 0 and s2 > 0
                 if contracts:
-                    patterns, any_odd = self._contractions(z1, z2)
+                    patterns, any_odd, top = self._contractions(z1, z2)
                 if odd_only:
                     # both factors carry z here; a pair with no odd pattern adds nothing
                     if not any_odd:
@@ -358,15 +376,27 @@ class WickAlgebra:
                     key = (v1 + v2, tuple(p + q for p, q in zip(z1, z2)), forms)
                     _add_raw(out, key, base.scale(wsign) if wsign < 0 else base)
                     continue
+                # the kernel below trusts that base and Lambda share a layout
+                base._require_same_dim(lam)
+                dim = base.dim
+                # each |f| is at most 2 * top, and |c * f| <= 1e300 cannot
+                # overflow, so scale's check on c * f is needed only beyond that
+                safe = max(map(abs, base.terms.values())) * top <= 0.5e300
                 for r, z_out, weight, denom, lams, odd in patterns:
                     if (sigma_only and r != s1) or (odd_only and not odd):
                         continue
-                    coeff = base.scale(complex(wsign * weight) / denom * (0.5j) ** r)
-                    for lam in lams:
-                        coeff = coeff * lam
-                    if coeff.is_zero:
-                        continue
-                    _add_raw(out, (v1 + v2 + r, z_out, forms), coeff)
+                    f = complex(wsign * weight) / denom * (0.5j) ** r
+                    if lams:
+                        if not safe:
+                            base.scale(f)  # raises where c * f overflows
+                        terms = _times(base.terms, lams[0].terms, dim, f)
+                        for power in lams[1:]:
+                            terms = _times(terms, power.terms, dim)
+                        coeff = Signomial(dim, terms)
+                    else:
+                        coeff = base.scale(f)
+                    if not coeff.is_zero:
+                        _add_raw(out, (v1 + v2 + r, z_out, forms), coeff)
 
     def product(
         self, x: WickElement, y: WickElement, *, max_deg=None, sigma_only=False

@@ -133,6 +133,9 @@ def probe_fields(n):
 
 def exact(x):
     """Terms of a Signomial or WickElement with key order and coefficient bits."""
+    if isinstance(x, WickElement):
+        # a Signomial's own repr rounds its coefficients
+        return repr([(key, list(c.terms.items())) for key, c in x.terms.items()])
     return repr(list(x.terms.items()))
 
 

@@ -560,7 +560,7 @@ _FOOTPRINT = """
 import io, json, sys
 from akstar.cli import main
 code = main(sys.argv[1:], stream=io.StringIO()) if sys.argv[1:] else None
-print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+print(json.dumps([code, [m for m in ("numpy", "scipy", "fractions", "decimal") if m in sys.modules]]))
 """
 
 
@@ -578,7 +578,8 @@ print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
 def test_numeric_libraries_load_only_where_called(argv):
     # the Gamma ratios, the quadrature oracle and the seeded draws are pure
     # Python, so no invocation imports numpy or scipy, not even a fractional
-    # one that runs the oracle
+    # one that runs the oracle; exponents round to the grid on integer
+    # ratios, so none imports fractions or decimal either
     proc = fresh_interpreter("-c", _FOOTPRINT, *argv)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)

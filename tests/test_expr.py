@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from akstar import expr
 from akstar.caputo_quad import caputo_quad
 from akstar.errors import (
     EvaluationDomainError,
@@ -18,6 +19,7 @@ from akstar.expr import (
     MAX_EXPONENT,
     AlphaContext,
     Signomial,
+    _grid_count,
     _pack,
     _unpack,
     coeff_distance,
@@ -175,6 +177,18 @@ def test_caputo_alpha_one_delegates_to_partial():
     ctx = AlphaContext(alpha=1.0, n=1)
     s = sig(2, (1.0, [2, 1]))
     assert coeff_distance(s.caputo(0, ctx), s.partial(0)) == 0.0
+
+
+def test_caputo_counts_alpha_once_per_context(monkeypatch):
+    ctx = AlphaContext(alpha=0.3, n=1)
+    f = sig(2, (1.0, [2.5, 1.0]))
+    calls = []
+    monkeypatch.setattr(expr, "_grid_count", lambda v: calls.append(v) or round(Fraction(v) * GRID))
+    first = f.caputo(0, ctx)
+    assert exact(f.caputo(0, ctx)) == exact(first)
+    f.caputo(1, ctx)
+    assert calls == [0.3]
+    assert first.sorted_terms() == [((2.2, 1.0), power_rule_factor(2.5, 0.3) + 0j)]
 
 
 def test_caputo_negative_integer_exponent_raises():
@@ -414,6 +428,26 @@ packed_exponents = st.one_of(
     st.sampled_from([-MAX_EXPONENT, MAX_EXPONENT, -2.5, -1 / 3, -0.45, 0.0, 0.45, 1.0]),
     st.floats(min_value=-MAX_EXPONENT, max_value=MAX_EXPONENT),
 )
+
+
+# x * 10**12 is a half-integer exactly for the odd multiples of 5**12 / 2**13
+grid_ties = st.builds(lambda j, sign: sign * (2 * j + 1) * 5**12 / 2**13,
+                      st.integers(0, 2**20), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(grid_ties, packed_exponents, st.floats(allow_nan=False, allow_infinity=False)))
+def test_grid_count_rounds_like_the_exact_rational(value):
+    assert _grid_count(value) == round(Fraction(value) * GRID)
+
+
+def test_grid_count_breaks_ties_to_even():
+    half = 5**12 / 2**13  # 10**12 * half = 5**24 / 2, an exact tie
+    assert (5**24 // 2) % 2 == 0
+    assert _grid_count(half) == 5**24 // 2 == round(Fraction(half) * GRID)
+    assert _grid_count(-half) == -(5**24 // 2)
+    assert _grid_count(3 * half) == 3 * 5**24 // 2 + 1
+    assert _grid_count(-0.0) == 0
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -335,11 +335,18 @@ def test_w4_delta_curvature_identity_is_not_trivial():
     assert delta(m.t_hat).is_zero
 
 
-@pytest.mark.parametrize("alpha", ALPHAS_FRACTIONAL)
-def test_operator_identities_fractional_are_finite(alpha):
-    m = machine("flat", 1, alpha)
+# w4p, the n = 2 config with non-zero torsion, curvature and Omega at
+# fractional alpha, builds its geometry at each of these alphas
+FRACTIONAL_IDENTITY_CASES = [pytest.param("flat", 1, a, id=str(a)) for a in ALPHAS_FRACTIONAL] + [
+    pytest.param("w4p", 2, a, id=f"w4p-{a}") for a in ALPHAS_FRACTIONAL
+]
+
+
+@pytest.mark.parametrize("kind,n,alpha", FRACTIONAL_IDENTITY_CASES)
+def test_operator_identities_fractional_are_finite(kind, n, alpha):
+    m = machine(kind, n, alpha)
     probes = make_probes(m.bundle, seed=5, count=4)
-    pts = sample_points(1)
+    pts = sample_points(n)
     vals = [m.comf_delta_residual(p, pts) for p in probes]
     vals += [m.comf_dsq_residual(p, pts) for p in probes]
     vals += [m.delta_torsion_residual(pts), m.delta_curvature_residual(pts)]
@@ -391,10 +398,14 @@ def test_residuals_classical(kind, n):
     assert st.max_residual() < 1e-9
 
 
-@pytest.mark.parametrize("alpha", ALPHAS_FRACTIONAL)
-def test_residuals_fractional_reported(alpha):
-    st = machine("flat", 1, alpha).solve_r(3)
-    assert set(st.residuals) == {1, 2, 3, 4}
+@pytest.mark.parametrize(
+    "kind,n,alpha,order",
+    [pytest.param("flat", 1, a, 3, id=str(a)) for a in ALPHAS_FRACTIONAL]
+    + [pytest.param("w4p", 2, 0.45, 2, id="w4p-0.45")],
+)
+def test_residuals_fractional_reported(kind, n, alpha, order):
+    st = machine(kind, n, alpha).solve_r(order)
+    assert set(st.residuals) == set(range(1, order + 2))
     assert all(np.isfinite(v) for v in st.residuals.values())
 
 

@@ -71,6 +71,17 @@ def test_invocations_include_the_full_n3_run_in_strict_mode(tmp_path):
     assert all(len(term["exp"]) == 6 for term in config["lagrangian"])
 
 
+def test_invocations_include_w4_star_at_k5(tmp_path):
+    root = TOOL.parent.parent
+    invs = same_outputs.invocations(root, tmp_path)
+    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "w4 K5: star --order 2"]
+    assert len(runs) == 1
+    command, config = runs[0]
+    assert command == ("star", "--order", "2")
+    assert (config["n"], config["alpha"], config["truncation_order"]) == (2, 1.0, 5)
+    assert config["lagrangian"] == same_outputs._workloads(root).W4
+
+
 def test_round_off_only_uses_the_golden_tolerance():
     def dump(value):
         return json.dumps({"checks": [{"status": "pass", "value": value}], "n": 3}).encode()

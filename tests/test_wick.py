@@ -1,5 +1,10 @@
 """Formal Wick algebra: gradings, product expansion, graded commutators."""
 
+import functools
+import itertools
+import math
+import operator
+
 import numpy as np
 import pytest
 
@@ -291,6 +296,217 @@ def test_contraction_table_is_exact(kind, n, alpha):
         )
 
 
+def two_term_twist():
+    """An antisymmetric-off-diagonal Lambda over n = 1 whose every entry has
+    two terms; every engine config's Lambda entries have one."""
+    def s(*terms):
+        return Signomial.from_terms(2, terms)
+
+    off = s((1.1, [1.0, 0.0]), (0.4j, [0.5, -0.5]))
+    return [
+        [s((0.3, [-1.0, 0.5]), (-0.7j, [0.0, 2.0])), off],
+        [-off, s((-0.9j, [0.0, -1.0]), (0.2, [2.0, 1.0]))],
+    ]
+
+
+def fiber_degrees(dim, most):
+    """Every fiber multi-degree of ``dim`` entries with total at most ``most``."""
+    return [z for z in itertools.product(range(most + 1), repeat=dim) if sum(z) <= most]
+
+
+def brute_force_table(lam):
+    """``patterns(z1, z2)``: a table entry's patterns, enumerated over every
+    pair (a, b) with a non-zero Lambda entry, k from 0 up, with weights from
+    factorials at the end."""
+    dim = len(lam)
+    pairs = [(a, b) for a in range(dim) for b in range(dim) if not lam[a][b].is_zero]
+
+    @functools.lru_cache(maxsize=None)
+    def power(a, b, k):
+        return functools.reduce(operator.mul, [lam[a][b]] * k)
+
+    def patterns(z1, z2):
+        out = []
+        # product varies the last pair fastest: depth-first over pairs, k ascending
+        for ks in itertools.product(*(range(min(z1[a], z2[b]) + 1) for a, b in pairs)):
+            rows, cols = list(z1), list(z2)
+            for (a, b), k in zip(pairs, ks):
+                rows[a] -= k
+                cols[b] -= k
+            if min(rows + cols) < 0:
+                continue
+            weight = math.prod(
+                math.factorial(full) // math.factorial(left)
+                for full, left in zip(z1 + z2, rows + cols)
+            )
+            denom = math.prod(map(math.factorial, ks))
+            lams = tuple(power(a, b, k) for (a, b), k in zip(pairs, ks) if k)
+            odd = sum(k for (a, b), k in zip(pairs, ks) if a != b) % 2 == 1
+            out.append((sum(ks), tuple(map(operator.add, rows, cols)), weight, denom, lams, odd))
+        return out
+
+    return patterns
+
+
+TABLE_CASES = CAP_CASES + [("w4", 2, 1.0)]
+
+
+@pytest.mark.parametrize("case", TABLE_CASES + ["two-term"], ids=str)
+def test_contraction_table_matches_brute_force(case):
+    lam = two_term_twist() if case == "two-term" else make_bundle(*case).lam
+    alg = WickAlgebra(lam)
+    brute_force = brute_force_table(lam)
+    degrees = fiber_degrees(len(lam), 4)
+    multi = 0
+    for z1 in degrees:
+        for z2 in degrees:
+            patterns, any_odd, top = alg._contractions(z1, z2)
+            expected = brute_force(z1, z2)
+            # Lambda powers compare as Signomials, by their terms
+            assert list(patterns) == expected
+            assert any_odd == any(e[5] for e in expected)
+            assert top == max(e[2] / e[3] / 2 ** e[0] for e in expected)
+            multi += any(len(p.terms) > 1 for _, _, _, _, lams, _ in patterns for p in lams)
+    assert (multi > 0) == (case == "two-term")
+
+
+def inline_reference(alg, x, y, odd_only=False):
+    """x o y (or, with ``odd_only``, the graded commutator) with every
+    coefficient product written out on the term dicts: scale by the pattern
+    scalar, then one merging product per Lambda power, a dead zone after
+    each; a key keeps a single contribution as made and sums several raw."""
+    dim = x.dim
+    (bias,) = Signomial.constant(dim, 1.0).terms
+
+    def times(t1, t2):
+        merged = {}
+        for k1, c1 in t1.items():
+            for k2, c2 in t2.items():
+                key = k1 - bias + k2
+                merged[key] = merged.get(key, 0j) + c1 * c2
+        return _drop_debris(merged)
+
+    out, raw = {}, set()
+    for (v1, z1, a1), c1 in x.terms.items():
+        for (v2, z2, a2), c2 in y.terms.items():
+            merged = sort_word(a1 + a2)
+            if merged is None:
+                continue
+            wsign, forms = merged
+            base = times(c1.terms, c2.terms)
+            if not base:
+                continue
+            if not (any(z1) and any(z2)):
+                if odd_only:
+                    continue
+                contributions = [(
+                    (v1 + v2, tuple(map(operator.add, z1, z2)), forms),
+                    base if wsign > 0 else {k: c * complex(wsign) for k, c in base.items()},
+                )]
+            else:
+                contributions = []
+                wsign *= 2 if odd_only else 1
+                for r, z_out, weight, denom, lams, odd in alg._contractions(z1, z2)[0]:
+                    if odd_only and not odd:
+                        continue
+                    f = complex(wsign * weight) / denom * (0.5j) ** r
+                    terms = {k: c * f for k, c in base.items()}
+                    for lam in lams:
+                        terms = times(terms, lam.terms)
+                    if terms:
+                        contributions.append(((v1 + v2 + r, z_out, forms), terms))
+            for key, terms in contributions:
+                if key not in out:
+                    out[key] = terms
+                    continue
+                if key not in raw:
+                    raw.add(key)
+                    out[key] = {k: 0j + c for k, c in out[key].items()}
+                for k, c in terms.items():
+                    out[key][k] = out[key].get(k, 0j) + c
+    kept = {}
+    for key, terms in out.items():
+        terms = _drop_debris(terms) if key in raw else terms
+        if terms:
+            kept[key] = Signomial(dim, terms)
+    return WickElement(dim, kept)
+
+
+def test_kernel_matches_inline_reference():
+    # the two-term twist takes the kernel's merging loop, every engine
+    # config's one-term twist its comprehension
+    two_term = WickAlgebra(two_term_twist())
+    rng = np.random.default_rng(53)
+    cases = [(two_term, *rand_pair(rng, 2)) for _ in range(10)]
+    # multi-term coefficients on both sides, with repeated keys
+    a = Signomial.from_terms(2, [(0.8 - 0.1j, [0.5, 1.0]), (-1.3, [1.0, 0.0]), (0.2j, [0.0, 0.5])])
+    b = Signomial.from_terms(2, [(0.6, [0.0, 1.0]), (1.0 + 1.0j, [0.5, 0.5])])
+    w = WickElement.from_terms(2, [
+        (0, (2, 1), (0,), a), (0, (1, 1), (), b), (1, (0, 2), (1,), a * b), (0, (3, 0), (), b),
+    ])
+    cases += [(two_term, w, w), (two_term, w, cases[0][1])]
+    for kind, n, alpha in CAP_CASES:
+        cases += [(algebra(alpha, kind, n), *rand_pair(rng, 2 * n)) for _ in range(3)]
+    m = w4_machine()
+    r2 = delta_inv(m.t_hat)
+    cases += [(m.algebra, r2, r2), (m.algebra, r2, m.r_hat)]
+    shared = 0
+    for alg, x, y in cases:
+        for got, ref in (
+            (alg.product(x, y), inline_reference(alg, x, y)),
+            (alg.commutator(x, y), inline_reference(alg, x, y, odd_only=True)),
+        ):
+            assert exact(got) == exact(ref)
+            shared += sum(len(c.terms) > 1 for c in got.terms.values())
+    assert shared >= 100
+
+
+def test_product_keeps_the_overflow_error_of_scaling():
+    # z^0 z^0 o z^0 z^0 has the pattern scalar 2i at one contraction; it
+    # takes the coefficient c to c * 2i, whose parts are finite but whose
+    # magnitude is not, although c * 2i * Lambda^{00} = c is finite again
+    lam = [[Signomial.constant(2, -0.5j), Signomial.constant(2, 0.25)],
+           [Signomial.constant(2, -0.25), Signomial.constant(2, -0.5j)]]
+    alg = WickAlgebra(lam)
+    one = WickElement.from_term(2, 0, (2, 0), (), Signomial.constant(2, 1.0))
+
+    def z0_squared(c):
+        return WickElement.from_term(2, 0, (2, 0), (), Signomial.constant(2, c))
+
+    with pytest.raises(MalformedInputError):
+        z0_squared(0.7e308 + 0.7e308j).terms[(0, (2, 0), ())].scale(2j)
+    with pytest.raises(MalformedInputError):
+        alg.product(z0_squared(0.7e308 + 0.7e308j), one)
+    # just below the overflow the check runs and passes
+    x = z0_squared(0.6e308 + 0.6e308j)
+    assert exact(alg.product(x, one)) == exact(inline_reference(alg, x, one))
+
+
+def test_coefficients_over_other_coordinates_than_the_twist_raise():
+    # the kernel adds packed keys, so a coefficient over three coordinates
+    # against Lambda's two would land in the wrong fields: it must raise,
+    # as a Signomial product of the two does
+    alg = algebra()
+    z0, z1 = (WickElement.from_term(2, 0, z, (), Signomial.constant(3, 1.0))
+              for z in ((1, 0), (0, 1)))
+    with pytest.raises(MalformedInputError, match="dimension mismatch"):
+        alg.product(z0, z1)
+    with pytest.raises(MalformedInputError, match="dimension mismatch"):
+        alg.commutator(z0, z1)
+    with pytest.raises(MalformedInputError, match="dimension mismatch"):
+        Signomial.constant(3, 1.0) * alg.lam[0][1]
+    # without a contraction no Lambda enters, as before
+    assert not alg.product(WickElement.from_term(2, 0, (0, 0), (), Signomial.constant(3, 1.0)),
+                           z0).is_zero
+
+
+def test_twist_entries_over_different_coordinates_raise():
+    lam = algebra().lam
+    mixed = [[lam[0][0], lam[0][1]], [lam[1][0], Signomial.zero(3)]]
+    with pytest.raises(MalformedInputError, match="different numbers of coordinates"):
+        WickAlgebra(mixed)
+
+
 # -- accumulation of output keys -------------------------------------------------
 
 
@@ -571,7 +787,7 @@ def test_pairs_without_an_odd_pattern_multiply_nothing(monkeypatch):
     # pattern is even, so the commutator skips the pair before c1 * c2
     alg = algebra()
     x = z_var(2, 0).scale(2.0)
-    patterns, any_odd = alg._contractions((1, 0), (1, 0))
+    patterns, any_odd, _ = alg._contractions((1, 0), (1, 0))
     assert patterns and not any_odd and not any(p[5] for p in patterns)
     assert alg._contractions((1, 0), (0, 1))[1]
     calls = []

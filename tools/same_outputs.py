@@ -13,7 +13,9 @@ a process.  The invocations are read from CHANGE_ROOT:
 * the full ``run`` of that file's ``W4`` Lagrangian (n = 2, K = 3) in strict
   mode, which no workload covers;
 * the full ``run`` of ``N3`` below (n = 3, K = 3) in strict mode, the one
-  invocation at n = 3.
+  invocation at n = 3;
+* ``star --order 2`` on ``W4`` at K = 5, the one invocation whose Wick
+  products raise a twist entry to a power k >= 2 and contract r >= 3 times.
 
 The script prints each invocation whose stdout, stderr or exit code differs
 between the roots and exits 1 if any differs, 0 otherwise.  When both
@@ -91,6 +93,9 @@ def invocations(root: Path, work: Path) -> list:
         path = work / f"{label}_run.config.json"
         path.write_text(json.dumps(config))
         out.append((f"{label} full: run", ("run",), path))
+    path = work / "w4_k5_star.config.json"
+    path.write_text(json.dumps(workloads._config(1.0, 2, workloads.W4, 5, SEED)))
+    out.append(("w4 K5: star --order 2", ("star", "--order", "2"), path))
     return out
 
 
