@@ -24,7 +24,6 @@ abort the pipeline.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .caputo_quad import power_rule_residual
 from .chern import (
@@ -45,6 +44,7 @@ from .fedosov import (
     flat_d_squared_residual,
     flat_section_residual,
     generator_probes,
+    seeded_draws,
     sigma,
     sigma_series,
     star,
@@ -179,12 +179,8 @@ def caputo_checks(suite: Suite):
 def algebra_checks(suite: Suite, machine: FedosovMachine, seed: int):
     alg = machine.algebra
     dim = machine.dim
-    # only Random.random() repeats across Python versions (see make_probes);
     # coefficients are uniform in [-1, 1)
-    rng = random.Random(seed)
-
-    def draw(k):
-        return int(rng.random() * k)
+    draw, uniform = seeded_draws(seed)
 
     def rand_elem(max_s=3, max_forms=2):
         terms = []
@@ -198,7 +194,7 @@ def algebra_checks(suite: Suite, machine: FedosovMachine, seed: int):
             forms = tuple(sorted(unused.pop(draw(len(unused))) for _ in range(nf)))
             coeff = Signomial.monomial(
                 dim,
-                complex(2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0),
+                complex(2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0),
                 [0.5 * draw(3) for _ in range(dim)],
             )
             terms.append((v, z, forms, coeff))

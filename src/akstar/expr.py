@@ -297,13 +297,12 @@ def _drop_debris(merged: dict) -> dict:
 def _times(t1: dict, t2: dict, dim: int, pre: complex | None = None) -> dict:
     """Terms of the product of two canonical term maps over ``dim`` fields.
 
-    With ``pre``, each coefficient of ``t1`` is first multiplied by it: the
-    arithmetic of ``scale(pre)`` followed by the product, without checking
-    the scaled coefficients (the caller does).  A one-term ``t2`` (every
-    Lambda power in the engine's twists) shifts the keys of ``t1``, which
-    stay distinct, so ``merged.get(key, 0j) + p`` is ``0j + p`` for each
-    and one comprehension gives the merging loop's bits.  Tests the guard
-    bits once and applies the dead zone; the result is a dict of its own.
+    A one-term ``t2`` shifts the keys of ``t1``, which stay distinct, so
+    ``merged.get(key, 0j) + p`` is ``0j + p`` for each and one
+    comprehension gives the merging loop's bits.  ``pre`` (only with a
+    ``t2`` of at most one term, as a ``WickAlgebra`` Lambda power is) first
+    multiplies each ``t1`` coefficient, unchecked.  Tests the guard bits
+    once and applies the dead zone; the result is a dict of its own.
     """
     bias, guard = _layout(dim)
     if len(t2) == 1:
@@ -316,8 +315,6 @@ def _times(t1: dict, t2: dict, dim: int, pre: complex | None = None) -> dict:
     else:
         merged = {}
         for k1, c1 in t1.items():
-            if pre is not None:
-                c1 = c1 * pre
             k1 -= bias
             for k2, c2 in t2.items():
                 key = k1 + k2

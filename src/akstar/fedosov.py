@@ -423,20 +423,20 @@ def star_series(series_a: tuple, series_b: tuple, state: FedosovState, order: in
     return tuple(out)
 
 
+def seeded_draws(seed: int):
+    """``(draw, uniform)`` over ``random.Random(seed)``: ``uniform()`` is its
+    next ``random()`` in [0, 1), the one stream Python promises to repeat
+    across versions, and ``draw(k)`` is ``int(uniform() * k)``."""
+    uniform = random.Random(seed).random
+    return (lambda k: int(uniform() * k)), uniform
+
+
 def make_probes(bundle: GeometryBundle, seed: int, count: int):
-    """Seeded monomial probes with deg_s <= 3 and deg_a <= 1.
-
-    Coefficients are drawn from the coordinate observables, matching the
-    fields the star product is exercised on.  Every draw is
-    ``int(u * k)`` for ``u`` from ``random.Random(seed).random()``, the
-    one stream Python promises to repeat across versions.
-    """
+    """Seeded monomial probes with deg_s <= 3 and deg_a <= 1, drawn by
+    ``seeded_draws`` with coefficients from the coordinate observables,
+    matching the fields the star product is exercised on."""
     dim = bundle.ctx.dim
-    rng = random.Random(seed)
-
-    def draw(k):
-        return int(rng.random() * k)
-
+    draw, _ = seeded_draws(seed)
     pool = [Signomial.constant(dim, 1.0)] + [
         Signomial.coordinate(dim, i) for i in range(dim)
     ]

@@ -19,14 +19,19 @@ factor.  Form factors multiply by wedge: ``sort_word`` sorts the
 concatenated co-frame words with the permutation sign, and a repeated
 index drops the term.
 
-Elements are canonical in and canonical out.  Raw terms enter only
-through ``WickElement.from_terms`` (``from_term`` is its one-term form),
-which validates each key, sorts the co-frame word with its permutation
-sign (the one place the linear operators of :mod:`akstar.fedosov` get
-their wedge sign) and merges like keys; ``+``, ``-``, ``scale`` and the
-product trust canonical operands and build canonical results without
-re-checking them.
-The bare constructor is for those internal results only.
+Elements are canonical in and canonical out.  The contract is checked
+where data enters and trusted after that.  Raw terms enter only through
+``WickElement.from_terms`` (``from_term`` is its one-term form), which
+validates each key and that each coefficient is over ``dim`` coordinates,
+sorts the co-frame word with its permutation sign (the one place the
+linear operators of :mod:`akstar.fedosov` get their wedge sign) and merges
+like keys.  ``WickAlgebra`` takes only a ``dim`` x ``dim`` Lambda whose
+entries are zero or one term over ``dim`` coordinates, as every twist of
+``build_geometry`` is (its Hessian is diagonal and single-monomial), and
+``product`` and ``commutator`` check once per call that both operands
+have the algebra's ``dim``.  Past those checks, ``+``, ``-``, ``scale`` and
+the product trust canonical operands and build canonical results; the
+bare constructor is for those internal results only.
 
 The combinatorics of a term pair depend only on its fiber degrees, so
 ``WickAlgebra`` keeps one contraction table entry per (z1, z2), filled on
@@ -38,12 +43,11 @@ contract zero times.  A pattern's contribution is one
 :func:`~akstar.expr._times` kernel call per Lambda power on the bare term
 maps: the first call scales the pair's coefficient product by the pattern
 scalar ``wsign * weight / denom * (i/2)^r`` before it multiplies, and each
-later call multiplies by the next power.  That is the arithmetic of
-scaling and then multiplying fresh ``Signomial`` operands, in the same
-order, so each contribution has the bits a fresh enumeration gives it;
-where the scaled coefficient could overflow, ``Signomial.scale`` runs
-first so that its error is kept, and a coefficient over a different
-number of coordinates than Lambda raises as a Signomial product would.
+later call multiplies by the next power, a single term by the contract.
+That is the arithmetic of scaling and then multiplying fresh ``Signomial``
+operands, in the same order, so each contribution has the bits a fresh
+enumeration gives it; where the scaled coefficient could overflow,
+``Signomial.scale`` runs first so that its error is kept.
 
 One accumulation rule serves ``product``, ``commutator``, ``+`` and ``-``:
 ``_add_raw`` sums the contributions to an output key raw, with
@@ -127,14 +131,16 @@ class WickElement:
     def from_terms(cls, dim, raw) -> "WickElement":
         """Canonical element from raw ``(v, z, word, coeff)`` terms.
 
-        Each term is validated (v >= 0, ``dim`` non-negative fiber degrees),
-        its co-frame word sorted with the permutation sign (a repeated index
-        drops the term), and like keys merge in order through
-        ``Signomial.__add__``, with a dead zone after every add (the module
-        docstring says why).
+        Each term is validated (v >= 0, ``dim`` non-negative fiber degrees,
+        a coefficient over ``dim`` coordinates), its co-frame word sorted
+        with the permutation sign (a repeated index drops the term), and like
+        keys merge in order through ``Signomial.__add__``, with a dead zone
+        after every add (the module docstring says why).
         """
         terms: dict = {}
         for v_power, z_degrees, word, coeff in raw:
+            if coeff.dim != dim:
+                raise MalformedInputError(f"coefficient over {coeff.dim} coordinates, not {dim}")
             if coeff.is_zero:
                 continue
             if v_power < 0:
@@ -252,10 +258,13 @@ class WickAlgebra:
     """Product structure bound to one twist tensor Lambda^{ab}."""
 
     def __init__(self, lam):
-        self.dim = len(lam)
-        if len({entry.dim for row in lam for entry in row}) > 1:
-            raise MalformedInputError("twist entries over different numbers of coordinates")
-        for a in range(self.dim):
+        self.dim = dim = len(lam)
+        for row in lam:
+            if len(row) != dim or any(entry.dim != dim for entry in row):
+                raise MalformedInputError(f"the twist must be {dim} x {dim} over {dim} coordinates")
+            if any(len(entry.terms) > 1 for entry in row):
+                raise ExpressionClassError("twist entry with more than one term")
+        for a in range(dim):
             for b in range(a):
                 if lam[b][a] != -lam[a][b]:
                     raise ExpressionClassError(
@@ -337,10 +346,10 @@ class WickAlgebra:
         doubled, which is the graded commutator (see ``commutator``), and
         skips a pair whose table entry has no odd pattern before it
         multiplies the pair's coefficients."""
+        dim = self.dim
+        if x.dim != dim or y.dim != dim:
+            raise MalformedInputError(f"operands of {x.dim}, {y.dim} directions, algebra of {dim}")
         cap = inf if max_deg is None else max_deg
-        # every entry has one dimension (checked in __init__); a pair that
-        # contracts has fiber degree, so dim > 0 wherever lam is used
-        lam = self.lam[0][0] if self.lam else None
         xs, ys = x.terms.items(), y.terms.items()
         if sigma_only:
             xs = [t for t in xs if not t[0][2]]
@@ -376,9 +385,6 @@ class WickAlgebra:
                     key = (v1 + v2, tuple(p + q for p, q in zip(z1, z2)), forms)
                     _add_raw(out, key, base.scale(wsign) if wsign < 0 else base)
                     continue
-                # the kernel below trusts that base and Lambda share a layout
-                base._require_same_dim(lam)
-                dim = base.dim
                 # each |f| is at most 2 * top, and |c * f| <= 1e300 cannot
                 # overflow, so scale's check on c * f is needed only beyond that
                 safe = max(map(abs, base.terms.values())) * top <= 0.5e300
@@ -405,7 +411,7 @@ class WickAlgebra:
         ``sigma_only`` only its deg_s = deg_a = 0 terms."""
         out: dict = {}
         self._add_pairs(out, x, y, max_deg, sigma_only)
-        return WickElement(self.dim, _finish(out, x.dim))
+        return WickElement(self.dim, _finish(out, self.dim))
 
     def commutator(self, x: WickElement, y: WickElement, *, max_deg=None) -> WickElement:
         """deg_a-graded commutator x o y - sum_{p,q} (-1)^{pq} y_p o x_q, with
@@ -418,7 +424,7 @@ class WickAlgebra:
         graded y o x, so no result has a v^0 key."""
         out: dict = {}
         self._add_pairs(out, x, y, max_deg, odd_only=True)
-        return WickElement(self.dim, _finish(out, x.dim))
+        return WickElement(self.dim, _finish(out, self.dim))
 
 
 def _add_raw(store: dict, key, coeff: Signomial):

@@ -8,7 +8,7 @@ import operator
 import numpy as np
 import pytest
 
-from akstar.errors import ExpressionClassError, MalformedInputError
+from akstar.errors import EngineError, ExpressionClassError, MalformedInputError
 from akstar.expr import Signomial, _drop_debris
 from akstar.fedosov import FedosovMachine, delta_inv, sigma
 from akstar.wick import (
@@ -296,19 +296,6 @@ def test_contraction_table_is_exact(kind, n, alpha):
         )
 
 
-def two_term_twist():
-    """An antisymmetric-off-diagonal Lambda over n = 1 whose every entry has
-    two terms; every engine config's Lambda entries have one."""
-    def s(*terms):
-        return Signomial.from_terms(2, terms)
-
-    off = s((1.1, [1.0, 0.0]), (0.4j, [0.5, -0.5]))
-    return [
-        [s((0.3, [-1.0, 0.5]), (-0.7j, [0.0, 2.0])), off],
-        [-off, s((-0.9j, [0.0, -1.0]), (0.2, [2.0, 1.0]))],
-    ]
-
-
 def fiber_degrees(dim, most):
     """Every fiber multi-degree of ``dim`` entries with total at most ``most``."""
     return [z for z in itertools.product(range(most + 1), repeat=dim) if sum(z) <= most]
@@ -351,13 +338,12 @@ def brute_force_table(lam):
 TABLE_CASES = CAP_CASES + [("w4", 2, 1.0)]
 
 
-@pytest.mark.parametrize("case", TABLE_CASES + ["two-term"], ids=str)
+@pytest.mark.parametrize("case", TABLE_CASES, ids=str)
 def test_contraction_table_matches_brute_force(case):
-    lam = two_term_twist() if case == "two-term" else make_bundle(*case).lam
+    lam = make_bundle(*case).lam
     alg = WickAlgebra(lam)
     brute_force = brute_force_table(lam)
     degrees = fiber_degrees(len(lam), 4)
-    multi = 0
     for z1 in degrees:
         for z2 in degrees:
             patterns, any_odd, top = alg._contractions(z1, z2)
@@ -366,8 +352,6 @@ def test_contraction_table_matches_brute_force(case):
             assert list(patterns) == expected
             assert any_odd == any(e[5] for e in expected)
             assert top == max(e[2] / e[3] / 2 ** e[0] for e in expected)
-            multi += any(len(p.terms) > 1 for _, _, _, _, lams, _ in patterns for p in lams)
-    assert (multi > 0) == (case == "two-term")
 
 
 def inline_reference(alg, x, y, odd_only=False):
@@ -433,18 +417,8 @@ def inline_reference(alg, x, y, odd_only=False):
 
 
 def test_kernel_matches_inline_reference():
-    # the two-term twist takes the kernel's merging loop, every engine
-    # config's one-term twist its comprehension
-    two_term = WickAlgebra(two_term_twist())
     rng = np.random.default_rng(53)
-    cases = [(two_term, *rand_pair(rng, 2)) for _ in range(10)]
-    # multi-term coefficients on both sides, with repeated keys
-    a = Signomial.from_terms(2, [(0.8 - 0.1j, [0.5, 1.0]), (-1.3, [1.0, 0.0]), (0.2j, [0.0, 0.5])])
-    b = Signomial.from_terms(2, [(0.6, [0.0, 1.0]), (1.0 + 1.0j, [0.5, 0.5])])
-    w = WickElement.from_terms(2, [
-        (0, (2, 1), (0,), a), (0, (1, 1), (), b), (1, (0, 2), (1,), a * b), (0, (3, 0), (), b),
-    ])
-    cases += [(two_term, w, w), (two_term, w, cases[0][1])]
+    cases = []
     for kind, n, alpha in CAP_CASES:
         cases += [(algebra(alpha, kind, n), *rand_pair(rng, 2 * n)) for _ in range(3)]
     m = w4_machine()
@@ -482,29 +456,65 @@ def test_product_keeps_the_overflow_error_of_scaling():
     assert exact(alg.product(x, one)) == exact(inline_reference(alg, x, one))
 
 
-def test_coefficients_over_other_coordinates_than_the_twist_raise():
-    # the kernel adds packed keys, so a coefficient over three coordinates
-    # against Lambda's two would land in the wrong fields: it must raise,
-    # as a Signomial product of the two does
+def test_from_terms_refuses_a_coefficient_over_other_coordinates():
+    # Wick + adds raw term maps, so an element holding x^1 over 3
+    # coordinates, added to y over 2, read as y + 1 over 2
+    y = Signomial.coordinate(2, 1)
+    x3 = Signomial.coordinate(3, 0)
+    with pytest.raises(MalformedInputError, match="coefficient over 3 coordinates"):
+        WickElement.from_terms(2, [(0, (0, 0), (), y), (0, (0, 0), (), x3)])
+    with pytest.raises(MalformedInputError, match="coefficient over 3 coordinates"):
+        WickElement.from_term(2, 0, (1, 0), (), Signomial.zero(3))
+
+
+def test_product_and_commutator_refuse_operands_of_other_directions():
+    # 4-direction elements on a 2-direction algebra, whose contractions
+    # would cover directions 0 and 1 only
     alg = algebra()
-    z0, z1 = (WickElement.from_term(2, 0, z, (), Signomial.constant(3, 1.0))
-              for z in ((1, 0), (0, 1)))
-    with pytest.raises(MalformedInputError, match="dimension mismatch"):
-        alg.product(z0, z1)
-    with pytest.raises(MalformedInputError, match="dimension mismatch"):
-        alg.commutator(z0, z1)
-    with pytest.raises(MalformedInputError, match="dimension mismatch"):
-        Signomial.constant(3, 1.0) * alg.lam[0][1]
-    # without a contraction no Lambda enters, as before
-    assert not alg.product(WickElement.from_term(2, 0, (0, 0), (), Signomial.constant(3, 1.0)),
-                           z0).is_zero
+    one = Signomial.constant(4, 1.0)
+    x = WickElement.from_term(4, 0, (0, 0, 0, 0), (2,), one)
+    y = WickElement.from_term(4, 0, (1, 0, 0, 1), (), one)
+    for op in (alg.product, alg.commutator):
+        for a, b in ((x, y), (y, x), (x, z_var(2, 0)), (z_var(2, 0), x)):
+            with pytest.raises(MalformedInputError, match="directions, algebra of 2"):
+                op(a, b)
 
 
-def test_twist_entries_over_different_coordinates_raise():
-    lam = algebra().lam
-    mixed = [[lam[0][0], lam[0][1]], [lam[1][0], Signomial.zero(3)]]
-    with pytest.raises(MalformedInputError, match="different numbers of coordinates"):
-        WickAlgebra(mixed)
+def malformed_twists():
+    """One Lambda, with the error it raises, for each way a twist can break
+    the ``WickAlgebra`` contract; most are built from the flat n = 1 twist."""
+    lam = make_bundle("flat", 1, 1.0).lam
+    two = Signomial.from_terms(2, [(1.0, [0.0, 0.0]), (0.5j, [1.0, 0.0])])
+    # every entry over 3 coordinates, so the entries agree with each other
+    over_3 = [[Signomial.constant(3, c) for c in row] for row in ((-1j, 1.0), (-1.0, -1j))]
+    return [
+        pytest.param([row + [Signomial.zero(2)] for row in lam], MalformedInputError, id="2x3"),
+        pytest.param([list(lam[0]), [lam[1][0]]], MalformedInputError, id="ragged"),
+        pytest.param([[two, lam[0][1]], list(lam[1])], ExpressionClassError, id="two-terms"),
+        pytest.param(over_3, MalformedInputError, id="over-3-coordinates"),
+    ]
+
+
+@pytest.mark.parametrize("lam,error", malformed_twists())
+def test_twist_outside_the_contract_raises(lam, error):
+    with pytest.raises(error, match="twist"):
+        WickAlgebra(lam)
+
+
+TWIST_KINDS = [("flat", 1), ("flat", 2), ("coupled", 1), ("coupled", 2), ("cross", 2),
+               ("y4", 1), ("x2y3", 1), ("w4", 2), ("w4p", 2)]
+
+
+def test_every_config_twist_meets_the_contract():
+    built = 0
+    for (kind, n), alpha in itertools.product(TWIST_KINDS, (1.0, 0.7, 0.45)):
+        try:
+            lam = make_bundle(kind, n, alpha).lam
+        except EngineError:
+            continue
+        assert WickAlgebra(lam).dim == 2 * n
+        built += 1
+    assert built >= 20
 
 
 # -- accumulation of output keys -------------------------------------------------
