@@ -28,7 +28,6 @@ shares no Gamma code with the power rule it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import MalformedInputError, QuadratureFailureError
 from .expr import power_rule_factor
@@ -37,10 +36,14 @@ from .expr import power_rule_factor
 _TAIL = 45.0
 
 
-@dataclass(frozen=True)
 class QuadResult:
-    value: float
-    error: float
+    """A quadrature value and its error estimate; immutable by use."""
+
+    __slots__ = ("value", "error")
+
+    def __init__(self, value: float, error: float):
+        self.value = value
+        self.error = error
 
 
 def caputo_quad(

@@ -48,15 +48,14 @@ right length, and finite exponents of magnitude at most ``MAX_EXPONENT``.
 that overflows raises :class:`~akstar.errors.MalformedInputError`.
 
 Evaluation is defined only at points with strictly positive coordinates.
-Values are immutable after construction and every operation is pure, so
-instances are safe to share between threads.
+Values are immutable by use (no code assigns to a built instance) and
+every operation is pure, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -548,7 +547,6 @@ def coeff_distance(a: Signomial, b: Signomial) -> float:
     return (a - b).max_abs_coeff()
 
 
-@dataclass(frozen=True)
 class AlphaContext:
     """Differentiation context: order ``alpha`` in (0, 1] and base dimension.
 
@@ -556,26 +554,24 @@ class AlphaContext:
     are composed single-order applications) and the base points of the
     defining integrals are pinned at 0, so only ``alpha`` and ``n`` (number
     of x coordinates; the y block has the same size) vary.  ``alpha = 1``
-    selects the classical-derivative backend.
+    selects the classical-derivative backend.  Immutable by use.
     """
 
-    alpha: float
-    n: int
+    __slots__ = ("alpha", "n", "_step_count")
 
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise MalformedInputError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise MalformedInputError(f"n must be a positive integer, got {self.n!r}")
+    def __init__(self, alpha: float, n: int):
+        if not (0.0 < alpha <= 1.0):
+            raise MalformedInputError(f"alpha must be in (0, 1], got {alpha}")
+        if not (isinstance(n, int) and n >= 1):
+            raise MalformedInputError(f"n must be a positive integer, got {n!r}")
+        self.alpha = alpha
+        self.n = n
+        # alpha in grid steps, the exponent drop of one Caputo step
+        self._step_count = _grid_count(alpha)
 
     @property
     def dim(self) -> int:
         return 2 * self.n
-
-    @cached_property
-    def _step_count(self) -> int:
-        """alpha in grid steps, the exponent drop of one Caputo step."""
-        return _grid_count(self.alpha)
 
     @property
     def classical(self) -> bool:

@@ -39,7 +39,6 @@ where they are gated.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import FractionalDomainError, MalformedInputError
@@ -259,20 +258,22 @@ class FedosovMachine:
         return FedosovState(machine=self, K=K, r_components=r, residuals=residuals)
 
 
-@dataclass
 class FedosovState:
     """Solved recursion data: r per total degree plus equation defects.
 
-    Safe to share once solved; the only mutation is an idempotent memo:
-    the summed element and the tau lifts computed so far.
+    Immutable by use and safe to share once solved; the only mutation is an
+    idempotent memo: the summed element and the tau lifts computed so far.
     """
 
-    machine: FedosovMachine
-    K: int
-    r_components: dict
-    residuals: dict
-    _r_total: WickElement | None = field(default=None, repr=False)
-    _tau_memo: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("machine", "K", "r_components", "residuals", "_r_total", "_tau_memo")
+
+    def __init__(self, machine: FedosovMachine, K: int, r_components: dict, residuals: dict):
+        self.machine = machine
+        self.K = K
+        self.r_components = r_components
+        self.residuals = residuals
+        self._r_total = None
+        self._tau_memo = {}
 
     @property
     def bundle(self) -> GeometryBundle:

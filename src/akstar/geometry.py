@@ -29,13 +29,12 @@ tensors, among them the Nijenhuis tensor with four times the
 J-anti-invariant torsion.
 
 Everything is exact term-level signomial arithmetic; the only tolerance in
-this module is the coefficient dead zone.  All objects are immutable once
-built (treat the nested lists as read-only).
+this module is the coefficient dead zone.  All objects are immutable by use:
+no code assigns to a built record (and the nested lists are read-only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ExpressionClassError, RegularityError
@@ -44,7 +43,6 @@ from .expr import AlphaContext, Signomial
 Matrix = list[list[Signomial]]
 
 
-@dataclass(frozen=True)
 class LagrangianSpec:
     """A regular Lagrangian along with its differentiation context.
 
@@ -52,23 +50,22 @@ class LagrangianSpec:
     the engine's exact-invertibility class when it builds the fiber Hessian:
     it raises :class:`ExpressionClassError` unless the Hessian is diagonal
     with single-monomial entries, and :class:`RegularityError` if an entry
-    vanishes at a configured regularity point.
+    vanishes at a configured regularity point.  Immutable by use.
     """
 
-    L: Signomial
-    ctx: AlphaContext
-    regularity_points: tuple = ()
+    __slots__ = ("L", "ctx", "regularity_points")
 
-    def __post_init__(self):
-        if self.L.dim != self.ctx.dim:
+    def __init__(self, L: Signomial, ctx: AlphaContext, regularity_points: tuple = ()):
+        if L.dim != ctx.dim:
             raise ExpressionClassError(
-                f"Lagrangian dimension {self.L.dim} != context dimension {self.ctx.dim}"
+                f"Lagrangian dimension {L.dim} != context dimension {ctx.dim}"
             )
-        points = self.regularity_points or ((1.0,) * self.ctx.dim,)
-        object.__setattr__(self, "regularity_points", tuple(tuple(p) for p in points))
+        self.L = L
+        self.ctx = ctx
+        points = regularity_points or ((1.0,) * ctx.dim,)
+        self.regularity_points = tuple(tuple(p) for p in points)
 
 
-@dataclass(frozen=True)
 class GeometryBundle:
     """Every derived geometric object for one configuration.
 
@@ -103,23 +100,33 @@ class GeometryBundle:
       pair +1; ``theta_upper`` is its inverse; ``lam[a][b]`` is Lambda^{ab}
       = theta^{ab} - i g^{ab}.
 
-    Treat every nested list as read-only.
+    Immutable by use; treat every nested list as read-only.
     """
 
-    spec: LagrangianSpec
-    ctx: AlphaContext
-    G: list
-    N: Matrix
-    gamma: list
-    anholonomy: list
-    torsion: list
-    curvature: list
-    J: list
-    theta_lower: Matrix
-    theta_upper: Matrix
-    g_lower: Matrix
-    g_upper: Matrix
-    lam: Matrix
+    __slots__ = (
+        "spec", "ctx", "G", "N", "gamma", "anholonomy", "torsion", "curvature", "J",
+        "theta_lower", "theta_upper", "g_lower", "g_upper", "lam",
+    )
+
+    def __init__(
+        self, spec: LagrangianSpec, ctx: AlphaContext, G: list, N: Matrix, gamma: list,
+        anholonomy: list, torsion: list, curvature: list, J: list, theta_lower: Matrix,
+        theta_upper: Matrix, g_lower: Matrix, g_upper: Matrix, lam: Matrix,
+    ):
+        self.spec = spec
+        self.ctx = ctx
+        self.G = G
+        self.N = N
+        self.gamma = gamma
+        self.anholonomy = anholonomy
+        self.torsion = torsion
+        self.curvature = curvature
+        self.J = J
+        self.theta_lower = theta_lower
+        self.theta_upper = theta_upper
+        self.g_lower = g_lower
+        self.g_upper = g_upper
+        self.lam = lam
 
     def e(self, f: Signomial, idx: int) -> Signomial:
         return adapted_derivative(f, idx, self.N, self.ctx)

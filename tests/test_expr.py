@@ -180,10 +180,10 @@ def test_caputo_alpha_one_delegates_to_partial():
 
 
 def test_caputo_counts_alpha_once_per_context(monkeypatch):
-    ctx = AlphaContext(alpha=0.3, n=1)
     f = sig(2, (1.0, [2.5, 1.0]))
     calls = []
     monkeypatch.setattr(expr, "_grid_count", lambda v: calls.append(v) or round(Fraction(v) * GRID))
+    ctx = AlphaContext(alpha=0.3, n=1)
     first = f.caputo(0, ctx)
     assert exact(f.caputo(0, ctx)) == exact(first)
     f.caputo(1, ctx)

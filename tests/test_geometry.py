@@ -1,7 +1,5 @@
 """Geometric construction chain: metric through curvature and J/theta."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from _configs import (
     make_bundle,
     make_spec,
     probe_fields,
+    replace_fields,
     sample_points,
 )
 
@@ -537,7 +536,7 @@ def test_nijenhuis_reads_j_from_the_bundle():
     assert (np.array(J2) @ np.array(J2) == -np.eye(4)).all()
     assert J2 != b.J and J2 != [[-v for v in row] for row in b.J]
     pts = sample_points(2)
-    other = geo.nijenhuis_residual(dataclasses.replace(b, J=J2), pts)
+    other = geo.nijenhuis_residual(replace_fields(b, J=J2), pts)
     assert other != geo.nijenhuis_residual(b, pts)
 
 
