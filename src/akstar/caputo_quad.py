@@ -17,9 +17,8 @@ exponentially at both ends, so neither endpoint singularity needs special
 care.  It is cut at ``|t| = T``, where ``min(p, 1-alpha) pi sinh T = 45``,
 and ``w^p (1-w)^(1-alpha)`` is formed from logarithms, so a weight that
 underflows still contributes its power.  The trapezoid rule on
-``[-T, T]`` halves its step until two successive estimates agree to the
-requested relative tolerance, and the last change is reported as the
-error estimate.
+``[-T, T]`` halves its step until two successive estimates agree to ``REL_TOL``,
+and the last change is reported as the error estimate.
 
 The prefactor 1/Gamma(1-alpha) comes from ``math.gamma``, so the oracle
 shares no Gamma code with the power rule it checks.
@@ -34,6 +33,8 @@ from .expr import power_rule_factor
 
 # the integrand at the cut |t| = T is below (_TAIL / min(p, 1-alpha)) * exp(-_TAIL)
 _TAIL = 45.0
+REL_TOL = 1e-8
+MAX_INTERVALS = 1 << 20
 
 
 class QuadResult:
@@ -46,15 +47,13 @@ class QuadResult:
         self.error = error
 
 
-def caputo_quad(
-    p: float, x: float, alpha: float, *, rel_tol: float = 1e-8, max_intervals: int = 1 << 20
-) -> QuadResult:
+def caputo_quad(p: float, x: float, alpha: float) -> QuadResult:
     """Left Caputo derivative of ``u^p`` at ``x`` by tanh-sinh quadrature.
 
     ``p = 0`` (a constant) gives 0 without quadrature.
     Raises :class:`QuadratureFailureError` (carrying the last two
-    estimates) if halving the step reaches ``max_intervals`` on ``[-T, T]``
-    before the estimates agree to ``rel_tol``.
+    estimates) if halving the step reaches ``MAX_INTERVALS`` on ``[-T, T]``
+    before the estimates agree to ``REL_TOL``.
     """
     if not (0.0 < alpha < 1.0):
         raise MalformedInputError(f"alpha must be in (0, 1), got {alpha}")
@@ -62,10 +61,6 @@ def caputo_quad(
         raise MalformedInputError(f"x must be positive, got {x}")
     if not (p >= 0.0):
         raise MalformedInputError(f"p must be >= 0, got {p}")
-    if not (rel_tol > 0.0):
-        raise MalformedInputError(f"rel_tol must be positive, got {rel_tol}")
-    if max_intervals < 16:
-        raise MalformedInputError(f"max_intervals must be >= 16, got {max_intervals}")
     if p == 0.0:
         return QuadResult(0.0, 0.0)
 
@@ -92,9 +87,9 @@ def caputo_quad(
         total += sum(integrand(-t_max + k * h) for k in range(1, n, 2))
         cur = h * total
         err = abs(cur - prev)
-        if err <= rel_tol * abs(cur):
+        if err <= REL_TOL * abs(cur):
             return QuadResult(front * cur, front * err)
-        if n >= max_intervals:
+        if n >= MAX_INTERVALS:
             raise QuadratureFailureError(
                 f"no convergence at {n} intervals: last estimates "
                 f"{front * prev:.16e}, {front * cur:.16e}",

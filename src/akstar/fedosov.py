@@ -27,7 +27,9 @@ degree by degree in Deg = 2 deg_v + deg_s (gauge: delta_inv r = 0, deg_a
 r = 1), records the per-degree defect of that equation, and exposes the
 flat connection D-hat = -delta + D-check - (i/v) ad(r), the recursive lift
 tau inverting sigma on flat sections, and the star product
-f * g = sigma(tau(f) o tau(g)) with coefficients per power of v.
+f * g = sigma(tau(f) o tau(g)) with coefficients per power of v.  Each
+(i/v) ad is one ``WickAlgebra.commutator`` call, which returns (i/v)[a, b];
+only ``solve_r``'s r o r convolution divides by v itself.
 
 For alpha = 1 the recursion closes to round-off; for alpha < 1 the frame
 operators are not derivations, the closure argument is unavailable, and
@@ -204,21 +206,17 @@ class FedosovMachine:
 
         return WickElement.from_terms(self.dim, terms())
 
-    def i_over_v_commutator(self, a: WickElement, b: WickElement, max_deg=None) -> WickElement:
-        """(i/v)[a, b], through Deg ``max_deg`` of [a, b] if given."""
-        return self.algebra.commutator(a, b, max_deg=max_deg).scale(1j).div_v()
-
     # -- operator-identity residuals, each the largest value at ``points`` -----
 
     def comf_delta_residual(self, probe: WickElement, points) -> float:
         """[D-check, delta] - (i/v) ad(T-hat) on a probe."""
         lhs = self.dconn_apply(delta(probe)) + delta(self.dconn_apply(probe))
-        return (lhs - self.i_over_v_commutator(self.t_hat, probe)).sample_norm(points)
+        return (lhs - self.algebra.commutator(self.t_hat, probe)).sample_norm(points)
 
     def comf_dsq_residual(self, probe: WickElement, points) -> float:
         """D-check^2 + (i/v) ad(R-hat) on a probe."""
         lhs = self.dconn_apply(self.dconn_apply(probe))
-        return (lhs + self.i_over_v_commutator(self.r_hat, probe)).sample_norm(points)
+        return (lhs + self.algebra.commutator(self.r_hat, probe)).sample_norm(points)
 
     def delta_torsion_residual(self, points) -> float:
         return delta(self.t_hat).sample_norm(points)
@@ -304,14 +302,10 @@ class FedosovState:
 
 
 def flat_d(w: WickElement, state: FedosovState, max_deg) -> WickElement:
-    """D-hat = -delta + D-check - (i/v) ad(r), through Deg ``max_deg``.
-
-    Dividing by v lowers Deg by 2, so the commutator is capped at
-    ``max_deg + 2``.
-    """
+    """D-hat = -delta + D-check - (i/v) ad(r), through Deg ``max_deg``."""
     machine = state.machine
     out = -delta(w) + machine.dconn_apply(w)
-    out = out - machine.i_over_v_commutator(state.r_total(), w, max_deg=max_deg + 2)
+    out = out - machine.algebra.commutator(state.r_total(), w, max_deg=max_deg)
     return out.truncate(max_deg)
 
 
@@ -361,7 +355,7 @@ def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
         try:
             rhs = machine.dconn_apply(comps[k])
             for l in range(k + 1):
-                rhs = rhs - machine.i_over_v_commutator(state.r_components[l + 2], comps[k - l])
+                rhs = rhs - machine.algebra.commutator(state.r_components[l + 2], comps[k - l])
         except FractionalDomainError as err:
             err.degree = k + 1
             raise

@@ -54,33 +54,34 @@ One accumulation rule serves ``product``, ``commutator``, ``+`` and ``-``:
 ``Signomial.__add__``'s arithmetic in order, and ``_finish`` applies the
 dead zone once per key, so a key with one contribution holds that operand
 unchanged and a key whose sum comes out empty is dropped.  ``commutator``
-is one pass of the pair loop over x o y that keeps the odd patterns, each
-doubled.  It rests on the symmetry of the twist: g is diagonal and theta
-antisymmetric, so Lambda^{ba} = -Lambda^{ab} for a != b (``WickAlgebra``
-refuses any other Lambda), and the graded y o x that the commutator
-subtracts repeats each pattern of x o y times (-1)^(its number of
-off-diagonal contractions).  Even patterns, the
-r = 0 ones among them, cancel, odd ones double: the Wick form of "the
-Moyal bracket is the odd part of the Moyal product" (Fedosov 1994), and a
-commutator has no v^0 key.  ``from_terms`` is the exception to the one
+is the Fedosov bracket (i/v)[x, y]: one pass of the pair loop over x o y
+that keeps the odd patterns, each doubled, times i, one v lower.  With g
+diagonal and theta antisymmetric, Lambda^{ba} = -Lambda^{ab} for a != b
+(``WickAlgebra`` refuses any other Lambda), so the graded y o x repeats
+each pattern of x o y times (-1)^(its number of off-diagonal
+contractions).  Even patterns, the r = 0 ones among them, cancel, odd ones
+double: the Wick form of "the Moyal bracket is the odd part of the Moyal
+product" (Fedosov 1994).  An odd pattern contracts, so no v power goes
+negative, and i only swaps a scalar's parts: each coefficient has the bits
+of i[x, y], signed zeros aside.  ``from_terms`` is the exception to the one
 accumulation rule: it keeps a dead zone after every add, because summing
 its terms raw keeps cancellation debris the running zone drops (the Deg 7
 r-term count of x^2 y^3 moves 26 -> 28).
 
 Deg is additive under this product: a contraction trades two units of
 deg_s for one power of v, so every output of a term pair has the Deg sum
-of the pair.  ``product`` and ``commutator`` therefore accept a degree cap
-that skips a pair before its contractions are looked up, and ``product``
-a sigma-projection that keeps only the deg_s = deg_a = 0 part.  Both
-return exactly the uncapped result restricted to the kept keys: each kept
-key receives the same contributions in the same order, and its dead zone
-looks at no other key.
+of the pair (of (i/v)[x, y], two less).  ``product`` and ``commutator``
+therefore accept a cap on their result's Deg that skips a pair before its
+contractions are looked up, and ``product`` a sigma-projection that keeps
+only the deg_s = deg_a = 0 part.  Both return exactly the uncapped result
+restricted to the kept keys: each kept key receives the same
+contributions in the same order, and its dead zone looks at no other key.
 """
 
 from __future__ import annotations
 
 from math import factorial, inf
-from operator import add
+from operator import add, index
 
 from .errors import ExpressionClassError, MalformedInputError
 from .expr import Signomial, _drop_debris, _times
@@ -131,8 +132,9 @@ class WickElement:
     def from_terms(cls, dim, raw) -> "WickElement":
         """Canonical element from raw ``(v, z, word, coeff)`` terms.
 
-        Each term is validated (v >= 0, ``dim`` non-negative fiber degrees,
-        a coefficient over ``dim`` coordinates), its co-frame word sorted
+        Each term is validated (an integer v >= 0, ``dim`` non-negative
+        integer fiber degrees, co-frame labels in ``range(dim)``, a
+        coefficient over ``dim`` coordinates), its co-frame word sorted
         with the permutation sign (a repeated index drops the term), and like
         keys merge in order through ``Signomial.__add__``, with a dead zone
         after every add (the module docstring says why).
@@ -141,17 +143,21 @@ class WickElement:
         for v_power, z_degrees, word, coeff in raw:
             if coeff.dim != dim:
                 raise MalformedInputError(f"coefficient over {coeff.dim} coordinates, not {dim}")
-            if coeff.is_zero:
-                continue
+            try:
+                v_power, z_degrees = index(v_power), tuple(map(index, z_degrees))
+            except TypeError:
+                raise MalformedInputError(f"non-integer degree in v^{v_power} z{z_degrees}") from None
             if v_power < 0:
                 raise MalformedInputError(f"negative formal-parameter power {v_power}")
-            if len(z_degrees) != dim or any(d < 0 for d in z_degrees):
+            if len(z_degrees) != dim or min(z_degrees, default=0) < 0:
                 raise MalformedInputError(f"bad fiber degrees {z_degrees}")
             srt = sort_word(word)
-            if srt is None:
+            if srt is None or coeff.is_zero:
                 continue
             sign, forms = srt
-            key = (int(v_power), tuple(int(d) for d in z_degrees), forms)
+            if forms and (forms[0] < 0 or forms[-1] >= dim):
+                raise MalformedInputError(f"co-frame word {tuple(word)} outside range({dim})")
+            key = (v_power, z_degrees, forms)
             c = coeff.scale(sign) if sign < 0 else coeff
             c = terms[key] + c if key in terms else c
             if c.is_zero:
@@ -189,11 +195,10 @@ class WickElement:
         return WickElement(self.dim, {k: c.scale(factor) for k, c in self.terms.items()})
 
     def div_v(self) -> "WickElement":
-        """Divide by the formal parameter.
+        """Divide by the formal parameter; ``solve_r`` divides r o r.
 
-        Terms without a v factor must have cancelled: a commutator has no
-        v^0 key, and the v^0 part of r o r for a 1-form r is r wedge r = 0
-        up to round-off.  What float
+        Terms without a v factor must have cancelled: the v^0 part of
+        r o r for a 1-form r is r wedge r = 0 up to round-off.  What float
         accumulation order leaves behind at v^0, at most 1e-12 of the
         element's own ``coeff_norm()``, is debris and is dropped; anything
         larger signals an internal inconsistency and raises.  The norm is
@@ -339,11 +344,11 @@ class WickAlgebra:
         return entries
 
     def _add_pairs(self, out: dict, x, y, max_deg, sigma_only=False, odd_only=False):
-        """``_add_raw`` each contribution of x o y into ``out``.  The
-        sigma-projection keeps the 0-form pairs with equal deg_s and, of
-        those, the fully contracting patterns; ``odd_only`` keeps the
-        patterns with an odd number of off-diagonal contractions, each
-        doubled, which is the graded commutator (see ``commutator``), and
+        """``_add_raw`` each contribution of Deg <= ``max_deg`` into ``out``.
+        The sigma-projection keeps the 0-form pairs with equal deg_s and, of
+        those, the fully contracting patterns.  ``odd_only`` makes
+        (i/v)[x, y] (see ``commutator``) from the patterns with an odd number
+        of off-diagonal contractions, each doubled, times i, one v lower, and
         skips a pair whose table entry has no odd pattern before it
         multiplies the pair's coefficients."""
         dim = self.dim
@@ -361,7 +366,8 @@ class WickAlgebra:
         ys = [(key, c, 2 * key[0] + sum(key[1]), sum(key[1])) for key, c in ys]
         for (v1, z1, a1), c1 in xs:
             s1 = sum(z1)
-            room = cap - 2 * v1 - s1
+            # the bracket emits one power of v below v1 + v2 + r
+            room = cap - 2 * (v1 - odd_only) - s1
             for (v2, z2, a2), c2, deg2, s2 in ys:
                 if deg2 > room or (sigma_only and s2 != s1):
                     continue
@@ -392,6 +398,8 @@ class WickAlgebra:
                     if (sigma_only and r != s1) or (odd_only and not odd):
                         continue
                     f = complex(wsign * weight) / denom * (0.5j) ** r
+                    if odd_only:
+                        f *= 1j
                     if lams:
                         if not safe:
                             base.scale(f)  # raises where c * f overflows
@@ -402,7 +410,7 @@ class WickAlgebra:
                     else:
                         coeff = base.scale(f)
                     if not coeff.is_zero:
-                        _add_raw(out, (v1 + v2 + r, z_out, forms), coeff)
+                        _add_raw(out, (v1 + v2 + r - odd_only, z_out, forms), coeff)
 
     def product(
         self, x: WickElement, y: WickElement, *, max_deg=None, sigma_only=False
@@ -414,14 +422,15 @@ class WickAlgebra:
         return WickElement(self.dim, _finish(out, self.dim))
 
     def commutator(self, x: WickElement, y: WickElement, *, max_deg=None) -> WickElement:
-        """deg_a-graded commutator x o y - sum_{p,q} (-1)^{pq} y_p o x_q, with
-        p, q the form-degree parities; with ``max_deg`` only its terms of
-        Deg <= max_deg.
+        """(i/v)[x, y] for the deg_a-graded [x, y] = x o y - sum_{p,q} (-1)^{pq}
+        y_p o x_q, p, q the form-degree parities; with ``max_deg`` only its
+        terms of Deg <= max_deg.
 
-        One pass over x o y that forms only its odd patterns, doubled: with
-        Lambda^{ba} = -Lambda^{ab} off the diagonal (checked in ``__init__``)
-        the even ones, every r = 0 pattern among them, cancel against the
-        graded y o x, so no result has a v^0 key."""
+        One pass over x o y that forms only its odd patterns, doubled, times
+        i, one v lower: with Lambda^{ba} = -Lambda^{ab} off the diagonal
+        (checked in ``__init__``) the even ones, every r = 0 pattern among
+        them, cancel against the graded y o x, and an odd one contracts at
+        least once, so no result has a negative power of v."""
         out: dict = {}
         self._add_pairs(out, x, y, max_deg, odd_only=True)
         return WickElement(self.dim, _finish(out, self.dim))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from akstar import caputo_quad as quad_module
 from akstar.caputo_quad import caputo_quad, power_rule_residual
 from akstar.errors import MalformedInputError, QuadratureFailureError
 from akstar.expr import power_rule_factor
@@ -29,10 +30,12 @@ def test_power_rule_residual_grid(p, alpha, x):
     assert power_rule_residual(p, alpha, x) < 1e-6
 
 
-def test_doubling_changes_less_than_reported_error():
+def test_doubling_changes_less_than_reported_error(monkeypatch):
     for p, alpha in [(0.5, 0.5), (2.0, 0.3), (3.7, 0.9)]:
-        r = caputo_quad(p, 1.0, alpha, rel_tol=1e-7)
-        refined = caputo_quad(p, 1.0, alpha, rel_tol=1e-14)
+        monkeypatch.setattr(quad_module, "REL_TOL", 1e-7)
+        r = caputo_quad(p, 1.0, alpha)
+        monkeypatch.setattr(quad_module, "REL_TOL", 1e-14)
+        refined = caputo_quad(p, 1.0, alpha)
         assert abs(refined.value - r.value) <= r.error
 
 
@@ -51,9 +54,11 @@ def test_small_exponents_keep_their_underflowing_tails():
         assert power_rule_residual(p, alpha, 1.0) < 1e-12
 
 
-def test_budget_exhaustion_raises_with_estimates():
+def test_budget_exhaustion_raises_with_estimates(monkeypatch):
+    monkeypatch.setattr(quad_module, "REL_TOL", 1e-15)
+    monkeypatch.setattr(quad_module, "MAX_INTERVALS", 32)
     with pytest.raises(QuadratureFailureError) as info:
-        caputo_quad(0.5, 1.0, 0.9, rel_tol=1e-15, max_intervals=32)
+        caputo_quad(0.5, 1.0, 0.9)
     assert len(info.value.estimates) == 2
 
 
@@ -64,10 +69,6 @@ def test_parameter_validation():
         caputo_quad(1.0, 0.0, 0.5)
     with pytest.raises(MalformedInputError):
         caputo_quad(-0.5, 1.0, 0.5)
-    with pytest.raises(MalformedInputError):
-        caputo_quad(1.0, 1.0, 0.5, rel_tol=0.0)
-    with pytest.raises(MalformedInputError):
-        caputo_quad(1.0, 1.0, 0.5, max_intervals=8)
 
 
 def test_power_rule_residual_rejects_nonpositive_exponent():

@@ -35,10 +35,13 @@ GOLDEN = Path(__file__).parent / "golden"
 # exponent, whose recursion term counts move with last-bit changes of the
 # kernel; w4p_a0.45 (x1^2 x2 y1^2.7 + x1 x2 y2^2.7, strict, K = 2) is the
 # one fractional n = 2 run with non-zero Omega, torsion, curvature and r,
-# so its r o r convolution and tau lifts are not 0 = 0 below alpha = 1
+# so its r o r convolution and tau lifts are not 0 = 0 below alpha = 1;
+# w4_a1 (W4, strict, K = 3) is the full classical run with non-zero Omega,
+# torsion and curvature, so its D-hat^2 probes and delta-curvature
+# identity are not 0 = 0
 NAMES = (
     "y4_a1", "y4_a1_strict", "coupled2_a1", "x2y3_a1", "x2y3_a0.7", "x2y2_a0.45", "x2y2_a0.6",
-    "y2p5_a0.3", "w4p_a0.45",
+    "y2p5_a0.3", "w4p_a0.45", "w4_a1",
 )
 # W4 (n = 2, non-zero T, R and Omega, so r and the contractions are non-trivial)
 STAR_NAMES = ("w4_star_o1",)

@@ -47,18 +47,6 @@ def test_describe_moves_caps_the_lines_and_skips_non_json():
     assert same_outputs.describe_moves(b"\xff", b"{}") == []
 
 
-def test_invocations_include_the_full_w4_run_in_strict_mode(tmp_path):
-    root = TOOL.parent.parent
-    invs = same_outputs.invocations(root, tmp_path)
-    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "w4 full: run"]
-    assert len(runs) == 1
-    command, config = runs[0]
-    assert command == ("run",)
-    assert config["mode"] == "strict"
-    assert config["truncation_order"] == 3
-    assert config["lagrangian"] == same_outputs._workloads(root).W4
-
-
 def test_invocations_include_the_full_n3_run_in_strict_mode(tmp_path):
     invs = same_outputs.invocations(TOOL.parent.parent, tmp_path)
     runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "n3 full: run"]

@@ -152,12 +152,14 @@ def test_flat_zx_square():
 
 
 def test_flat_commutator_is_iv_theta():
+    # [z^x, z^y] = i v theta^{xy} with theta^{xy} = 1, so (i/v)[z^x, z^y] = -1
     alg = algebra()
     zx = z_var(2, 0)
     zy = z_var(2, 1)
     comm = alg.commutator(zx, zy)
-    expect = WickElement.from_term(2, 1, (0, 0), (), Signomial.constant(2, 1j))
+    expect = WickElement.from_term(2, 0, (0, 0), (), Signomial.constant(2, -1.0))
     assert (comm - expect).coeff_norm() <= 1e-14
+    assert (comm - bracket_reference(alg, zx, zy)).coeff_norm() <= 1e-14
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -180,8 +182,10 @@ def test_lowest_v_antisymmetric_part_is_theta_contraction(alpha):
                 th = b.theta_upper[i][j]
                 if th.is_zero:
                     continue
-                expect = expect + WickElement.from_term(2, 1, (0, 0), (), (th * fa[i] * ga[j]).scale(1j))
+                # (i/v) of i v theta^{ij} f_i g_j
+                expect = expect + WickElement.from_term(2, 0, (0, 0), (), -(th * fa[i] * ga[j]))
         assert (comm - expect).coeff_norm() <= 1e-12
+        assert (comm - bracket_reference(alg, a, g)).coeff_norm() <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -355,7 +359,7 @@ def test_contraction_table_matches_brute_force(case):
 
 
 def inline_reference(alg, x, y, odd_only=False):
-    """x o y (or, with ``odd_only``, the graded commutator) with every
+    """x o y (or, with ``odd_only``, the bracket (i/v)[x, y]) with every
     coefficient product written out on the term dicts: scale by the pattern
     scalar, then one merging product per Lambda power, a dead zone after
     each; a key keeps a single contribution as made and sums several raw."""
@@ -394,11 +398,13 @@ def inline_reference(alg, x, y, odd_only=False):
                     if odd_only and not odd:
                         continue
                     f = complex(wsign * weight) / denom * (0.5j) ** r
+                    if odd_only:
+                        f *= 1j
                     terms = {k: c * f for k, c in base.items()}
                     for lam in lams:
                         terms = times(terms, lam.terms)
                     if terms:
-                        contributions.append(((v1 + v2 + r, z_out, forms), terms))
+                        contributions.append(((v1 + v2 + r - odd_only, z_out, forms), terms))
             for key, terms in contributions:
                 if key not in out:
                     out[key] = terms
@@ -465,6 +471,20 @@ def test_from_terms_refuses_a_coefficient_over_other_coordinates():
         WickElement.from_terms(2, [(0, (0, 0), (), y), (0, (0, 0), (), x3)])
     with pytest.raises(MalformedInputError, match="coefficient over 3 coordinates"):
         WickElement.from_term(2, 0, (1, 0), (), Signomial.zero(3))
+
+
+@pytest.mark.parametrize("v,z,word", [
+    pytest.param(0.5, (1, 0, 0, 0), (), id="fractional-v"),
+    pytest.param(0, (1.5, 0, 0, 0), (), id="fractional-fiber-degree"),
+    pytest.param(0, (1, 0, 0, 0), (-1,), id="label-below-range"),
+    pytest.param(0, (1, 0, 0, 0), (2, 4), id="label-above-range"),
+])
+def test_from_terms_refuses_keys_outside_the_grading(v, z, word):
+    # int() used to truncate 0.5 and 1.5, and label -1 reached the last
+    # row of w_by_form in dconn_apply
+    one = Signomial.constant(4, 1.0)
+    with pytest.raises(MalformedInputError):
+        WickElement.from_terms(4, [(0, (0, 0, 0, 0), (), one), (v, z, word, one)])
 
 
 def test_product_and_commutator_refuse_operands_of_other_directions():
@@ -642,13 +662,13 @@ def test_product_does_not_call_signomial_add(monkeypatch):
 # -- the graded commutator ---------------------------------------------------------
 
 
-def parity_reference(alg, x, y, max_deg=None):
-    """x o y - sum_{p,q} (-1)^{pq} y_p o x_q from products and sums."""
-    out = alg.product(x, y, max_deg=max_deg)
+def bracket_reference(alg, x, y):
+    """(i/v)(x o y - sum_{p,q} (-1)^{pq} y_p o x_q) from products and sums."""
+    out = alg.product(x, y)
     for p, yp in enumerate(y.split_form_parity()):
         for q, xq in enumerate(x.split_form_parity()):
-            out = out - alg.product(yp, xq, max_deg=max_deg).scale((-1) ** (p * q))
-    return out
+            out = out - alg.product(yp, xq).scale((-1) ** (p * q))
+    return out.scale(1j).div_v()
 
 
 def commutator_cases():
@@ -665,13 +685,15 @@ def commutator_cases():
 
 
 def test_commutator_matches_parity_reference():
+    # max_deg caps the Deg of the bracket itself, two below that of x o y
     checked = 0
     for alg, x, y in commutator_cases():
         top = max(alg.commutator(x, y).total_degrees(), default=0)
         scale = max(x.coeff_norm() * y.coeff_norm(), 1.0)
+        full = bracket_reference(alg, x, y)
         for max_deg in [None, *range(top + 1)]:
             got = alg.commutator(x, y, max_deg=max_deg)
-            ref = parity_reference(alg, x, y, max_deg)
+            ref = full if max_deg is None else full.truncate(max_deg)
             assert (got - ref).coeff_norm() <= 1e-14 * scale
             checked += not ref.is_zero
     assert checked >= 80
@@ -692,11 +714,14 @@ def test_even_patterns_of_the_two_halves_cancel():
 
 
 def test_commutator_has_no_v0_key():
-    products_with_v0 = 0
+    # [x, y] has no v^0 key, so (i/v)[x, y], one power of v lower, has no
+    # negative one, though it does reach v^0
+    brackets_with_v0 = 0
     for alg, x, y in commutator_cases():
-        assert all(v > 0 for v, _, _ in alg.commutator(x, y).terms)
-        products_with_v0 += any(v == 0 for v, _, _ in alg.product(x, y).terms)
-    assert products_with_v0 >= 12
+        keys = alg.commutator(x, y).terms
+        assert all(v >= 0 for v, _, _ in keys)
+        brackets_with_v0 += any(v == 0 for v, _, _ in keys)
+    assert brackets_with_v0 >= 11
 
 
 def test_twist_must_be_antisymmetric_off_the_diagonal():
@@ -757,7 +782,7 @@ def test_module_level_helpers():
     zx = z_var(2, 0)
     zy = z_var(2, 1)
     comm = WickAlgebra(lam).commutator(zx, zy)
-    assert (comm - WickElement.from_term(2, 1, (0, 0), (), Signomial.constant(2, 1j))).coeff_norm() <= 1e-14
+    assert (comm - WickElement.from_term(2, 0, (0, 0), (), Signomial.constant(2, -1.0))).coeff_norm() <= 1e-14
 
 
 def test_div_v_guard(monkeypatch):

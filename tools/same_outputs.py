@@ -10,12 +10,13 @@ a process.  The invocations are read from CHANGE_ROOT:
   ``check algebra|geometry|fedosov|caputo`` and ``star --order 1``;
 * every invocation of every workload in ``perfbench/workloads.py`` at seed 7,
   that file loaded by path and only read;
-* the full ``run`` of that file's ``W4`` Lagrangian (n = 2, K = 3) in strict
-  mode, which no workload covers;
 * the full ``run`` of ``N3`` below (n = 3, K = 3) in strict mode, the one
   invocation at n = 3;
-* ``star --order 2`` on ``W4`` at K = 5, the one invocation whose Wick
-  products raise a twist entry to a power k >= 2 and contract r >= 3 times.
+* ``star --order 2`` on that file's ``W4`` Lagrangian at K = 5, the one
+  invocation whose Wick products raise a twist entry to a power k >= 2 and
+  contract r >= 3 times.
+
+The full strict ``run`` of ``W4`` at K = 3 is the golden ``w4_a1``.
 
 The script prints each invocation whose stdout, stderr or exit code differs
 between the roots and exits 1 if any differs, 0 otherwise.  When both
@@ -88,11 +89,10 @@ def invocations(root: Path, work: Path) -> list:
             path = work / f"{workload}.{inv.name}.config.json"
             path.write_text(json.dumps(inv.config))
             out.append((f"{workload} {inv.name}: {' '.join(inv.command)}", inv.command, path))
-    for label, n, lagrangian in (("w4", 2, workloads.W4), ("n3", 3, N3)):
-        config = dict(workloads._config(1.0, n, lagrangian, 3, SEED), mode="strict")
-        path = work / f"{label}_run.config.json"
-        path.write_text(json.dumps(config))
-        out.append((f"{label} full: run", ("run",), path))
+    config = dict(workloads._config(1.0, 3, N3, 3, SEED), mode="strict")
+    path = work / "n3_run.config.json"
+    path.write_text(json.dumps(config))
+    out.append(("n3 full: run", ("run",), path))
     path = work / "w4_k5_star.config.json"
     path.write_text(json.dumps(workloads._config(1.0, 2, workloads.W4, 5, SEED)))
     out.append(("w4 K5: star --order 2", ("star", "--order", "2"), path))
