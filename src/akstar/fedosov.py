@@ -29,7 +29,8 @@ flat connection D-hat = -delta + D-check - (i/v) ad(r), the recursive lift
 tau inverting sigma on flat sections, and the star product
 f * g = sigma(tau(f) o tau(g)) with coefficients per power of v.  Each
 (i/v) ad is one ``WickAlgebra.commutator`` call, which returns (i/v)[a, b];
-only ``solve_r``'s r o r convolution divides by v itself.
+``solve_r`` applies -(i/v) to its r o r convolution itself, dropping that
+sum's v^0 part, r wedge r = 0 up to float cancellation.
 
 For alpha = 1 the recursion closes to round-off; for alpha < 1 the frame
 operators are not derivations, the closure argument is unavailable, and
@@ -231,7 +232,9 @@ class FedosovMachine:
 
         At Deg m the right-hand side is T-hat_m + R-hat_m + D-check r_m
         - (i/v) sum_{j=2..m} r_j o r_{m+2-j}; every r_j it reads is solved
-        by then, and r_{m+1} = delta_inv of it.  The per-degree defect of
+        by then, and r_{m+1} = delta_inv of it.  The convolution's v^0 part
+        is r wedge r, zero for the 1-form r, so -(i/v) drops it and moves
+        every other key one power of v down.  The per-degree defect of
         the equation is recorded in ``residuals``, never raised on; callers
         gate ``FedosovState.max_residual()``.
         """
@@ -247,7 +250,9 @@ class FedosovMachine:
                 conv = WickElement.zero(self.dim)
                 for j in range(2, m + 1):
                     conv = conv + self.algebra.product(r[j], r[m + 2 - j])
-                rhs = rhs + conv.scale(-1j).div_v()
+                rhs = rhs + WickElement(self.dim, {
+                    (v - 1, z, a): c.scale(-1j) for (v, z, a), c in conv.terms.items() if v
+                })
             except FractionalDomainError as err:
                 err.degree = m
                 raise

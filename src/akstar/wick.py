@@ -133,7 +133,7 @@ class WickElement:
         """Canonical element from raw ``(v, z, word, coeff)`` terms.
 
         Each term is validated (an integer v >= 0, ``dim`` non-negative
-        integer fiber degrees, co-frame labels in ``range(dim)``, a
+        integer fiber degrees, integer co-frame labels in ``range(dim)``, a
         coefficient over ``dim`` coordinates), its co-frame word sorted
         with the permutation sign (a repeated index drops the term), and like
         keys merge in order through ``Signomial.__add__``, with a dead zone
@@ -145,13 +145,15 @@ class WickElement:
                 raise MalformedInputError(f"coefficient over {coeff.dim} coordinates, not {dim}")
             try:
                 v_power, z_degrees = index(v_power), tuple(map(index, z_degrees))
+                srt = sort_word(map(index, word))
             except TypeError:
-                raise MalformedInputError(f"non-integer degree in v^{v_power} z{z_degrees}") from None
+                raise MalformedInputError(
+                    f"non-integer degree or label in v^{v_power} z{z_degrees} e{tuple(word)}"
+                ) from None
             if v_power < 0:
                 raise MalformedInputError(f"negative formal-parameter power {v_power}")
             if len(z_degrees) != dim or min(z_degrees, default=0) < 0:
                 raise MalformedInputError(f"bad fiber degrees {z_degrees}")
-            srt = sort_word(word)
             if srt is None or coeff.is_zero:
                 continue
             sign, forms = srt
@@ -193,32 +195,6 @@ class WickElement:
         if factor == 0:
             return WickElement.zero(self.dim)
         return WickElement(self.dim, {k: c.scale(factor) for k, c in self.terms.items()})
-
-    def div_v(self) -> "WickElement":
-        """Divide by the formal parameter; ``solve_r`` divides r o r.
-
-        Terms without a v factor must have cancelled: the v^0 part of
-        r o r for a 1-form r is r wedge r = 0 up to round-off.  What float
-        accumulation order leaves behind at v^0, at most 1e-12 of the
-        element's own ``coeff_norm()``, is debris and is dropped; anything
-        larger signals an internal inconsistency and raises.  The norm is
-        taken once, at the first v^0 key.
-        """
-        floor = None
-        out = {}
-        for (v, z, a), c in self.terms.items():
-            if v == 0:
-                if floor is None:
-                    norm = self.coeff_norm()
-                    floor = 1e-12 * max(norm, 1e-300)
-                if c.max_abs_coeff() <= floor:
-                    continue
-                raise MalformedInputError(
-                    "division by the formal parameter hit a v^0 term of "
-                    f"magnitude {c.max_abs_coeff():.3e} (element norm {norm:.3e})"
-                )
-            out[(v - 1, z, a)] = c
-        return WickElement(self.dim, out)
 
     # -- gradings -----------------------------------------------------------
 

@@ -393,6 +393,26 @@ def test_gauge_normalization():
     assert st.gauge_residual() <= 1e-13
 
 
+@pytest.mark.parametrize("kind,alpha,K", [("w4", 1.0, 3), ("w4p", 0.45, 2)], ids=["w4", "w4p-0.45"])
+def test_convolution_v0_part_is_round_off(kind, alpha, K):
+    # solve_r drops the v^0 part of sum_j r_j o r_{m+2-j} when it applies
+    # -(i/v): with every r_j a 1-form that part is r wedge r = 0, so all it
+    # may hold is float cancellation
+    m = machine(kind, 2, alpha)
+    r = m.solve_r(K).r_components
+    assert all(len(forms) == 1 for w in r.values() for _, _, forms in w.terms)
+    v0_keys = 0
+    for deg in range(2, K + 2):
+        conv = WickElement.zero(m.dim)
+        for j in range(2, deg + 1):
+            conv = conv + m.algebra.product(r[j], r[deg + 2 - j])
+        v0 = [c.max_abs_coeff() for (v, _, _), c in conv.terms.items() if v == 0]
+        assert v0 and max(v0) <= 1e-12 * conv.coeff_norm()
+        v0_keys += len(v0)
+    # not 0 = 0: W4 leaves 191 such keys, W4' 169
+    assert v0_keys >= 100
+
+
 @pytest.mark.parametrize("kind,n", [("coupled", 1), ("coupled", 2), ("cross", 2)])
 def test_residuals_classical(kind, n):
     st = machine(kind, n, 1.0).solve_r(4)

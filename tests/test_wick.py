@@ -478,10 +478,11 @@ def test_from_terms_refuses_a_coefficient_over_other_coordinates():
     pytest.param(0, (1.5, 0, 0, 0), (), id="fractional-fiber-degree"),
     pytest.param(0, (1, 0, 0, 0), (-1,), id="label-below-range"),
     pytest.param(0, (1, 0, 0, 0), (2, 4), id="label-above-range"),
+    pytest.param(0, (1, 0, 0, 0), (0.5,), id="fractional-label"),
 ])
 def test_from_terms_refuses_keys_outside_the_grading(v, z, word):
-    # int() used to truncate 0.5 and 1.5, and label -1 reached the last
-    # row of w_by_form in dconn_apply
+    # int() used to truncate 0.5 and 1.5, label -1 reached the last row of
+    # w_by_form in dconn_apply, and label 0.5 reached it as a float index
     one = Signomial.constant(4, 1.0)
     with pytest.raises(MalformedInputError):
         WickElement.from_terms(4, [(0, (0, 0, 0, 0), (), one), (v, z, word, one)])
@@ -662,13 +663,21 @@ def test_product_does_not_call_signomial_add(monkeypatch):
 # -- the graded commutator ---------------------------------------------------------
 
 
+def over_v(w):
+    """w / v, dropping w's v^0 part once it is asserted to be round-off,
+    at most 1e-12 of w's coefficient norm."""
+    v0 = max((c.max_abs_coeff() for (v, _, _), c in w.terms.items() if v == 0), default=0.0)
+    assert v0 <= 1e-12 * w.coeff_norm()
+    return WickElement(w.dim, {(v - 1, z, a): c for (v, z, a), c in w.terms.items() if v})
+
+
 def bracket_reference(alg, x, y):
     """(i/v)(x o y - sum_{p,q} (-1)^{pq} y_p o x_q) from products and sums."""
     out = alg.product(x, y)
     for p, yp in enumerate(y.split_form_parity()):
         for q, xq in enumerate(x.split_form_parity()):
             out = out - alg.product(yp, xq).scale((-1) ** (p * q))
-    return out.scale(1j).div_v()
+    return over_v(out.scale(1j))
 
 
 def commutator_cases():
@@ -775,46 +784,6 @@ def test_ad_of_unit_is_zero():
     one = WickElement.from_signomial(Signomial.constant(2, 1.0))
     for _ in range(5):
         assert alg.commutator(one, rand_element(rng, 2)).coeff_norm() <= 1e-13
-
-
-def test_module_level_helpers():
-    lam = make_bundle("flat", 1, 1.0).lam
-    zx = z_var(2, 0)
-    zy = z_var(2, 1)
-    comm = WickAlgebra(lam).commutator(zx, zy)
-    assert (comm - WickElement.from_term(2, 0, (0, 0), (), Signomial.constant(2, -1.0))).coeff_norm() <= 1e-14
-
-
-def test_div_v_guard(monkeypatch):
-    one = Signomial.constant(2, 1.0)
-    with pytest.raises(MalformedInputError):
-        WickElement.from_signomial(one).div_v()
-    v2 = WickElement.from_term(2, 2, (0, 0), (), one)
-    assert exact(v2.div_v()) == exact(WickElement.from_term(2, 1, (0, 0), (), one))
-    assert WickElement.zero(2).div_v().is_zero
-
-    # the floor is 1e-12 of the element's own norm, here 1.0 from the v^1 term
-    def with_v0(c):
-        return WickElement.from_terms(2, [
-            (1, (1, 0), (), one),
-            (0, (0, 1), (), Signomial.constant(2, c)),
-            (0, (0, 2), (), Signomial.constant(2, c / 2)),
-        ])
-
-    expected = exact(WickElement.from_term(2, 0, (1, 0), (), one))
-    assert exact(with_v0(1e-12).div_v()) == expected
-    assert exact(with_v0(-0.5e-12).div_v()) == expected
-    with pytest.raises(MalformedInputError, match=r"magnitude 2\.000e-12 \(element norm 1\.000e\+00\)"):
-        with_v0(2e-12).div_v()
-
-    # the norm is taken once per call, at the first v^0 key, and never without one
-    calls = []
-    real_norm = WickElement.coeff_norm
-    monkeypatch.setattr(WickElement, "coeff_norm", lambda w: calls.append(1) or real_norm(w))
-    with_v0(1e-12).div_v()
-    assert calls == [1]
-    v2.div_v()
-    assert calls == [1]
 
 
 def test_pairs_without_an_odd_pattern_multiply_nothing(monkeypatch):
