@@ -105,7 +105,6 @@ CHECKS = {
     "chern_d_squared": ("classical", 1e-10),
     "chern_d_gamma": ("classical", 1e-8),
     "chern_kappa_identity": ("classical", 1e-8),
-    "chern_flat_zero": ("exact", 0.0),
     "chern_theta_d_omega": ("info", None),
 }
 
@@ -376,11 +375,6 @@ def chern_checks(suite: Suite, machine: FedosovMachine, points, probes_scalar):
     suite.measure("chern_d_gamma", lambda: exterior_derivative(gamma, machine).sample_norm(points))
     lhs = kappa + lam.scale(1j) - gamma.scale(0.5j)
     suite.record("chern_kappa_identity", lhs.sample_norm(points))
-    if machine.t_hat.is_zero and machine.r_hat.is_zero:
-        flat_resid = max(
-            gamma.coeff_norm(), mu.coeff_norm(), lam.coeff_norm(), kappa.coeff_norm()
-        )
-        suite.record("chern_flat_zero", flat_resid)
     if bundle.ctx.classical:
         omega = adapted_form(dim, [((i,), c) for i, c in enumerate(lagrange_one_form(bundle.spec))])
         domega = exterior_derivative(omega, machine)

@@ -300,8 +300,10 @@ def _times(t1: dict, t2: dict, dim: int, pre: complex | None = None) -> dict:
     ``merged.get(key, 0j) + p`` is ``0j + p`` for each and one
     comprehension gives the merging loop's bits.  ``pre`` (only with a
     ``t2`` of at most one term, as a ``WickAlgebra`` Lambda power is) first
-    multiplies each ``t1`` coefficient, unchecked.  Tests the guard bits
-    once and applies the dead zone; the result is a dict of its own.
+    multiplies each ``t1`` coefficient; an intermediate ``c1 * pre`` may
+    overflow, and the dead zone's finiteness check on the result raises
+    where that leaves a coefficient non-finite.  Tests the guard bits once
+    and applies the dead zone; the result is a dict of its own.
     """
     bias, guard = _layout(dim)
     if len(t2) == 1:

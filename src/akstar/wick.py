@@ -46,8 +46,11 @@ scalar ``wsign * weight / denom * (i/2)^r`` before it multiplies, and each
 later call multiplies by the next power, a single term by the contract.
 That is the arithmetic of scaling and then multiplying fresh ``Signomial``
 operands, in the same order, so each contribution has the bits a fresh
-enumeration gives it; where the scaled coefficient could overflow,
-``Signomial.scale`` runs first so that its error is kept.
+enumeration gives it.  A product has one overflow rule, the one of
+``Signomial`` ``+``, ``*`` and ``scale``: it raises only when a
+coefficient it computes, or that coefficient's magnitude, is not finite,
+so a scaled intermediate that overflows but whose final contribution is
+finite is kept.
 
 One accumulation rule serves ``product``, ``commutator``, ``+`` and ``-``:
 ``_add_raw`` sums the contributions to an output key raw, with
@@ -274,12 +277,12 @@ class WickAlgebra:
         return self._pow_cache[key]
 
     def _contractions(self, z1, z2) -> tuple:
-        """Table entry ``(patterns, any_odd, top)`` for fiber degrees (z1, z2),
+        """Table entry ``(patterns, any_odd)`` for fiber degrees (z1, z2),
         built on first use: one ``(r, z_out, weight, denom, lam_powers, odd)``
         tuple per pattern of k contractions per pair, patterns in depth-first
         order over ``pairs``; ``odd`` is the parity of the number of
-        off-diagonal (a != b) contractions, ``any_odd`` says whether
-        some pattern is odd, and ``top`` is the largest weight / denom / 2^r."""
+        off-diagonal (a != b) contractions, and ``any_odd`` says whether
+        some pattern is odd."""
         entries = self._table.get((z1, z2))
         if entries is not None:
             return entries
@@ -315,8 +318,7 @@ class WickAlgebra:
             rows[a], cols[b] = row, col
 
         rec(0, list(z1), list(z2), 0, 1, 1, (), False)
-        top = max(weight / denom / 2**r for r, _, weight, denom, _, _ in entries)
-        entries = self._table[(z1, z2)] = (tuple(entries), any(e[5] for e in entries), top)
+        entries = self._table[(z1, z2)] = (tuple(entries), any(e[5] for e in entries))
         return entries
 
     def _add_pairs(self, out: dict, x, y, max_deg, sigma_only=False, odd_only=False):
@@ -353,7 +355,7 @@ class WickAlgebra:
                 wsign, forms = merged
                 contracts = s1 > 0 and s2 > 0
                 if contracts:
-                    patterns, any_odd, top = self._contractions(z1, z2)
+                    patterns, any_odd = self._contractions(z1, z2)
                 if odd_only:
                     # both factors carry z here; a pair with no odd pattern adds nothing
                     if not any_odd:
@@ -367,9 +369,6 @@ class WickAlgebra:
                     key = (v1 + v2, tuple(p + q for p, q in zip(z1, z2)), forms)
                     _add_raw(out, key, base.scale(wsign) if wsign < 0 else base)
                     continue
-                # each |f| is at most 2 * top, and |c * f| <= 1e300 cannot
-                # overflow, so scale's check on c * f is needed only beyond that
-                safe = max(map(abs, base.terms.values())) * top <= 0.5e300
                 for r, z_out, weight, denom, lams, odd in patterns:
                     if (sigma_only and r != s1) or (odd_only and not odd):
                         continue
@@ -377,8 +376,8 @@ class WickAlgebra:
                     if odd_only:
                         f *= 1j
                     if lams:
-                        if not safe:
-                            base.scale(f)  # raises where c * f overflows
+                        # one overflow rule: f * c may overflow on the way,
+                        # and only a non-finite contribution raises, in _times
                         terms = _times(base.terms, lams[0].terms, dim, f)
                         for power in lams[1:]:
                             terms = _times(terms, power.terms, dim)

@@ -350,12 +350,11 @@ def test_contraction_table_matches_brute_force(case):
     degrees = fiber_degrees(len(lam), 4)
     for z1 in degrees:
         for z2 in degrees:
-            patterns, any_odd, top = alg._contractions(z1, z2)
+            patterns, any_odd = alg._contractions(z1, z2)
             expected = brute_force(z1, z2)
             # Lambda powers compare as Signomials, by their terms
             assert list(patterns) == expected
             assert any_odd == any(e[5] for e in expected)
-            assert top == max(e[2] / e[3] / 2 ** e[0] for e in expected)
 
 
 def inline_reference(alg, x, y, odd_only=False):
@@ -441,25 +440,30 @@ def test_kernel_matches_inline_reference():
     assert shared >= 100
 
 
-def test_product_keeps_the_overflow_error_of_scaling():
+def test_product_raises_only_on_a_non_finite_result():
     # z^0 z^0 o z^0 z^0 has the pattern scalar 2i at one contraction; it
     # takes the coefficient c to c * 2i, whose parts are finite but whose
-    # magnitude is not, although c * 2i * Lambda^{00} = c is finite again
+    # magnitude is not, and c * 2i * Lambda^{00} = c is finite again, so
+    # the product keeps that contribution
     lam = [[Signomial.constant(2, -0.5j), Signomial.constant(2, 0.25)],
            [Signomial.constant(2, -0.25), Signomial.constant(2, -0.5j)]]
     alg = WickAlgebra(lam)
-    one = WickElement.from_term(2, 0, (2, 0), (), Signomial.constant(2, 1.0))
 
-    def z0_squared(c):
-        return WickElement.from_term(2, 0, (2, 0), (), Signomial.constant(2, c))
+    def z_squared(degrees, c):
+        return WickElement.from_term(2, 0, degrees, (), Signomial.constant(2, c))
 
+    x, one = z_squared((2, 0), 0.7e308 + 0.7e308j), z_squared((2, 0), 1.0)
     with pytest.raises(MalformedInputError):
-        z0_squared(0.7e308 + 0.7e308j).terms[(0, (2, 0), ())].scale(2j)
-    with pytest.raises(MalformedInputError):
-        alg.product(z0_squared(0.7e308 + 0.7e308j), one)
-    # just below the overflow the check runs and passes
-    x = z0_squared(0.6e308 + 0.6e308j)
+        x.terms[(0, (2, 0), ())].scale(2j)
     assert exact(alg.product(x, one)) == exact(inline_reference(alg, x, one))
+    # the bracket with z^1 z^1 contracts through Lambda^{01} with the scalar
+    # -4: each part of c * -4 overflows to inf, so the contribution the
+    # kernel computes is not finite and the bracket raises, as the reference
+    y = z_squared((0, 2), 1.0)
+    with pytest.raises(MalformedInputError):
+        alg.commutator(x, y)
+    with pytest.raises(MalformedInputError):
+        inline_reference(alg, x, y, odd_only=True)
 
 
 def test_from_terms_refuses_a_coefficient_over_other_coordinates():
@@ -791,7 +795,7 @@ def test_pairs_without_an_odd_pattern_multiply_nothing(monkeypatch):
     # pattern is even, so the commutator skips the pair before c1 * c2
     alg = algebra()
     x = z_var(2, 0).scale(2.0)
-    patterns, any_odd, _ = alg._contractions((1, 0), (1, 0))
+    patterns, any_odd = alg._contractions((1, 0), (1, 0))
     assert patterns and not any_odd and not any(p[5] for p in patterns)
     assert alg._contractions((1, 0), (0, 1))[1]
     calls = []
