@@ -277,7 +277,7 @@ def fedosov_checks(suite: Suite, state: FedosovState, points, probes):
     suite.measure("fedosov_delta_torsion", lambda: machine.delta_torsion_residual(points))
     suite.measure("fedosov_delta_curvature", lambda: machine.delta_curvature_residual(points))
     suite.record("fedosov_r_residual", state.max_residual())
-    suite.record("fedosov_gauge", state.gauge_residual())
+    suite.record("fedosov_gauge", state.gauge)
     classical = machine.bundle.ctx.classical
     entry = suite.measure(
         "fedosov_dsq_probe",
@@ -344,10 +344,11 @@ def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
 
     if order >= 2:
         def assoc():
+            # through v^2, f * g is fwd[:3] and g * f is rev[:3]; only g * g is new
             worst = 0.0
-            for h in (f, g):
-                left_s = star_series(star(f, g, state, 2), (h,), state, 2)
-                right_s = star_series((f,), star(g, h, state, 2), state, 2)
+            for h, gh in ((f, rev[:3]), (g, star(g, g, state, 2))):
+                left_s = star_series(fwd[:3], (h,), state, 2)
+                right_s = star_series((f,), gh, state, 2)
                 for s in range(3):
                     worst = max(worst, (left_s[s] - right_s[s]).sample_norm(points))
             return worst

@@ -390,7 +390,7 @@ class Pipeline:
             "r_term_counts": {
                 str(d): len(state.r_components[d].terms) for d in sorted(state.r_components)
             },
-            "gauge_residual": state.gauge_residual(),
+            "gauge_residual": state.gauge,
         }
 
     def _fedosov_checks(self):

@@ -95,10 +95,7 @@ def sigma(w: WickElement) -> WickElement:
 
 def sigma_series(w: WickElement) -> dict:
     """v-power -> signomial coefficient of the scalar part."""
-    out = {}
-    for (v, z, forms), c in sigma(w).terms.items():
-        out[v] = out.get(v, Signomial.zero(w.dim)) + c
-    return out
+    return {v: c for (v, z, forms), c in sigma(w).terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +239,8 @@ class FedosovMachine:
             raise MalformedInputError(f"truncation order must be >= 2, got {K}")
         r: dict[int, WickElement] = {}
         residuals = {}
+        r_total = WickElement.zero(self.dim)
+        gauge = 0.0
         for m in range(1, K + 2):
             try:
                 rhs = self.t_hat.component(m) + self.r_hat.component(m)
@@ -258,47 +257,38 @@ class FedosovMachine:
                 raise
             r[m + 1] = delta_inv(rhs)
             residuals[m] = (delta(r[m + 1]) - rhs).coeff_norm()
-        return FedosovState(machine=self, K=K, r_components=r, residuals=residuals)
+            r_total = r_total + r[m + 1]
+            gauge = max(gauge, delta_inv(r[m + 1]).coeff_norm())
+        return FedosovState(self, K, r, residuals, r_total, gauge)
 
 
 class FedosovState:
-    """Solved recursion data: r per total degree plus equation defects.
+    """Solved recursion data: r per total degree and summed in degree order
+    (``r_total``), the equation defects, and the gauge defect, the largest
+    ||delta_inv r_m||.
 
-    Immutable by use and safe to share once solved; the only mutation is an
-    idempotent memo: the summed element and the tau lifts computed so far.
+    Immutable by use and safe to share once solved; the only mutation is the
+    tau memo, which only appends lift components (see ``tau_components``).
     """
 
-    __slots__ = ("machine", "K", "r_components", "residuals", "_r_total", "_tau_memo")
+    __slots__ = ("machine", "K", "r_components", "residuals", "r_total", "gauge", "_tau_memo")
 
-    def __init__(self, machine: FedosovMachine, K: int, r_components: dict, residuals: dict):
+    def __init__(self, machine: FedosovMachine, K: int, r_components: dict, residuals: dict,
+                 r_total: WickElement, gauge: float):
         self.machine = machine
         self.K = K
         self.r_components = r_components
         self.residuals = residuals
-        self._r_total = None
+        self.r_total = r_total
+        self.gauge = gauge
         self._tau_memo = {}
 
     @property
     def bundle(self) -> GeometryBundle:
         return self.machine.bundle
 
-    def r_total(self) -> WickElement:
-        if self._r_total is None:
-            total = WickElement.zero(self.machine.dim)
-            for d in sorted(self.r_components):
-                total = total + self.r_components[d]
-            self._r_total = total
-        return self._r_total
-
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
-
-    def gauge_residual(self) -> float:
-        """delta_inv r = 0 normalization, checked component-wise."""
-        return max(
-            (delta_inv(c).coeff_norm() for c in self.r_components.values()),
-            default=0.0,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +300,7 @@ def flat_d(w: WickElement, state: FedosovState, max_deg) -> WickElement:
     """D-hat = -delta + D-check - (i/v) ad(r), through Deg ``max_deg``."""
     machine = state.machine
     out = -delta(w) + machine.dconn_apply(w)
-    out = out - machine.algebra.commutator(state.r_total(), w, max_deg=max_deg)
+    out = out - machine.algebra.commutator(state.r_total, w, max_deg=max_deg)
     return out.truncate(max_deg)
 
 
@@ -347,16 +337,19 @@ def flat_d_squared_residual(probe: WickElement, state: FedosovState, points) -> 
     return val.sample_norm(points)
 
 
-def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
-    """Deg-homogeneous components of the lift, 0 through ``order``."""
+def tau_components(f: Signomial, state: FedosovState, order: int) -> list:
+    """Deg-homogeneous components of the lift, the k-th of Deg k, 0 through
+    ``order``: a prefix of the field's list in the state's tau memo, which
+    is extended on demand, since component k + 1 needs only 0 through k."""
     if order > state.K + 1:
         raise MalformedInputError(
             f"lift order {order} needs the recursion solved through Deg {order + 1}; "
             f"solve with K >= {order - 1} (have {state.K})"
         )
     machine = state.machine
-    comps = {0: WickElement.from_signomial(f)}
-    for k in range(order):
+    # repr tells -0.0 from 0.0 apart, which reports serialize differently
+    comps = state._tau_memo.setdefault(repr(list(f.terms.items())), [WickElement.from_signomial(f)])
+    for k in range(len(comps) - 1, order):
         try:
             rhs = machine.dconn_apply(comps[k])
             for l in range(k + 1):
@@ -364,20 +357,14 @@ def tau_components(f: Signomial, state: FedosovState, order: int) -> dict:
         except FractionalDomainError as err:
             err.degree = k + 1
             raise
-        comps[k + 1] = delta_inv(rhs)
-    return comps
+        comps.append(delta_inv(rhs))
+    return comps[: order + 1]
 
 
 def tau_lift(f: Signomial, state: FedosovState, order: int) -> WickElement:
-    # repr tells -0.0 from 0.0 apart, which reports serialize differently
-    key = (order, repr(list(f.terms.items())))
-    out = state._tau_memo.get(key)
-    if out is None:
-        comps = tau_components(f, state, order)
-        out = WickElement.zero(state.machine.dim)
-        for k in sorted(comps):
-            out = out + comps[k]
-        state._tau_memo[key] = out
+    out = WickElement.zero(state.machine.dim)
+    for comp in tau_components(f, state, order):
+        out = out + comp
     return out
 
 

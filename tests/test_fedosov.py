@@ -390,7 +390,17 @@ def test_r2_grading_at_alpha_half():
 
 def test_gauge_normalization():
     st = machine("flat", 1, 0.45).solve_r(3)
-    assert st.gauge_residual() <= 1e-13
+    assert st.gauge <= 1e-13
+
+
+def test_solve_r_records_its_sum_and_gauge():
+    st = solved("w4", 2, 3)
+    total = WickElement.zero(4)
+    for d in sorted(st.r_components):
+        total = total + st.r_components[d]
+    assert exact(st.r_total) == exact(total)
+    gauge = max(delta_inv(c).coeff_norm() for c in st.r_components.values())
+    assert st.gauge == gauge
 
 
 @pytest.mark.parametrize("kind,alpha,K", [("w4", 1.0, 3), ("w4p", 0.45, 2)], ids=["w4", "w4p-0.45"])
@@ -528,7 +538,7 @@ def test_flat_d_squared_fractional_diagnostic(alpha):
 @pytest.mark.parametrize("kind,alpha", [("y4", 1.0), ("flat", 0.45)])
 def test_capped_flat_d_is_exact_truncation(kind, alpha):
     st = machine(kind, 1, alpha).solve_r(3)
-    assert not st.r_total().is_zero
+    assert not st.r_total.is_zero
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(12):
@@ -577,7 +587,8 @@ def test_sigma_tau_is_identity(kind, alpha, order):
 def test_tau_components_are_deg_homogeneous():
     st = solved("coupled", 1, 5)
     comps = tau_components(Signomial.coordinate(2, 0), st, 5)
-    for k, comp in comps.items():
+    assert len(comps) == 6
+    for k, comp in enumerate(comps):
         assert comp.total_degrees() <= {k}
 
 
@@ -591,7 +602,7 @@ def test_tau_lift_memo_keeps_signed_zeros_apart():
     st = solved("y4", 1, 3)
     y = Signomial.coordinate(2, 1)
     lift = tau_lift(y, st, 3)
-    assert tau_lift(y, st, 3) is lift
+    assert exact(tau_lift(y, st, 3)) == exact(lift)
     assert exact(tau_lift(y, st, 2)) == exact(lift.truncate(2))
     # equal values whose zeros differ in sign, and reports serialize -0.0
     plus, minus = y.scale(-1j), y.scale(1j).scale(-1)
@@ -600,6 +611,25 @@ def test_tau_lift_memo_keeps_signed_zeros_apart():
     fresh = solved("y4", 1, 3)
     assert exact(tau_lift(minus, st, 3)) == exact(tau_lift(minus, fresh, 3))
     assert exact(tau_lift(minus, st, 3)) != exact(tau_lift(plus, st, 3))
+
+
+def test_a_field_is_lifted_once(monkeypatch):
+    # each lift component depends only on the lower ones, so a lower order
+    # reads a prefix of the components already built
+    st = solved("x2y3", 1, 5)
+    x = Signomial.coordinate(2, 0)
+    calls = []
+    original = FedosovMachine.dconn_apply
+
+    def counted(self, w):
+        calls.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(FedosovMachine, "dconn_apply", counted)
+    lifts = {order: tau_lift(x, st, order) for order in (6, 4, 2)}
+    assert len(calls) == 6
+    for order in (4, 2):
+        assert exact(lifts[order]) == exact(lifts[6].truncate(order))
 
 
 def test_tau_lift_pole_names_the_lift_degree():
@@ -732,6 +762,18 @@ def test_star_equals_sigma_of_full_product_exactly():
         expect = [series.get(r, Signomial.zero(2)) for r in range(3)]
         got = star(f, g, st, 2)
         assert [exact(c) for c in got] == [exact(c) for c in expect]
+
+
+def test_star_through_v2_is_a_prefix():
+    # the Deg > 4 lift components and products reach no sigma key below v^3
+    st = solved("x2y3", 1, 5)
+    x = Signomial.coordinate(2, 0)
+    y = Signomial.coordinate(2, 1)
+    for f, g in ((x, y), (y, x), (x * y, y * y)):
+        short = star(f, g, st, 2)
+        long = star(f, g, st, 3)
+        assert not long[2].is_zero and not long[3].is_zero
+        assert [exact(c) for c in short] == [exact(c) for c in long[:3]]
 
 
 def test_star_order_guard():

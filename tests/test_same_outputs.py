@@ -104,3 +104,28 @@ def test_round_off_only_compares_text_renderings_number_by_number():
     # identical text is never flagged
     assert same_outputs.text_moves(old, old) == []
     assert not same_outputs.round_off_only(old, old)
+
+
+def test_stale_goldens_compare_run_and_star_reports_with_their_output(tmp_path):
+    run_report = json.dumps({"checks": [{"value": 1e-16}], "status": {"exit_code": 0}}) + "\n"
+    star_report = json.dumps({"coefficients": [], "order": 1}) + "\n"
+    (tmp_path / "a.json").write_text(run_report)
+    (tmp_path / "a.config.json").write_text("{}")
+    (tmp_path / "b.json").write_text(star_report)
+    (tmp_path / "b.config.json").write_text("{}")
+    labels = [f"golden {name}: {command}" for name in "ab" for command in ("run", "star --order 1")]
+    invs = [(label, (), tmp_path / "unused") for label in labels]
+
+    def results(a_run, b_star):
+        outs = [a_run, "other", "other", b_star]
+        return [(out.encode(), b"", 0) for out in outs]
+
+    assert same_outputs.stale_goldens(tmp_path, invs, results(run_report, star_report)) == []
+    moved = run_report.replace("1e-16", "0.0")
+    assert same_outputs.stale_goldens(tmp_path, invs, results(moved, star_report)) == [
+        ("a", ["    /checks/0/value: 1e-16 -> 0.0"]),
+    ]
+    # bytes decide: the same JSON written without its newline is stale too
+    assert same_outputs.stale_goldens(tmp_path, invs, results(run_report, star_report[:-1])) == [
+        ("b", []),
+    ]

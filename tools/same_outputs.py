@@ -27,6 +27,11 @@ all that differs and every moved value is a float within the golden tests'
 tolerance, ``ROUND_OFF * max(1, |old|)``, of its old value: the leaves of
 two JSON stdouts, or the numbers of two text stdouts whose other text is
 identical.
+
+It then compares each stored golden report with CHANGE_ROOT's own output
+for it, the ``run`` report, or ``star --order 1`` for a stored star
+report, and prints ``STALE golden <name>`` with the moved leaves of each
+one that differs.  Stale goldens do not change the exit code.
 """
 
 from __future__ import annotations
@@ -180,6 +185,24 @@ def round_off_only(old_stdout: bytes, new_stdout: bytes) -> bool:
     )
 
 
+def stale_goldens(golden: Path, invs: list, results: list) -> list:
+    """(name, ``describe_moves`` lines) for each stored report in ``golden``
+    that differs from its output in ``results``, the outputs of ``invs``:
+    a report with a ``status`` is a ``run`` report, any other a star report."""
+    stdouts = {label: out for (label, _, _), (out, _, _) in zip(invs, results)}
+    stale = []
+    for path in sorted(golden.glob("*.json")):
+        name = path.name[: -len(".json")]
+        if name.endswith(".config"):
+            continue
+        stored = path.read_bytes()
+        command = "run" if "status" in json.loads(stored) else "star --order 1"
+        output = stdouts[f"golden {name}: {command}"]
+        if output != stored:
+            stale.append((name, describe_moves(stored, output)))
+    return stale
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -205,6 +228,10 @@ def main(argv=None) -> int:
                     print(line)
     print(f"{len(invs) - differing} of {len(invs)} invocations identical, "
           f"{round_off} of the {differing} that differ by round-off only")
+    for name, lines in stale_goldens(change / "tests" / "golden", invs, after):
+        print(f"STALE golden {name}")
+        for line in lines:
+            print(line)
     return 1 if differing else 0
 
 
