@@ -13,8 +13,8 @@ Subcommands:
 Each subcommand runs an ordered subset of the pipeline stages (``STAGES``):
 caputo, geometry, algebra, geometry-checks, recursion, fedosov-checks,
 star, star-checks, chern.  ``run`` runs them all; ``check GROUP`` runs
-``CHECK_STAGES[GROUP]``; ``star`` runs ``STAR_STAGES``, which computes the
-coefficients without their checks.
+``CHECK_STAGES[GROUP]``; ``star`` runs only geometry and star, whose lifts
+solve the recursion through the degrees they read.
 
 Exit codes: 0 all pass, 1 invariant failure (strict mode), 2 computation
 domain error (``run`` still emits every finished section, names the stage
@@ -31,7 +31,7 @@ import sys
 from . import __version__, checks as checklib, report as reportlib
 from .errors import ConfigError, EngineError
 from .expr import AlphaContext, MalformedInputError, Signomial
-from .fedosov import FedosovMachine, make_probes, star
+from .fedosov import FedosovMachine, FedosovState, make_probes, star
 from .geometry import GeometryBundle, LagrangianSpec, build_geometry
 
 EXIT_OK = 0
@@ -278,8 +278,9 @@ def _geometry_section(bundle: GeometryBundle) -> dict:
     }
 
 
-# Stage names in run order.  ``check`` and ``star`` run a subset in the
-# same order, together with the stages it reads (geometry, recursion).
+# Stage names in run order.  ``check`` runs a subset in the same order,
+# together with the stages it reads; ``star`` runs only geometry and star,
+# which solves r on demand.
 STAGES = (
     "caputo",
     "geometry",
@@ -297,7 +298,7 @@ CHECK_STAGES = {
     "geometry": ("geometry", "geometry-checks"),
     "fedosov": ("geometry", "recursion", "fedosov-checks"),
 }
-STAR_STAGES = ("geometry", "recursion", "star")
+STAR_STAGES = ("geometry", "star")
 
 
 class Pipeline:
@@ -372,6 +373,8 @@ class Pipeline:
         self.report["geometry"] = _geometry_section(self.bundle)
         # the one Wick algebra of the run, shared by the algebra checks
         self.machine = FedosovMachine(self.bundle)
+        # unsolved; star solves what it reads, _recursion through K + 2
+        self.state = FedosovState(self.machine, spec.truncation_order)
 
     def _algebra(self):
         checklib.algebra_checks(self.suite, self.machine, self.spec.seed)
@@ -382,10 +385,9 @@ class Pipeline:
         )
 
     def _recursion(self):
-        k = max(self.spec.truncation_order, 2 * self.star_order - 1)
-        self.state = state = self.machine.solve_r(k)
+        self.state = state = self.machine.solve_r(self.spec.truncation_order)
         self.report["fedosov"] = {
-            "truncation_order": k,
+            "truncation_order": state.K,
             "r_residuals": {str(d): v for d, v in sorted(state.residuals.items())},
             "r_term_counts": {
                 str(d): len(state.r_components[d].terms) for d in sorted(state.r_components)

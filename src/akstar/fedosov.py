@@ -24,19 +24,18 @@ elements T-hat and R-hat, solves
     delta r = T-hat + R-hat + D-check r - (i/v) r o r
 
 degree by degree in Deg = 2 deg_v + deg_s (gauge: delta_inv r = 0, deg_a
-r = 1), records the per-degree defect of that equation, and exposes the
-flat connection D-hat = -delta + D-check - (i/v) ad(r), the recursive lift
-tau inverting sigma on flat sections, and the star product
-f * g = sigma(tau(f) o tau(g)) with coefficients per power of v.  Each
-(i/v) ad is one ``WickAlgebra.commutator`` call, which returns (i/v)[a, b];
-``solve_r`` applies -(i/v) to its r o r convolution itself, dropping that
-sum's v^0 part, r wedge r = 0 up to float cancellation.
+r = 1) as deep as its reader asks, records the per-degree defect of that
+equation, and exposes the flat connection D-hat = -delta + D-check -
+(i/v) ad(r), the recursive lift tau inverting sigma on flat sections, and
+the star product f * g = sigma(tau(f) o tau(g)) with coefficients per
+power of v.  Each (i/v) ad is one ``WickAlgebra.commutator`` call, which
+returns (i/v)[a, b]; the recursion applies -(i/v) to its r o r convolution
+itself, dropping that sum's v^0 part, r wedge r = 0 up to round-off.
 
 For alpha = 1 the recursion closes to round-off; for alpha < 1 the frame
 operators are not derivations, the closure argument is unavailable, and
-the residuals are the measurement of that obstruction.  ``solve_r`` only
-records the residuals at every alpha; the ``fedosov_r_residual`` check is
-where they are gated.
+the residuals, which the recursion only records, measure that
+obstruction; the ``fedosov_r_residual`` check gates them at every alpha.
 """
 
 from __future__ import annotations
@@ -225,62 +224,31 @@ class FedosovMachine:
     # -- recursion ---------------------------------------------------------------
 
     def solve_r(self, K: int):
-        """Solve the flatness equation degree by degree up to Deg K + 2.
-
-        At Deg m the right-hand side is T-hat_m + R-hat_m + D-check r_m
-        - (i/v) sum_{j=2..m} r_j o r_{m+2-j}; every r_j it reads is solved
-        by then, and r_{m+1} = delta_inv of it.  The convolution's v^0 part
-        is r wedge r, zero for the 1-form r, so -(i/v) drops it and moves
-        every other key one power of v down.  The per-degree defect of
-        the equation is recorded in ``residuals``, never raised on; callers
-        gate ``FedosovState.max_residual()``.
-        """
+        """A state solved eagerly through Deg K + 2, as ``run`` reports r."""
         if K < 2:
             raise MalformedInputError(f"truncation order must be >= 2, got {K}")
-        r: dict[int, WickElement] = {}
-        residuals = {}
-        r_total = WickElement.zero(self.dim)
-        gauge = 0.0
-        for m in range(1, K + 2):
-            try:
-                rhs = self.t_hat.component(m) + self.r_hat.component(m)
-                if m > 1:
-                    rhs = rhs + self.dconn_apply(r[m])
-                conv = WickElement.zero(self.dim)
-                for j in range(2, m + 1):
-                    conv = conv + self.algebra.product(r[j], r[m + 2 - j])
-                rhs = rhs + WickElement(self.dim, {
-                    (v - 1, z, a): c.scale(-1j) for (v, z, a), c in conv.terms.items() if v
-                })
-            except FractionalDomainError as err:
-                err.degree = m
-                raise
-            r[m + 1] = delta_inv(rhs)
-            residuals[m] = (delta(r[m + 1]) - rhs).coeff_norm()
-            r_total = r_total + r[m + 1]
-            gauge = max(gauge, delta_inv(r[m + 1]).coeff_norm())
-        return FedosovState(self, K, r, residuals, r_total, gauge)
+        state = FedosovState(self, K)
+        state.solve_through(K + 2)
+        return state
 
 
 class FedosovState:
-    """Solved recursion data: r per total degree and summed in degree order
-    (``r_total``), the equation defects, and the gauge defect, the largest
-    ||delta_inv r_m||.
-
-    Immutable by use and safe to share once solved; the only mutation is the
-    tau memo, which only appends lift components (see ``tau_components``).
+    """The recursion of one machine, solved on demand: r per total degree
+    and summed in degree order (``r_total``), the equation defects, the
+    gauge defect (the largest ||delta_inv r_m||), and ``K``, the order the
+    D-hat^2 residual reports for.  Safe to share: ``solve_through`` and
+    ``tau_components`` only append components fixed by the lower ones.
     """
 
     __slots__ = ("machine", "K", "r_components", "residuals", "r_total", "gauge", "_tau_memo")
 
-    def __init__(self, machine: FedosovMachine, K: int, r_components: dict, residuals: dict,
-                 r_total: WickElement, gauge: float):
+    def __init__(self, machine: FedosovMachine, K: int):
         self.machine = machine
         self.K = K
-        self.r_components = r_components
-        self.residuals = residuals
-        self.r_total = r_total
-        self.gauge = gauge
+        self.r_components = {}
+        self.residuals = {}
+        self.r_total = WickElement.zero(machine.dim)
+        self.gauge = 0.0
         self._tau_memo = {}
 
     @property
@@ -289,6 +257,38 @@ class FedosovState:
 
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
+
+    def solve_through(self, deg: int) -> None:
+        """Solve the flatness equation for each r_m, m <= ``deg``, not yet solved.
+
+        At Deg m the right-hand side is T-hat_m + R-hat_m + D-check r_m
+        - (i/v) sum_{j=2..m} r_j o r_{m+2-j}; every r_j it reads is solved
+        by then, and r_{m+1} = delta_inv of it.  The convolution's v^0 part
+        is r wedge r, zero for the 1-form r, so -(i/v) drops it and moves
+        every other key one power of v down.  The per-degree defect of
+        the equation is recorded in ``residuals``, never raised on; callers
+        gate ``max_residual()``.  ``r_total`` gains keys no r_m shares, so
+        its bits do not depend on when it is extended.
+        """
+        machine, r = self.machine, self.r_components
+        for m in range(len(r) + 1, deg):
+            try:
+                rhs = machine.t_hat.component(m) + machine.r_hat.component(m)
+                if m > 1:
+                    rhs = rhs + machine.dconn_apply(r[m])
+                conv = WickElement.zero(machine.dim)
+                for j in range(2, m + 1):
+                    conv = conv + machine.algebra.product(r[j], r[m + 2 - j])
+                rhs = rhs + WickElement(machine.dim, {
+                    (v - 1, z, a): c.scale(-1j) for (v, z, a), c in conv.terms.items() if v
+                })
+            except FractionalDomainError as err:
+                err.degree = m
+                raise
+            r[m + 1] = delta_inv(rhs)
+            self.residuals[m] = (delta(r[m + 1]) - rhs).coeff_norm()
+            self.r_total = self.r_total + r[m + 1]
+            self.gauge = max(self.gauge, delta_inv(r[m + 1]).coeff_norm())
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +308,9 @@ def flat_d_squared_residual(probe: WickElement, state: FedosovState, points) -> 
     """Defect of D-hat^2 = 0 on a probe at ``points``, on degrees the
     truncation covers.
 
-    With r solved through Deg K + 2, the Deg-m component of D-hat^2 a is
-    complete only for m <= Deg(a) + K - 1; higher components would need
-    deeper recursion data and are excluded rather than misreported.  The
+    It reads r through Deg K + 2, solving what the state lacks, so the
+    Deg-m component of D-hat^2 a is complete only for m <= Deg(a) + K - 1;
+    higher ones would need deeper r and are excluded, not misreported.  The
     intermediate result is truncated before the second application so that
     the excluded degrees are never differentiated (for fractional alpha
     they can carry exponents outside the differentiable class).
@@ -327,6 +327,7 @@ def flat_d_squared_residual(probe: WickElement, state: FedosovState, points) -> 
     degs = probe.total_degrees()
     if not degs:
         return 0.0
+    state.solve_through(state.K + 2)
     bound = max(degs) + state.K - 1
     first = flat_d(probe, state, max_deg=bound + 1)
     # of the top slice only -delta reaches the reported window; applying
@@ -340,12 +341,9 @@ def flat_d_squared_residual(probe: WickElement, state: FedosovState, points) -> 
 def tau_components(f: Signomial, state: FedosovState, order: int) -> list:
     """Deg-homogeneous components of the lift, the k-th of Deg k, 0 through
     ``order``: a prefix of the field's list in the state's tau memo, which
-    is extended on demand, since component k + 1 needs only 0 through k."""
-    if order > state.K + 1:
-        raise MalformedInputError(
-            f"lift order {order} needs the recursion solved through Deg {order + 1}; "
-            f"solve with K >= {order - 1} (have {state.K})"
-        )
+    is extended on demand, since component k + 1 needs only 0 through k and
+    r through Deg k + 2.  A pole met in r carries the recursion's degree."""
+    state.solve_through(order + 1)
     machine = state.machine
     # repr tells -0.0 from 0.0 apart, which reports serialize differently
     comps = state._tau_memo.setdefault(repr(list(f.terms.items())), [WickElement.from_signomial(f)])
@@ -380,8 +378,8 @@ def star(f: Signomial, g: Signomial, state: FedosovState, order: int) -> tuple:
     Returns the coefficients (C_0, ..., C_order) of f * g = sum_r C_r v^r.
 
     Exactness through the requested order needs lifts through Deg 2*order,
-    hence a state solved with K >= 2*order - 1; ``tau_components`` raises
-    otherwise.  At order 0 the lifts are the fields themselves.
+    which solve r through Deg 2*order + 1 if the state does not hold it
+    yet.  At order 0 the lifts are the fields themselves.
     """
     if order < 0:
         raise MalformedInputError("order must be nonnegative")

@@ -17,10 +17,11 @@ from akstar.cli import (
     STAR_STAGES,
     Pipeline,
     main,
+    parse_config,
     parse_config_dict,
     run_pipeline,
 )
-from akstar.errors import ConfigError
+from akstar.errors import ConfigError, FractionalDomainError
 from akstar.report import emit_json, emit_text
 
 from _configs import fresh_interpreter
@@ -331,6 +332,43 @@ def test_abort_names_degree_coordinate_and_exponents():
     assert err["message"].startswith("coordinate 1, term with exponents [2.0, -1.0]: ")
 
 
+def test_star_meets_a_pole_in_r_under_its_own_stage():
+    # the order-2 lifts read r through Deg 5, so the star stage solves the
+    # recursion into the Deg-4 pole that aborts run on this config
+    pipeline = Pipeline(parse_config(str(GOLDEN / "x2y2_a0.6.config.json")), star_order=2)
+    with pytest.raises(FractionalDomainError) as info:
+        pipeline.run(STAR_STAGES)
+    assert info.value.degree == 4
+    err = pipeline.finish(info.value)["error"]
+    assert (err["stage"], err["degree"], err["coordinate"]) == ("star", 4, 1)
+
+
+def test_star_order_one_reads_below_the_pole(tmp_path):
+    # the order-1 lifts read r through Deg 3, below that pole, so star
+    # prints what it prints for the same config at K = 2
+    golden = GOLDEN / "x2y2_a0.6.config.json"
+    cfg = dict(json.loads(golden.read_text()), truncation_order=2)
+    outs = [io.StringIO(), io.StringIO()]
+    for path, out in zip((str(golden), write_config(tmp_path, cfg)), outs):
+        assert main(["star", "--order", "1", "--config", path], stream=out) == EXIT_OK
+    assert outs[0].getvalue() == outs[1].getvalue() != ""
+
+
+def test_star_solves_r_only_as_deep_as_it_reads(tmp_path):
+    # star --order 2 reads r through Deg 5 whatever K is
+    cfg = flat_config(lagrangian=[{"c": 1, "exp": [2, 3]}], mode="diagnostic")
+    outs = []
+    for k in (3, 7):
+        path = write_config(tmp_path, dict(cfg, truncation_order=k), f"k{k}.json")
+        out = io.StringIO()
+        assert main(["star", "--order", "2", "--config", path], stream=out) == EXIT_OK
+        outs.append(out.getvalue())
+        pipeline = Pipeline(parse_config(path), star_order=2)
+        pipeline.run(STAR_STAGES)
+        assert sorted(pipeline.state.r_components) == [2, 3, 4, 5]
+    assert outs[0] == outs[1]
+
+
 def test_run_builds_one_wick_algebra(monkeypatch):
     # the algebra checks use the Fedosov machine's algebra, so a run fills
     # one contraction table
@@ -368,7 +406,7 @@ def test_stage_names_resolve_to_pipeline_methods():
     for name in names:
         assert callable(getattr(Pipeline, "_" + name.replace("-", "_"), None)), name
     assert STAGES.index("star") < STAGES.index("star-checks") < STAGES.index("chern")
-    assert "star-checks" not in STAR_STAGES
+    assert STAR_STAGES == ("geometry", "star")
 
 
 def test_recursion_defect_is_gated_by_the_r_residual_check(tmp_path):

@@ -11,6 +11,7 @@ from akstar.expr import Signomial, coeff_distance
 from akstar.geometry import poisson_bracket
 from akstar.fedosov import (
     FedosovMachine,
+    FedosovState,
     delta,
     delta_inv,
     flat_d,
@@ -479,6 +480,22 @@ def test_flat_d_squared_classical(kind, n, K):
         assert flat_d_squared_residual(probe, st, sample_points(n)) < 1e-8
 
 
+def test_flat_d_squared_of_the_zero_element_is_zero():
+    # an element with no terms has no Deg, and so no window to report on
+    st = solved("coupled", 1, 3)
+    assert flat_d_squared_residual(WickElement.zero(2), st, sample_points(1)) == 0.0
+
+
+def test_d_hat_squared_solves_the_r_it_reads():
+    # an unsolved state reads as the eager solve_r(K) does
+    st = solved("x2y3", 1, 3)
+    lazy = FedosovState(st.machine, 3)
+    for p in generator_probes(2):
+        got = flat_d_squared_residual(p, lazy, sample_points(1))
+        assert got == flat_d_squared_residual(p, st, sample_points(1))
+    assert sorted(lazy.r_components) == [2, 3, 4, 5]
+
+
 def test_generator_probes_are_the_fiber_and_coframe_generators():
     one = Signomial.constant(4, 1.0)
     keys = [next(iter(p.terms.items())) for p in generator_probes(4)]
@@ -642,19 +659,31 @@ def test_tau_lift_pole_names_the_lift_degree():
 
 
 def test_tau_lift_failures_are_not_memoised():
+    # a lift through Deg 5 first solves r_6, which exists here, then fails
+    # at the same Deg-4 lift component as the lift through Deg 4
     st = machine("flat", 1, 0.45).solve_r(3)
     x = Signomial.coordinate(2, 0)
-    for _ in range(2):
-        with pytest.raises(FractionalDomainError):
-            tau_lift(x, st, 4)
-        with pytest.raises(MalformedInputError):
-            tau_lift(x, st, 5)
+    for order in (4, 5, 4, 5):
+        with pytest.raises(FractionalDomainError) as info:
+            tau_lift(x, st, order)
+        assert info.value.degree == 4
+    assert sorted(st.r_components) == [2, 3, 4, 5, 6]
 
 
-def test_tau_order_guard():
-    st = solved("flat", 1, 3)
-    with pytest.raises(MalformedInputError):
-        tau_lift(Signomial.coordinate(2, 0), st, 6)
+def test_tau_lift_solves_the_r_degrees_it_reads():
+    # the lift through Deg k reads r through Deg k + 1, and solves it there
+    # with the bits of the eager recursion
+    st = solved("x2y3", 1, 2)
+    x = Signomial.coordinate(2, 0)
+    lift = tau_lift(x, st, 6)
+    assert sorted(st.r_components) == list(range(2, 8))
+    eager = solved("x2y3", 1, 5)
+    assert [exact(c) for c in st.r_components.values()] == [
+        exact(c) for c in eager.r_components.values()
+    ]
+    assert st.residuals == eager.residuals and st.gauge == eager.gauge
+    assert exact(st.r_total) == exact(eager.r_total)
+    assert exact(lift) == exact(tau_lift(x, eager, 6))
 
 
 # -- star product --------------------------------------------------------------------------
@@ -776,10 +805,45 @@ def test_star_through_v2_is_a_prefix():
         assert [exact(c) for c in short] == [exact(c) for c in long[:3]]
 
 
-def test_star_order_guard():
+@pytest.mark.parametrize("kind", ["coupled", "x2y3"])
+def test_star_deeper_than_k_equals_the_eager_recursion(kind):
+    # through v^3 the lifts read r through Deg 7, past the K + 2 = 5 that
+    # solve_r(3) holds; star solves the rest and matches solve_r(5) bit for bit
+    st = solved(kind, 1, 3)
+    eager = solved(kind, 1, 5)
+    x = Signomial.coordinate(2, 0)
+    y = Signomial.coordinate(2, 1)
+    for f, g in ((x, y), (y, x)):
+        got = star(f, g, st, 3)
+        assert not got[3].is_zero
+        assert [exact(c) for c in got] == [exact(c) for c in star(f, g, eager, 3)]
+    assert sorted(st.r_components) == list(range(2, 8))
+
+
+@pytest.mark.parametrize("kind", ["coupled", "x2y3"])
+def test_deep_star_leaves_the_d_hat_squared_read(kind):
+    # the Deg caps of the D-hat^2 read drop every r_j with j > K + 2, so
+    # extending r for a deeper star moves none of its bits
+    st = solved(kind, 1, 3)
+    points = sample_points(1)
+    probes = generator_probes(2)
+
+    def reads():
+        return [
+            (flat_d_squared_residual(p, st, points), exact(flat_d(p, st, max_deg=st.K)))
+            for p in probes
+        ]
+
+    before = reads()
+    star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), st, 3)
+    assert len(st.r_components) > st.K + 1
+    assert reads() == before
+
+
+def test_star_negative_order_raises():
     st = solved("flat", 1, 3)
-    with pytest.raises(MalformedInputError, match=r"solve with K >= 5 \(have 3\)"):
-        star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), st, 3)
+    with pytest.raises(MalformedInputError, match="nonnegative"):
+        star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), st, -1)
 
 
 def test_probe_generation_is_deterministic():

@@ -60,12 +60,14 @@ def test_invocations_include_the_full_n3_run_in_strict_mode(tmp_path):
 
 
 def test_invocations_include_w4_star_at_k5(tmp_path):
+    # star solves r only through Deg 2 * order + 1, so reading all of the
+    # K + 2 = 7 that K = 5 names takes order 3
     root = TOOL.parent.parent
     invs = same_outputs.invocations(root, tmp_path)
-    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "w4 K5: star --order 2"]
+    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "w4 K5: star --order 3"]
     assert len(runs) == 1
     command, config = runs[0]
-    assert command == ("star", "--order", "2")
+    assert command == ("star", "--order", "3")
     assert (config["n"], config["alpha"], config["truncation_order"]) == (2, 1.0, 5)
     assert config["lagrangian"] == same_outputs._workloads(root).W4
 

@@ -12,9 +12,10 @@ a process.  The invocations are read from CHANGE_ROOT:
   that file loaded by path and only read;
 * the full ``run`` of ``N3`` below (n = 3, K = 3) in strict mode, the one
   invocation at n = 3;
-* ``star --order 2`` on that file's ``W4`` Lagrangian at K = 5, the one
-  invocation whose Wick products raise a twist entry to a power k >= 2 and
-  contract r >= 3 times.
+* ``star --order 3`` on that file's ``W4`` Lagrangian at K = 5, whose lifts
+  read r through Deg 7, the deepest recursion of any invocation; its Wick
+  products contract r >= 3 times and raise a twist entry to a power k >= 2
+  about 70 and 28 times as often as those of ``w4_star`` do.
 
 The full strict ``run`` of ``W4`` at K = 3 is the golden ``w4_a1``.
 
@@ -100,7 +101,7 @@ def invocations(root: Path, work: Path) -> list:
     out.append(("n3 full: run", ("run",), path))
     path = work / "w4_k5_star.config.json"
     path.write_text(json.dumps(workloads._config(1.0, 2, workloads.W4, 5, SEED)))
-    out.append(("w4 K5: star --order 2", ("star", "--order", "2"), path))
+    out.append(("w4 K5: star --order 3", ("star", "--order", "3"), path))
     return out
 
 
