@@ -22,7 +22,7 @@ from .errors import (
     RegularityError,
 )
 from .geometry import GeometryBundle, LagrangianSpec, build_geometry, poisson_bracket
-from .fedosov import FedosovMachine, FedosovState, star, tau_lift
+from .fedosov import FedosovMachine, star, tau_lift
 from .wick import WickElement
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "build_geometry",
     "poisson_bracket",
     "FedosovMachine",
-    "FedosovState",
     "star",
     "tau_lift",
     "WickElement",

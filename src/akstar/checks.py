@@ -38,7 +38,6 @@ from .errors import FractionalDomainError
 from .expr import Signomial, coeff_distance
 from .fedosov import (
     FedosovMachine,
-    FedosovState,
     delta,
     delta_inv,
     flat_d_squared_residual,
@@ -260,7 +259,7 @@ def geometry_checks(suite: Suite, bundle: GeometryBundle, points, probes):
     suite.measure("geometry_nijenhuis", lambda: nijenhuis_residual(bundle, points))
 
 
-def fedosov_checks(suite: Suite, state: FedosovState, points, probes):
+def fedosov_checks(suite: Suite, machine: FedosovMachine, K: int, points, probes):
     """Operator identities of the recursion, on ``probes`` (seeded monomials).
 
     ``fedosov_dsq_probe`` certifies D-hat^2 = 0 at alpha = 1 on the 4n
@@ -271,17 +270,16 @@ def fedosov_checks(suite: Suite, state: FedosovState, points, probes):
     ordered pairs of ``probes``.  At alpha < 1 the frame operators are not
     derivations, so no generator set suffices and D-hat^2 runs on ``probes``.
     """
-    machine = state.machine
     suite.measure("fedosov_comf_delta", lambda p: machine.comf_delta_residual(p, points), probes)
     suite.measure("fedosov_comf_dsq", lambda p: machine.comf_dsq_residual(p, points), probes)
     suite.measure("fedosov_delta_torsion", lambda: machine.delta_torsion_residual(points))
     suite.measure("fedosov_delta_curvature", lambda: machine.delta_curvature_residual(points))
-    suite.record("fedosov_r_residual", state.max_residual())
-    suite.record("fedosov_gauge", state.gauge)
+    suite.record("fedosov_r_residual", machine.max_residual())
+    suite.record("fedosov_gauge", machine.gauge)
     classical = machine.bundle.ctx.classical
     entry = suite.measure(
         "fedosov_dsq_probe",
-        lambda p: flat_d_squared_residual(p, state, points),
+        lambda p: flat_d_squared_residual(p, machine, K, points),
         generator_probes(machine.dim) if classical else probes,
     )
     if classical:
@@ -307,17 +305,17 @@ def fedosov_checks(suite: Suite, state: FedosovState, points, probes):
     )
 
 
-def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
+def star_checks(suite: Suite, machine: FedosovMachine, f, g, fwd, points):
     """Checks of the star product, given ``fwd``, the coefficients of f * g
     through an order >= 1 (``run`` asks for (K + 1) // 2, or 1 at alpha < 1)."""
-    bundle = state.bundle
+    bundle = machine.bundle
     dim = bundle.ctx.dim
     order = len(fwd) - 1
 
-    rev = star(g, f, state, order)
+    rev = star(g, f, machine, order)
     suite.record("star_c0_exact", coeff_distance(fwd[0], f * g))
 
-    lift = tau_lift(f, state, 2 * order)
+    lift = tau_lift(f, machine, 2 * order)
     series = sigma_series(lift)
     resid = 0.0
     for r, c in series.items():
@@ -325,8 +323,8 @@ def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
     suite.record("star_sigma_tau", resid)
 
     one = Signomial.constant(dim, 1.0)
-    left = star(one, f, state, order)
-    right = star(f, one, state, order)
+    left = star(one, f, machine, order)
+    right = star(f, one, machine, order)
     unit_resid = max(
         coeff_distance(left[0], f), coeff_distance(right[0], f)
     )
@@ -339,16 +337,16 @@ def star_checks(suite: Suite, state: FedosovState, f, g, fwd, points):
 
     suite.measure(
         "fedosov_flat_section",
-        lambda: flat_section_residual(f, state, 2 * order, points),
+        lambda: flat_section_residual(f, machine, 2 * order, points),
     )
 
     if order >= 2:
         def assoc():
             # through v^2, f * g is fwd[:3] and g * f is rev[:3]; only g * g is new
             worst = 0.0
-            for h, gh in ((f, rev[:3]), (g, star(g, g, state, 2))):
-                left_s = star_series(fwd[:3], (h,), state, 2)
-                right_s = star_series((f,), gh, state, 2)
+            for h, gh in ((f, rev[:3]), (g, star(g, g, machine, 2))):
+                left_s = star_series(fwd[:3], (h,), machine, 2)
+                right_s = star_series((f,), gh, machine, 2)
                 for s in range(3):
                     worst = max(worst, (left_s[s] - right_s[s]).sample_norm(points))
             return worst

@@ -31,7 +31,7 @@ import sys
 from . import __version__, checks as checklib, report as reportlib
 from .errors import ConfigError, EngineError
 from .expr import AlphaContext, MalformedInputError, Signomial
-from .fedosov import FedosovMachine, FedosovState, make_probes, star
+from .fedosov import FedosovMachine, make_probes, star
 from .geometry import GeometryBundle, LagrangianSpec, build_geometry
 
 EXIT_OK = 0
@@ -371,10 +371,9 @@ class Pipeline:
             LagrangianSpec(L=spec.lagrangian, ctx=spec.ctx, regularity_points=spec.sample_points)
         )
         self.report["geometry"] = _geometry_section(self.bundle)
-        # the one Wick algebra of the run, shared by the algebra checks
+        # the one Wick algebra and r of the run: the algebra checks share the
+        # algebra, and star solves the r it reads, _recursion through K + 2
         self.machine = FedosovMachine(self.bundle)
-        # unsolved; star solves what it reads, _recursion through K + 2
-        self.state = FedosovState(self.machine, spec.truncation_order)
 
     def _algebra(self):
         checklib.algebra_checks(self.suite, self.machine, self.spec.seed)
@@ -385,24 +384,26 @@ class Pipeline:
         )
 
     def _recursion(self):
-        self.state = state = self.machine.solve_r(self.spec.truncation_order)
+        machine = self.machine.solve_r(self.spec.truncation_order)
         self.report["fedosov"] = {
-            "truncation_order": state.K,
-            "r_residuals": {str(d): v for d, v in sorted(state.residuals.items())},
+            "truncation_order": self.spec.truncation_order,
+            "r_residuals": {str(d): v for d, v in sorted(machine.residuals.items())},
             "r_term_counts": {
-                str(d): len(state.r_components[d].terms) for d in sorted(state.r_components)
+                str(d): len(machine.r_components[d].terms) for d in sorted(machine.r_components)
             },
-            "gauge_residual": state.gauge,
+            "gauge_residual": machine.gauge,
         }
 
     def _fedosov_checks(self):
         spec = self.spec
         probes = make_probes(self.bundle, seed=spec.seed, count=8)
-        checklib.fedosov_checks(self.suite, self.state, spec.sample_points, probes)
+        checklib.fedosov_checks(
+            self.suite, self.machine, spec.truncation_order, spec.sample_points, probes
+        )
 
     def _star(self):
         f, g = self.spec.observable_f, self.spec.observable_g
-        self.star_coeffs = star(f, g, self.state, self.star_order)
+        self.star_coeffs = star(f, g, self.machine, self.star_order)
         self.report["star"] = {
             "order": self.star_order,
             "f": reportlib.signomial_terms(f),
@@ -415,7 +416,7 @@ class Pipeline:
     def _star_checks(self):
         spec = self.spec
         checklib.star_checks(
-            self.suite, self.state, spec.observable_f, spec.observable_g, self.star_coeffs,
+            self.suite, self.machine, spec.observable_f, spec.observable_g, self.star_coeffs,
             spec.sample_points,
         )
 

@@ -103,10 +103,15 @@ def sigma_series(w: WickElement) -> dict:
 
 
 class FedosovMachine:
-    """Operator package for one configuration.
+    """Operator package and recursion for one configuration.
 
     Precomputes the Wick algebra, the nonzero connection/anholonomy entries
-    used by the connection lift, and the torsion/curvature elements.
+    used by the connection lift, and the torsion/curvature elements.  r
+    depends on the geometry alone, so the machine holds it, solved on
+    demand: r per total degree and summed in degree order (``r_total``),
+    the equation defects, the gauge defect (the largest ||delta_inv r_m||)
+    and the tau memo.  Safe to share: ``solve_through`` and
+    ``tau_components`` only append components fixed by the lower ones.
     """
 
     def __init__(self, bundle: GeometryBundle):
@@ -129,6 +134,11 @@ class FedosovMachine:
         ]
         self.t_hat = self._torsion_element()
         self.r_hat = self._curvature_element()
+        self.r_components = {}
+        self.residuals = {}
+        self.r_total = WickElement.zero(dim)
+        self.gauge = 0.0
+        self._tau_memo = {}
 
     # -- quadratic elements --------------------------------------------------
 
@@ -223,40 +233,15 @@ class FedosovMachine:
 
     # -- recursion ---------------------------------------------------------------
 
-    def solve_r(self, K: int):
-        """A state solved eagerly through Deg K + 2, as ``run`` reports r."""
-        if K < 2:
-            raise MalformedInputError(f"truncation order must be >= 2, got {K}")
-        state = FedosovState(self, K)
-        state.solve_through(K + 2)
-        return state
-
-
-class FedosovState:
-    """The recursion of one machine, solved on demand: r per total degree
-    and summed in degree order (``r_total``), the equation defects, the
-    gauge defect (the largest ||delta_inv r_m||), and ``K``, the order the
-    D-hat^2 residual reports for.  Safe to share: ``solve_through`` and
-    ``tau_components`` only append components fixed by the lower ones.
-    """
-
-    __slots__ = ("machine", "K", "r_components", "residuals", "r_total", "gauge", "_tau_memo")
-
-    def __init__(self, machine: FedosovMachine, K: int):
-        self.machine = machine
-        self.K = K
-        self.r_components = {}
-        self.residuals = {}
-        self.r_total = WickElement.zero(machine.dim)
-        self.gauge = 0.0
-        self._tau_memo = {}
-
-    @property
-    def bundle(self) -> GeometryBundle:
-        return self.machine.bundle
-
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
+
+    def solve_r(self, K: int) -> "FedosovMachine":
+        """The machine, solved eagerly through Deg K + 2, as ``run`` reports r."""
+        if K < 2:
+            raise MalformedInputError(f"truncation order must be >= 2, got {K}")
+        self.solve_through(K + 2)
+        return self
 
     def solve_through(self, deg: int) -> None:
         """Solve the flatness equation for each r_m, m <= ``deg``, not yet solved.
@@ -270,16 +255,16 @@ class FedosovState:
         gate ``max_residual()``.  ``r_total`` gains keys no r_m shares, so
         its bits do not depend on when it is extended.
         """
-        machine, r = self.machine, self.r_components
+        r = self.r_components
         for m in range(len(r) + 1, deg):
             try:
-                rhs = machine.t_hat.component(m) + machine.r_hat.component(m)
+                rhs = self.t_hat.component(m) + self.r_hat.component(m)
                 if m > 1:
-                    rhs = rhs + machine.dconn_apply(r[m])
-                conv = WickElement.zero(machine.dim)
+                    rhs = rhs + self.dconn_apply(r[m])
+                conv = WickElement.zero(self.dim)
                 for j in range(2, m + 1):
-                    conv = conv + machine.algebra.product(r[j], r[m + 2 - j])
-                rhs = rhs + WickElement(machine.dim, {
+                    conv = conv + self.algebra.product(r[j], r[m + 2 - j])
+                rhs = rhs + WickElement(self.dim, {
                     (v - 1, z, a): c.scale(-1j) for (v, z, a), c in conv.terms.items() if v
                 })
             except FractionalDomainError as err:
@@ -296,20 +281,25 @@ class FedosovState:
 # ---------------------------------------------------------------------------
 
 
-def flat_d(w: WickElement, state: FedosovState, max_deg) -> WickElement:
-    """D-hat = -delta + D-check - (i/v) ad(r), through Deg ``max_deg``."""
-    machine = state.machine
+def flat_d(w: WickElement, machine: FedosovMachine, max_deg: int) -> WickElement:
+    """D-hat = -delta + D-check - (i/v) ad(r), through Deg ``max_deg``.
+
+    (i/v) ad(r_l) takes Deg d to d + l - 2, so the cap reads r through Deg
+    ``max_deg`` - min Deg(w) + 2, which is solved first."""
+    degs = w.total_degrees()
+    if degs:
+        machine.solve_through(max_deg - min(degs) + 2)
     out = -delta(w) + machine.dconn_apply(w)
-    out = out - machine.algebra.commutator(state.r_total, w, max_deg=max_deg)
+    out = out - machine.algebra.commutator(machine.r_total, w, max_deg=max_deg)
     return out.truncate(max_deg)
 
 
-def flat_d_squared_residual(probe: WickElement, state: FedosovState, points) -> float:
+def flat_d_squared_residual(probe: WickElement, machine: FedosovMachine, K: int, points) -> float:
     """Defect of D-hat^2 = 0 on a probe at ``points``, on degrees the
-    truncation covers.
+    truncation order ``K`` covers.
 
-    It reads r through Deg K + 2, solving what the state lacks, so the
-    Deg-m component of D-hat^2 a is complete only for m <= Deg(a) + K - 1;
+    On a Deg-homogeneous probe it reads r through Deg K + 2, so the Deg-m
+    component of D-hat^2 a is complete only for m <= Deg(a) + K - 1;
     higher ones would need deeper r and are excluded, not misreported.  The
     intermediate result is truncated before the second application so that
     the excluded degrees are never differentiated (for fractional alpha
@@ -327,31 +317,29 @@ def flat_d_squared_residual(probe: WickElement, state: FedosovState, points) -> 
     degs = probe.total_degrees()
     if not degs:
         return 0.0
-    state.solve_through(state.K + 2)
-    bound = max(degs) + state.K - 1
-    first = flat_d(probe, state, max_deg=bound + 1)
+    bound = max(degs) + K - 1
+    first = flat_d(probe, machine, bound + 1)
     # of the top slice only -delta reaches the reported window; applying
     # the full operator there would differentiate coefficients whose fate
     # is to be discarded
     top = first.component(bound + 1)
-    val = flat_d(first.truncate(bound), state, max_deg=bound) - delta(top)
+    val = flat_d(first.truncate(bound), machine, bound) - delta(top)
     return val.sample_norm(points)
 
 
-def tau_components(f: Signomial, state: FedosovState, order: int) -> list:
+def tau_components(f: Signomial, machine: FedosovMachine, order: int) -> list:
     """Deg-homogeneous components of the lift, the k-th of Deg k, 0 through
-    ``order``: a prefix of the field's list in the state's tau memo, which
+    ``order``: a prefix of the field's list in the machine's tau memo, which
     is extended on demand, since component k + 1 needs only 0 through k and
     r through Deg k + 2.  A pole met in r carries the recursion's degree."""
-    state.solve_through(order + 1)
-    machine = state.machine
+    machine.solve_through(order + 1)
     # repr tells -0.0 from 0.0 apart, which reports serialize differently
-    comps = state._tau_memo.setdefault(repr(list(f.terms.items())), [WickElement.from_signomial(f)])
+    comps = machine._tau_memo.setdefault(repr(list(f.terms.items())), [WickElement.from_signomial(f)])
     for k in range(len(comps) - 1, order):
         try:
             rhs = machine.dconn_apply(comps[k])
             for l in range(k + 1):
-                rhs = rhs - machine.algebra.commutator(state.r_components[l + 2], comps[k - l])
+                rhs = rhs - machine.algebra.commutator(machine.r_components[l + 2], comps[k - l])
         except FractionalDomainError as err:
             err.degree = k + 1
             raise
@@ -359,50 +347,47 @@ def tau_components(f: Signomial, state: FedosovState, order: int) -> list:
     return comps[: order + 1]
 
 
-def tau_lift(f: Signomial, state: FedosovState, order: int) -> WickElement:
-    out = WickElement.zero(state.machine.dim)
-    for comp in tau_components(f, state, order):
-        out = out + comp
-    return out
+def tau_lift(f: Signomial, machine: FedosovMachine, order: int) -> WickElement:
+    """The lift through Deg ``order``: its components share no key, so it is their union."""
+    comps = tau_components(f, machine, order)
+    return WickElement(machine.dim, {k: c for comp in comps for k, c in comp.terms.items()})
 
 
-def flat_section_residual(f: Signomial, state: FedosovState, order: int, points) -> float:
+def flat_section_residual(f: Signomial, machine: FedosovMachine, order: int, points) -> float:
     """Defect of D-hat tau(f) = 0 through Deg ``order - 1``, at ``points``."""
-    lift = tau_lift(f, state, order)
-    return flat_d(lift, state, max_deg=order - 1).sample_norm(points)
+    lift = tau_lift(f, machine, order)
+    return flat_d(lift, machine, order - 1).sample_norm(points)
 
 
-def star(f: Signomial, g: Signomial, state: FedosovState, order: int) -> tuple:
+def star(f: Signomial, g: Signomial, machine: FedosovMachine, order: int) -> tuple:
     """Star product through v^order: sigma(tau(f) o tau(g)).
 
     Returns the coefficients (C_0, ..., C_order) of f * g = sum_r C_r v^r.
 
     Exactness through the requested order needs lifts through Deg 2*order,
-    which solve r through Deg 2*order + 1 if the state does not hold it
+    which solve r through Deg 2*order + 1 if the machine does not hold it
     yet.  At order 0 the lifts are the fields themselves.
     """
     if order < 0:
         raise MalformedInputError("order must be nonnegative")
     lift_deg = 2 * order
-    tf = tau_lift(f, state, lift_deg)
-    tg = tau_lift(g, state, lift_deg)
-    prod = state.machine.algebra.product(tf, tg, max_deg=lift_deg, sigma_only=True)
+    tf = tau_lift(f, machine, lift_deg)
+    tg = tau_lift(g, machine, lift_deg)
+    prod = machine.algebra.product(tf, tg, max_deg=lift_deg, sigma_only=True)
     series = sigma_series(prod)
-    dim = state.machine.dim
-    return tuple(series.get(r, Signomial.zero(dim)) for r in range(order + 1))
+    return tuple(series.get(r, Signomial.zero(machine.dim)) for r in range(order + 1))
 
 
-def star_series(series_a: tuple, series_b: tuple, state: FedosovState, order: int) -> tuple:
+def star_series(series_a: tuple, series_b: tuple, machine: FedosovMachine, order: int) -> tuple:
     """Star product of two v-series of signomials through v^order, v-bilinearly."""
-    dim = state.machine.dim
-    out = [Signomial.zero(dim) for _ in range(order + 1)]
+    out = [Signomial.zero(machine.dim) for _ in range(order + 1)]
     for i, a in enumerate(series_a[: order + 1]):
         if a.is_zero:
             continue
         for j, b in enumerate(series_b[: order + 1 - i]):
             if b.is_zero:
                 continue
-            inner = star(a, b, state, order - i - j)
+            inner = star(a, b, machine, order - i - j)
             for r, c in enumerate(inner):
                 out[i + j + r] = out[i + j + r] + c
     return tuple(out)

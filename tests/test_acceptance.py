@@ -209,14 +209,14 @@ def test_criterion_4_integer_limit_operator_suite():
 def test_criterion_5_fedosov_flatness():
     t0 = time.monotonic()
     b = make_bundle("coupled", 2, 1.0)
-    state = FedosovMachine(b).solve_r(4)
-    res = state.max_residual()
+    m = FedosovMachine(b).solve_r(4)
+    res = m.max_residual()
     probes = make_probes(b, seed=42, count=8)
     # include a top-degree probe so the bound Deg(a) + K - 1 reaches 6
     z = [0] * 4
     z[3] = 3
     probes.append(WickElement.from_term(4, 0, tuple(z), (0,), Signomial.constant(4, 1.0)))
-    dsq = max(flat_d_squared_residual(p, state, sample_points(2)) for p in probes)
+    dsq = max(flat_d_squared_residual(p, m, 4, sample_points(2)) for p in probes)
     elapsed = time.monotonic() - t0
     ok = res < 1e-9 and dsq < 1e-8 and elapsed < 60.0
     report_line(

@@ -22,6 +22,7 @@ from akstar.cli import (
     run_pipeline,
 )
 from akstar.errors import ConfigError, FractionalDomainError
+from akstar.fedosov import tau_lift
 from akstar.report import emit_json, emit_text
 
 from _configs import fresh_interpreter
@@ -365,8 +366,24 @@ def test_star_solves_r_only_as_deep_as_it_reads(tmp_path):
         outs.append(out.getvalue())
         pipeline = Pipeline(parse_config(path), star_order=2)
         pipeline.run(STAR_STAGES)
-        assert sorted(pipeline.state.r_components) == [2, 3, 4, 5]
+        assert sorted(pipeline.machine.r_components) == [2, 3, 4, 5]
     assert outs[0] == outs[1]
+
+
+def test_star_of_a_cancelling_observable_is_zero(tmp_path):
+    # f = x - x parses to the zero field, whose lift is the zero element:
+    # canonical, with no key holding an empty coefficient
+    f = [{"c": 1, "exp": [1, 0]}, {"c": -1, "exp": [1, 0]}]
+    path = write_config(tmp_path, flat_config(observables={"f": f}))
+    out = io.StringIO()
+    assert main(["star", "--order", "1", "--config", path], stream=out) == EXIT_OK
+    payload = json.loads(out.getvalue())
+    assert payload["f"] == []
+    assert [c["terms"] for c in payload["coefficients"]] == [[], []]
+    pipeline = Pipeline(parse_config(path), star_order=1)
+    pipeline.run(STAR_STAGES)
+    assert pipeline.spec.observable_f.is_zero
+    assert tau_lift(pipeline.spec.observable_f, pipeline.machine, 2).terms == {}
 
 
 def test_run_builds_one_wick_algebra(monkeypatch):

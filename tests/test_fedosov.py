@@ -1,7 +1,5 @@
 """Grading-shift operators, flatness recursion, lift, and star product."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from akstar.expr import Signomial, coeff_distance
 from akstar.geometry import poisson_bracket
 from akstar.fedosov import (
     FedosovMachine,
-    FedosovState,
     delta,
     delta_inv,
     flat_d,
@@ -39,9 +36,9 @@ def machine(kind, n, alpha):
 
 def solved(kind, n, K):
     """Recursion at alpha = 1, with its defect gated as ``fedosov_r_residual`` gates it."""
-    st = machine(kind, n, 1.0).solve_r(K)
-    assert st.max_residual() <= 1e-9
-    return st
+    m = machine(kind, n, 1.0).solve_r(K)
+    assert m.max_residual() <= 1e-9
+    return m
 
 
 def rand_wick(rng, dim, max_s=4, max_forms=2):
@@ -359,21 +356,19 @@ def test_operator_identities_fractional_are_finite(kind, n, alpha):
 
 
 def test_solve_r_flat_config_gives_zero():
-    st = machine("flat", 1, 1.0).solve_r(4)
-    assert all(w.is_zero for w in st.r_components.values())
-    assert st.max_residual() == 0.0
+    m = machine("flat", 1, 1.0).solve_r(4)
+    assert all(w.is_zero for w in m.r_components.values())
+    assert m.max_residual() == 0.0
 
 
 def test_first_component_is_delta_inv_torsion():
-    m = machine("flat", 1, 0.45)
-    st = m.solve_r(2)
-    assert (st.r_components[2] - delta_inv(m.t_hat)).coeff_norm() == 0.0
+    m = machine("flat", 1, 0.45).solve_r(2)
+    assert (m.r_components[2] - delta_inv(m.t_hat)).coeff_norm() == 0.0
 
 
 def test_r2_grading_fractional():
-    m = machine("flat", 1, 0.45)
-    st = m.solve_r(3)
-    r2 = st.r_components[2]
+    m = machine("flat", 1, 0.45).solve_r(3)
+    r2 = m.r_components[2]
     assert r2.total_degrees() == {2}
     for (v, z, forms) in r2.terms:
         assert v == 0 and sum(z) == 2 and len(forms) == 1
@@ -390,18 +385,27 @@ def test_r2_grading_at_alpha_half():
 
 
 def test_gauge_normalization():
-    st = machine("flat", 1, 0.45).solve_r(3)
-    assert st.gauge <= 1e-13
+    m = machine("flat", 1, 0.45).solve_r(3)
+    assert m.gauge <= 1e-13
 
 
 def test_solve_r_records_its_sum_and_gauge():
-    st = solved("w4", 2, 3)
-    total = WickElement.zero(4)
-    for d in sorted(st.r_components):
-        total = total + st.r_components[d]
-    assert exact(st.r_total) == exact(total)
-    gauge = max(delta_inv(c).coeff_norm() for c in st.r_components.values())
-    assert st.gauge == gauge
+    # r_total and tau_lift are unions of Deg components, with the bits and
+    # the key order of summing those in degree order
+    m = solved("w4", 2, 3)
+    f = Signomial.coordinate(4, 0) * Signomial.coordinate(4, 3)
+    comps = tau_components(f, m, 4)
+    assert sum(not c.is_zero for c in comps) > 2
+    for whole, parts in (
+        (m.r_total, [m.r_components[d] for d in sorted(m.r_components)]),
+        (tau_lift(f, m, 4), comps),
+    ):
+        total = WickElement.zero(4)
+        for part in parts:
+            total = total + part
+        assert exact(whole) == exact(total)
+    gauge = max(delta_inv(c).coeff_norm() for c in m.r_components.values())
+    assert m.gauge == gauge
 
 
 @pytest.mark.parametrize("kind,alpha,K", [("w4", 1.0, 3), ("w4p", 0.45, 2)], ids=["w4", "w4p-0.45"])
@@ -426,8 +430,8 @@ def test_convolution_v0_part_is_round_off(kind, alpha, K):
 
 @pytest.mark.parametrize("kind,n", [("coupled", 1), ("coupled", 2), ("cross", 2)])
 def test_residuals_classical(kind, n):
-    st = machine(kind, n, 1.0).solve_r(4)
-    assert st.max_residual() < 1e-9
+    m = machine(kind, n, 1.0).solve_r(4)
+    assert m.max_residual() < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -436,9 +440,9 @@ def test_residuals_classical(kind, n):
     + [pytest.param("w4p", 2, 0.45, 2, id="w4p-0.45")],
 )
 def test_residuals_fractional_reported(kind, n, alpha, order):
-    st = machine(kind, n, alpha).solve_r(order)
-    assert set(st.residuals) == set(range(1, order + 2))
-    assert all(np.isfinite(v) for v in st.residuals.values())
+    m = machine(kind, n, alpha).solve_r(order)
+    assert set(m.residuals) == set(range(1, order + 2))
+    assert all(np.isfinite(v) for v in m.residuals.values())
 
 
 def test_alpha_half_recursion_exits_the_class():
@@ -460,11 +464,11 @@ def test_truncation_order_validated():
 
 
 def test_flat_d_on_flat_config():
-    st = solved("flat", 1, 3)
+    m = solved("flat", 1, 3)
     zx = z_var(2, 0)
-    once = flat_d(zx, st, max_deg=math.inf)
+    once = flat_d(zx, m, max_deg=3)
     assert (once + delta(zx)).coeff_norm() == 0.0  # D-hat = -delta here
-    assert flat_d(once, st, max_deg=math.inf).coeff_norm() == 0.0
+    assert flat_d(once, m, max_deg=3).coeff_norm() == 0.0
 
 
 # W4 runs at K = 2: D-hat of its probes is of order 1 to 40, and K = 4
@@ -475,25 +479,35 @@ def test_flat_d_on_flat_config():
     ids=["coupled-1", "coupled-2", "w4-2"],
 )
 def test_flat_d_squared_classical(kind, n, K):
-    st = solved(kind, n, K)
-    for probe in make_probes(st.bundle, seed=42, count=8):
-        assert flat_d_squared_residual(probe, st, sample_points(n)) < 1e-8
+    m = solved(kind, n, K)
+    for probe in make_probes(m.bundle, seed=42, count=8):
+        assert flat_d_squared_residual(probe, m, K, sample_points(n)) < 1e-8
 
 
 def test_flat_d_squared_of_the_zero_element_is_zero():
     # an element with no terms has no Deg, and so no window to report on
-    st = solved("coupled", 1, 3)
-    assert flat_d_squared_residual(WickElement.zero(2), st, sample_points(1)) == 0.0
+    m = solved("coupled", 1, 3)
+    assert flat_d_squared_residual(WickElement.zero(2), m, 3, sample_points(1)) == 0.0
 
 
 def test_d_hat_squared_solves_the_r_it_reads():
-    # an unsolved state reads as the eager solve_r(K) does
-    st = solved("x2y3", 1, 3)
-    lazy = FedosovState(st.machine, 3)
+    # a fresh machine reads as the eager solve_r(K) does
+    m = solved("x2y3", 1, 3)
+    lazy = machine("x2y3", 1, 1.0)
     for p in generator_probes(2):
-        got = flat_d_squared_residual(p, lazy, sample_points(1))
-        assert got == flat_d_squared_residual(p, st, sample_points(1))
+        got = flat_d_squared_residual(p, lazy, 3, sample_points(1))
+        assert got == flat_d_squared_residual(p, m, 3, sample_points(1))
     assert sorted(lazy.r_components) == [2, 3, 4, 5]
+
+
+def test_flat_d_solves_the_r_it_reads():
+    # through Deg 3, D-hat z^1 reads r through Deg 3 - 1 + 2 = 4; a fresh
+    # machine solves it and gives the bits of one solved by solve_r(3)
+    z1 = generator_probes(2)[0]
+    fresh = machine("x2y3", 1, 1.0)
+    got = flat_d(z1, fresh, 3)
+    assert sorted(fresh.r_components) == [2, 3, 4]
+    assert exact(got) == exact(flat_d(z1, solved("x2y3", 1, 3), 3))
 
 
 def test_generator_probes_are_the_fiber_and_coframe_generators():
@@ -511,7 +525,7 @@ def _certificate(bundle):
     m = FedosovMachine(bundle)
     probes = make_probes(bundle, seed=7, count=8)
     suite = Suite(bundle.ctx.alpha, "diagnostic", {})
-    fedosov_checks(suite, m.solve_r(3), sample_points(1), probes)
+    fedosov_checks(suite, m.solve_r(3), 3, sample_points(1), probes)
     values = {entry["name"]: entry["value"] for entry in suite.entries}
     return values["fedosov_dsq_probe"], values["fedosov_dconn_derivation"]
 
@@ -540,11 +554,11 @@ def test_planted_connection_defect_fails_the_certificate():
 def test_flat_d_squared_fractional_diagnostic(alpha):
     # per probe the diagnostic either evaluates finitely or identifies a
     # class exit; both outcomes are legitimate measurements here
-    st = machine("flat", 1, alpha).solve_r(3)
+    m = machine("flat", 1, alpha).solve_r(3)
     finite = 0
-    for p in make_probes(st.bundle, seed=3, count=8):
+    for p in make_probes(m.bundle, seed=3, count=8):
         try:
-            v = flat_d_squared_residual(p, st, sample_points(1))
+            v = flat_d_squared_residual(p, m, 3, sample_points(1))
         except FractionalDomainError:
             continue
         assert np.isfinite(v)
@@ -554,18 +568,20 @@ def test_flat_d_squared_fractional_diagnostic(alpha):
 
 @pytest.mark.parametrize("kind,alpha", [("y4", 1.0), ("flat", 0.45)])
 def test_capped_flat_d_is_exact_truncation(kind, alpha):
-    st = machine(kind, 1, alpha).solve_r(3)
-    assert not st.r_total.is_zero
+    m = machine(kind, 1, alpha).solve_r(3)
+    assert not m.r_total.is_zero
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(12):
         w = rand_wick(rng, 2)
         try:
-            full = flat_d(w, st, max_deg=math.inf)
+            # r through Deg K + 2 = 5 reaches no Deg past max Deg(w) + 3;
+            # this cap solves r deeper, and the lower caps skip what it adds
+            full = flat_d(w, m, max_deg=max(w.total_degrees()) + 3)
         except FractionalDomainError:
             continue
         for d in range(max(full.total_degrees(), default=0) + 1):
-            assert exact(flat_d(w, st, max_deg=d)) == exact(full.truncate(d))
+            assert exact(flat_d(w, m, max_deg=d)) == exact(full.truncate(d))
         checked += 1
     assert checked >= 6
 
@@ -574,66 +590,66 @@ def test_capped_flat_d_is_exact_truncation(kind, alpha):
 
 
 def test_tau_of_coordinate_on_flat_config():
-    st = solved("flat", 1, 4)
+    m = solved("flat", 1, 4)
     x = Signomial.coordinate(2, 0)
-    lift = tau_lift(x, st, 4)
+    lift = tau_lift(x, m, 4)
     expect = WickElement.from_signomial(x) + z_var(2, 0)
     assert (lift - expect).coeff_norm() == 0.0
 
 
 def test_tau_of_unit_is_unit():
-    st = solved("coupled", 1, 4)
+    m = solved("coupled", 1, 4)
     one = Signomial.constant(2, 1.0)
-    assert (tau_lift(one, st, 4) - WickElement.from_signomial(one)).coeff_norm() == 0.0
+    assert (tau_lift(one, m, 4) - WickElement.from_signomial(one)).coeff_norm() == 0.0
 
 
 @pytest.mark.parametrize("kind,alpha,order", [("coupled", 1.0, 6), ("flat", 0.45, 3)])
 def test_sigma_tau_is_identity(kind, alpha, order):
     # fractional lifts are computable through Deg 3 in this configuration
     # family; one degree deeper the coefficients leave the class
-    st = machine(kind, 1, alpha).solve_r(max(order - 1, 2))
+    m = machine(kind, 1, alpha).solve_r(max(order - 1, 2))
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f in (x, y, x * y, x * x + y):
-        lift = tau_lift(f, st, order)
+        lift = tau_lift(f, m, order)
         s = sigma_series(lift)
         assert set(s) <= {0}
         assert coeff_distance(s.get(0, Signomial.zero(2)), f) == 0.0
 
 
 def test_tau_components_are_deg_homogeneous():
-    st = solved("coupled", 1, 5)
-    comps = tau_components(Signomial.coordinate(2, 0), st, 5)
+    m = solved("coupled", 1, 5)
+    comps = tau_components(Signomial.coordinate(2, 0), m, 5)
     assert len(comps) == 6
     for k, comp in enumerate(comps):
         assert comp.total_degrees() <= {k}
 
 
 def test_flat_section_residual_classical():
-    st = solved("coupled", 1, 7)
+    m = solved("coupled", 1, 7)
     for f in (Signomial.coordinate(2, 0), Signomial.coordinate(2, 1)):
-        assert flat_section_residual(f, st, 6, sample_points(1)) < 1e-9
+        assert flat_section_residual(f, m, 6, sample_points(1)) < 1e-9
 
 
 def test_tau_lift_memo_keeps_signed_zeros_apart():
-    st = solved("y4", 1, 3)
+    m = solved("y4", 1, 3)
     y = Signomial.coordinate(2, 1)
-    lift = tau_lift(y, st, 3)
-    assert exact(tau_lift(y, st, 3)) == exact(lift)
-    assert exact(tau_lift(y, st, 2)) == exact(lift.truncate(2))
+    lift = tau_lift(y, m, 3)
+    assert exact(tau_lift(y, m, 3)) == exact(lift)
+    assert exact(tau_lift(y, m, 2)) == exact(lift.truncate(2))
     # equal values whose zeros differ in sign, and reports serialize -0.0
     plus, minus = y.scale(-1j), y.scale(1j).scale(-1)
     assert plus.terms == minus.terms and repr(plus.terms) != repr(minus.terms)
-    tau_lift(plus, st, 3)
+    tau_lift(plus, m, 3)
     fresh = solved("y4", 1, 3)
-    assert exact(tau_lift(minus, st, 3)) == exact(tau_lift(minus, fresh, 3))
-    assert exact(tau_lift(minus, st, 3)) != exact(tau_lift(plus, st, 3))
+    assert exact(tau_lift(minus, m, 3)) == exact(tau_lift(minus, fresh, 3))
+    assert exact(tau_lift(minus, m, 3)) != exact(tau_lift(plus, m, 3))
 
 
 def test_a_field_is_lifted_once(monkeypatch):
     # each lift component depends only on the lower ones, so a lower order
     # reads a prefix of the components already built
-    st = solved("x2y3", 1, 5)
+    m = solved("x2y3", 1, 5)
     x = Signomial.coordinate(2, 0)
     calls = []
     original = FedosovMachine.dconn_apply
@@ -643,16 +659,16 @@ def test_a_field_is_lifted_once(monkeypatch):
         return original(self, w)
 
     monkeypatch.setattr(FedosovMachine, "dconn_apply", counted)
-    lifts = {order: tau_lift(x, st, order) for order in (6, 4, 2)}
+    lifts = {order: tau_lift(x, m, order) for order in (6, 4, 2)}
     assert len(calls) == 6
     for order in (4, 2):
         assert exact(lifts[order]) == exact(lifts[6].truncate(order))
 
 
 def test_tau_lift_pole_names_the_lift_degree():
-    st = machine("flat", 1, 0.45).solve_r(3)
+    m = machine("flat", 1, 0.45).solve_r(3)
     with pytest.raises(FractionalDomainError) as info:
-        tau_components(Signomial.coordinate(2, 0), st, 4)
+        tau_components(Signomial.coordinate(2, 0), m, 4)
     # building the Deg-4 component needs D-check of a term x^0.55 y^-2
     assert info.value.degree == 4
     assert (info.value.coordinate, info.value.exponents) == (1, (0.55, -2.0))
@@ -661,28 +677,28 @@ def test_tau_lift_pole_names_the_lift_degree():
 def test_tau_lift_failures_are_not_memoised():
     # a lift through Deg 5 first solves r_6, which exists here, then fails
     # at the same Deg-4 lift component as the lift through Deg 4
-    st = machine("flat", 1, 0.45).solve_r(3)
+    m = machine("flat", 1, 0.45).solve_r(3)
     x = Signomial.coordinate(2, 0)
     for order in (4, 5, 4, 5):
         with pytest.raises(FractionalDomainError) as info:
-            tau_lift(x, st, order)
+            tau_lift(x, m, order)
         assert info.value.degree == 4
-    assert sorted(st.r_components) == [2, 3, 4, 5, 6]
+    assert sorted(m.r_components) == [2, 3, 4, 5, 6]
 
 
 def test_tau_lift_solves_the_r_degrees_it_reads():
     # the lift through Deg k reads r through Deg k + 1, and solves it there
     # with the bits of the eager recursion
-    st = solved("x2y3", 1, 2)
+    m = solved("x2y3", 1, 2)
     x = Signomial.coordinate(2, 0)
-    lift = tau_lift(x, st, 6)
-    assert sorted(st.r_components) == list(range(2, 8))
+    lift = tau_lift(x, m, 6)
+    assert sorted(m.r_components) == list(range(2, 8))
     eager = solved("x2y3", 1, 5)
-    assert [exact(c) for c in st.r_components.values()] == [
+    assert [exact(c) for c in m.r_components.values()] == [
         exact(c) for c in eager.r_components.values()
     ]
-    assert st.residuals == eager.residuals and st.gauge == eager.gauge
-    assert exact(st.r_total) == exact(eager.r_total)
+    assert m.residuals == eager.residuals and m.gauge == eager.gauge
+    assert exact(m.r_total) == exact(eager.r_total)
     assert exact(lift) == exact(tau_lift(x, eager, 6))
 
 
@@ -690,11 +706,11 @@ def test_tau_lift_solves_the_r_degrees_it_reads():
 
 
 def test_unit_is_star_neutral_to_all_orders():
-    st = solved("coupled", 1, 7)
+    m = solved("coupled", 1, 7)
     one = Signomial.constant(2, 1.0)
     f = Signomial.from_terms(2, [(1.0, [2, 0]), (0.5, [1, 1])])
-    left = star(one, f, st, 4)
-    right = star(f, one, st, 4)
+    left = star(one, f, m, 4)
+    right = star(f, one, m, 4)
     assert coeff_distance(left[0], f) == 0.0
     assert coeff_distance(right[0], f) == 0.0
     for r in range(1, 5):
@@ -703,11 +719,11 @@ def test_unit_is_star_neutral_to_all_orders():
 
 
 def test_c0_is_pointwise_product_exactly():
-    st = solved("coupled", 1, 5)
+    m = solved("coupled", 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (x * y, x), (y, y)):
-        sc = star(f, g, st, 2)
+        sc = star(f, g, m, 2)
         assert coeff_distance(sc[0], f * g) == 0.0
 
 
@@ -716,33 +732,33 @@ def test_flat_second_order_coefficient_hand_value():
     # Taylor lifts; for f = x^2, g = y^2 the hand expansion gives
     # C_1 = 2i x y (one contraction through Lambda^{xy} = 1) and
     # C_2 = (1/2)(i/2)^2 * (Lambda^{xy})^2 * f'' g'' = -1/2
-    st = solved("flat", 1, 5)
+    m = solved("flat", 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
-    sc = star(x * x, y * y, st, 2)
+    sc = star(x * x, y * y, m, 2)
     assert coeff_distance(sc[1], (x * y).scale(2j)) <= 1e-14
     assert coeff_distance(sc[2], Signomial.constant(2, -0.5)) <= 1e-14
 
 
 def test_flat_commutator_is_iv_exactly():
-    st = solved("flat", 1, 5)
+    m = solved("flat", 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
-    fwd = star(x, y, st, 2)
-    rev = star(y, x, st, 2)
+    fwd = star(x, y, m, 2)
+    rev = star(y, x, m, 2)
     c1 = fwd[1] - rev[1]
     assert c1.sorted_terms() == [((0.0, 0.0), 1j)]
     assert (fwd[2] - rev[2]).is_zero
 
 
 def test_first_order_commutator_is_poisson_bracket():
-    st = solved("coupled", 1, 5)
-    b = st.bundle
+    m = solved("coupled", 1, 5)
+    b = m.bundle
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (x * x, y), (x * y, x)):
-        fwd = star(f, g, st, 1)
-        rev = star(g, f, st, 1)
+        fwd = star(f, g, m, 1)
+        rev = star(g, f, m, 1)
         anti = fwd[1] - rev[1]
         expect = poisson_bracket(f, g, b).scale(1j)
         assert coeff_distance(anti, expect) < 1e-10
@@ -750,16 +766,16 @@ def test_first_order_commutator_is_poisson_bracket():
 
 @pytest.mark.parametrize("kind,alpha", [("flat", 1.0), ("coupled", 1.0)])
 def test_star_associativity_low_order(kind, alpha):
-    st = machine(kind, 1, alpha).solve_r(5)
-    assert st.max_residual() <= 1e-9
+    m = machine(kind, 1, alpha).solve_r(5)
+    assert m.max_residual() <= 1e-9
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     obs = (x, y, x * y)
     for f in obs:
         for g in obs:
             for h in obs:
-                left = star_series(star(f, g, st, 2), (h,), st, 2)
-                right = star_series((f,), star(g, h, st, 2), st, 2)
+                left = star_series(star(f, g, m, 2), (h,), m, 2)
+                right = star_series((f,), star(g, h, m, 2), m, 2)
                 for s in range(3):
                     assert coeff_distance(left[s], right[s]) < 1e-10
 
@@ -767,40 +783,40 @@ def test_star_associativity_low_order(kind, alpha):
 def test_star_fractional_first_order():
     # fractional stars are exact through v^1 here (order 2 would need
     # Deg-4 lifts, which exit the differentiable class)
-    st = machine("flat", 1, 0.45).solve_r(3)
+    m = machine("flat", 1, 0.45).solve_r(3)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
-    sc = star(x, y, st, 1)
-    rev = star(y, x, st, 1)
+    sc = star(x, y, m, 1)
+    rev = star(y, x, m, 1)
     assert coeff_distance(sc[0], x * y) == 0.0
     from akstar.geometry import poisson_bracket
     anti = sc[1] - rev[1]
-    expect = poisson_bracket(x, y, st.bundle).scale(1j)
+    expect = poisson_bracket(x, y, m.bundle).scale(1j)
     assert coeff_distance(anti, expect) < 1e-10
 
 
 def test_star_equals_sigma_of_full_product_exactly():
     # star asks for the sigma-projected product capped at Deg 2 * order
-    st = solved("y4", 1, 3)
+    m = solved("y4", 1, 3)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (y * y, x), (x * y, y)):
-        full = st.machine.algebra.product(tau_lift(f, st, 4), tau_lift(g, st, 4))
+        full = m.algebra.product(tau_lift(f, m, 4), tau_lift(g, m, 4))
         series = sigma_series(full)
         assert max(series) > 2  # the full product runs past the order kept
         expect = [series.get(r, Signomial.zero(2)) for r in range(3)]
-        got = star(f, g, st, 2)
+        got = star(f, g, m, 2)
         assert [exact(c) for c in got] == [exact(c) for c in expect]
 
 
 def test_star_through_v2_is_a_prefix():
     # the Deg > 4 lift components and products reach no sigma key below v^3
-    st = solved("x2y3", 1, 5)
+    m = solved("x2y3", 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (y, x), (x * y, y * y)):
-        short = star(f, g, st, 2)
-        long = star(f, g, st, 3)
+        short = star(f, g, m, 2)
+        long = star(f, g, m, 3)
         assert not long[2].is_zero and not long[3].is_zero
         assert [exact(c) for c in short] == [exact(c) for c in long[:3]]
 
@@ -809,41 +825,41 @@ def test_star_through_v2_is_a_prefix():
 def test_star_deeper_than_k_equals_the_eager_recursion(kind):
     # through v^3 the lifts read r through Deg 7, past the K + 2 = 5 that
     # solve_r(3) holds; star solves the rest and matches solve_r(5) bit for bit
-    st = solved(kind, 1, 3)
+    m = solved(kind, 1, 3)
     eager = solved(kind, 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (y, x)):
-        got = star(f, g, st, 3)
+        got = star(f, g, m, 3)
         assert not got[3].is_zero
         assert [exact(c) for c in got] == [exact(c) for c in star(f, g, eager, 3)]
-    assert sorted(st.r_components) == list(range(2, 8))
+    assert sorted(m.r_components) == list(range(2, 8))
 
 
 @pytest.mark.parametrize("kind", ["coupled", "x2y3"])
 def test_deep_star_leaves_the_d_hat_squared_read(kind):
     # the Deg caps of the D-hat^2 read drop every r_j with j > K + 2, so
     # extending r for a deeper star moves none of its bits
-    st = solved(kind, 1, 3)
+    m = solved(kind, 1, 3)
     points = sample_points(1)
     probes = generator_probes(2)
 
     def reads():
         return [
-            (flat_d_squared_residual(p, st, points), exact(flat_d(p, st, max_deg=st.K)))
+            (flat_d_squared_residual(p, m, 3, points), exact(flat_d(p, m, max_deg=3)))
             for p in probes
         ]
 
     before = reads()
-    star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), st, 3)
-    assert len(st.r_components) > st.K + 1
+    star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), m, 3)
+    assert sorted(m.r_components) == list(range(2, 8))
     assert reads() == before
 
 
 def test_star_negative_order_raises():
-    st = solved("flat", 1, 3)
+    m = solved("flat", 1, 3)
     with pytest.raises(MalformedInputError, match="nonnegative"):
-        star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), st, -1)
+        star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), m, -1)
 
 
 def test_probe_generation_is_deterministic():

@@ -47,16 +47,25 @@ def test_describe_moves_caps_the_lines_and_skips_non_json():
     assert same_outputs.describe_moves(b"\xff", b"{}") == []
 
 
-def test_invocations_include_the_full_n3_run_in_strict_mode(tmp_path):
+def _full_run(tmp_path, n):
+    """The Lagrangian of the one full strict ``run`` at n, K = 3."""
     invs = same_outputs.invocations(TOOL.parent.parent, tmp_path)
-    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "n3 full: run"]
+    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == f"n{n} full: run"]
     assert len(runs) == 1
     command, config = runs[0]
     assert command == ("run",)
-    assert (config["mode"], config["n"], config["alpha"]) == ("strict", 3, 1.0)
+    assert (config["mode"], config["n"], config["alpha"]) == ("strict", n, 1.0)
     assert config["truncation_order"] == 3
-    assert config["lagrangian"] == same_outputs.N3
-    assert all(len(term["exp"]) == 6 for term in config["lagrangian"])
+    assert all(len(term["exp"]) == 2 * n for term in config["lagrangian"])
+    return config["lagrangian"]
+
+
+def test_invocations_include_the_full_n3_run_in_strict_mode(tmp_path):
+    assert _full_run(tmp_path, 3) == same_outputs.N3
+
+
+def test_invocations_include_the_full_n4_run_in_strict_mode(tmp_path):
+    assert _full_run(tmp_path, 4) == same_outputs.N4
 
 
 def test_invocations_include_w4_star_at_k5(tmp_path):

@@ -466,6 +466,18 @@ def test_product_raises_only_on_a_non_finite_result():
         inline_reference(alg, x, y, odd_only=True)
 
 
+def test_product_drops_a_pair_whose_coefficients_underflow():
+    # z^0 o 1 does not contract, so its one contribution is c1 * c2, here
+    # 1e-200 * 1e-200, which underflows to no term; nothing after the pair
+    # loop drops it, so the loop's own guard keeps the empty coefficient out
+    alg = algebra()
+    tiny = Signomial.constant(2, 1e-200)
+    x = WickElement.from_term(2, 0, (1, 0), (), tiny)
+    y = WickElement.from_term(2, 0, (0, 0), (), tiny)
+    assert (tiny * tiny).is_zero
+    assert alg.product(x, y).terms == {}
+
+
 def test_from_terms_refuses_a_coefficient_over_other_coordinates():
     # Wick + adds raw term maps, so an element holding x^1 over 3
     # coordinates, added to y over 2, read as y + 1 over 2

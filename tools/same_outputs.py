@@ -10,8 +10,8 @@ a process.  The invocations are read from CHANGE_ROOT:
   ``check algebra|geometry|fedosov|caputo`` and ``star --order 1``;
 * every invocation of every workload in ``perfbench/workloads.py`` at seed 7,
   that file loaded by path and only read;
-* the full ``run`` of ``N3`` below (n = 3, K = 3) in strict mode, the one
-  invocation at n = 3;
+* the full ``run`` of ``N3`` and of ``N4`` below (n = 3 and 4, K = 3) in
+  strict mode, the only invocations at n = 3 and n = 4;
 * ``star --order 3`` on that file's ``W4`` Lagrangian at K = 5, whose lifts
   read r through Deg 7, the deepest recursion of any invocation; its Wick
   products contract r >= 3 times and raise a twist entry to a power k >= 2
@@ -60,6 +60,13 @@ N3 = [
     {"c": 1, "exp": [1, 1, 1, 0, 2, 0]},
     {"c": 1, "exp": [0, 0, 1, 0, 0, 2]},
 ]
+# x1^2 x2 y1^3 + x1 x2 x3 y2^2 + x3 x4 y3^2 + x4 y4^2 over (x1, ..., x4, y1, ..., y4)
+N4 = [
+    {"c": 1, "exp": [2, 1, 0, 0, 3, 0, 0, 0]},
+    {"c": 1, "exp": [1, 1, 1, 0, 0, 2, 0, 0]},
+    {"c": 1, "exp": [0, 0, 1, 1, 0, 0, 2, 0]},
+    {"c": 1, "exp": [0, 0, 0, 1, 0, 0, 0, 2]},
+]
 GOLDEN_COMMANDS = (
     ("run",),
     ("run", "--format", "text"),
@@ -95,10 +102,11 @@ def invocations(root: Path, work: Path) -> list:
             path = work / f"{workload}.{inv.name}.config.json"
             path.write_text(json.dumps(inv.config))
             out.append((f"{workload} {inv.name}: {' '.join(inv.command)}", inv.command, path))
-    config = dict(workloads._config(1.0, 3, N3, 3, SEED), mode="strict")
-    path = work / "n3_run.config.json"
-    path.write_text(json.dumps(config))
-    out.append(("n3 full: run", ("run",), path))
+    for n, lagrangian in ((3, N3), (4, N4)):
+        config = dict(workloads._config(1.0, n, lagrangian, 3, SEED), mode="strict")
+        path = work / f"n{n}_run.config.json"
+        path.write_text(json.dumps(config))
+        out.append((f"n{n} full: run", ("run",), path))
     path = work / "w4_k5_star.config.json"
     path.write_text(json.dumps(workloads._config(1.0, 2, workloads.W4, 5, SEED)))
     out.append(("w4 K5: star --order 3", ("star", "--order", "3"), path))
