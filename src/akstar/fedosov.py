@@ -331,14 +331,16 @@ def tau_components(f: Signomial, machine: FedosovMachine, order: int) -> list:
     """Deg-homogeneous components of the lift, the k-th of Deg k, 0 through
     ``order``: a prefix of the field's list in the machine's tau memo, which
     is extended on demand, since component k + 1 needs only 0 through k and
-    r through Deg k + 2.  A pole met in r carries the recursion's degree."""
-    machine.solve_through(order + 1)
+    r through Deg k + 1.  The bracket with r_{k+2} is left out: tau_0 = f
+    carries no z, so (i/v)[r, tau_0] = 0.  A pole met in r carries the
+    recursion's degree."""
+    machine.solve_through(order)
     # repr tells -0.0 from 0.0 apart, which reports serialize differently
     comps = machine._tau_memo.setdefault(repr(list(f.terms.items())), [WickElement.from_signomial(f)])
     for k in range(len(comps) - 1, order):
         try:
             rhs = machine.dconn_apply(comps[k])
-            for l in range(k + 1):
+            for l in range(k):
                 rhs = rhs - machine.algebra.commutator(machine.r_components[l + 2], comps[k - l])
         except FractionalDomainError as err:
             err.degree = k + 1
@@ -365,8 +367,9 @@ def star(f: Signomial, g: Signomial, machine: FedosovMachine, order: int) -> tup
     Returns the coefficients (C_0, ..., C_order) of f * g = sum_r C_r v^r.
 
     Exactness through the requested order needs lifts through Deg 2*order,
-    which solve r through Deg 2*order + 1 if the machine does not hold it
-    yet.  At order 0 the lifts are the fields themselves.
+    which solve r through Deg 2*order if the machine does not hold it yet:
+    tau_0 = f carries no z, so (i/v)[r, tau_0] = 0 and no lift reads the
+    r one Deg deeper.  At order 0 the lifts are the fields themselves.
     """
     if order < 0:
         raise MalformedInputError("order must be nonnegative")

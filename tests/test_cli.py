@@ -356,7 +356,7 @@ def test_star_order_one_reads_below_the_pole(tmp_path):
 
 
 def test_star_solves_r_only_as_deep_as_it_reads(tmp_path):
-    # star --order 2 reads r through Deg 5 whatever K is
+    # star --order 2 reads r through Deg 4 whatever K is
     cfg = flat_config(lagrangian=[{"c": 1, "exp": [2, 3]}], mode="diagnostic")
     outs = []
     for k in (3, 7):
@@ -366,7 +366,7 @@ def test_star_solves_r_only_as_deep_as_it_reads(tmp_path):
         outs.append(out.getvalue())
         pipeline = Pipeline(parse_config(path), star_order=2)
         pipeline.run(STAR_STAGES)
-        assert sorted(pipeline.machine.r_components) == [2, 3, 4, 5]
+        assert sorted(pipeline.machine.r_components) == [2, 3, 4]
     assert outs[0] == outs[1]
 
 

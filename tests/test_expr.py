@@ -134,6 +134,18 @@ def test_dim_mismatch_rejected():
         Signomial.coordinate(2, 0) + Signomial.coordinate(4, 0)
 
 
+def test_constructor_validation():
+    with pytest.raises(MalformedInputError, match="dimension must be >= 1"):
+        Signomial(0)
+    for index in (2, -1):
+        with pytest.raises(MalformedInputError, match="out of range"):
+            Signomial.coordinate(2, index)
+    x = Signomial.coordinate(2, 0)
+    for factor in (float("nan"), float("inf")):
+        with pytest.raises(MalformedInputError, match="non-finite scale factor"):
+            x.scale(factor)
+
+
 # -- classical partials ---------------------------------------------------
 
 

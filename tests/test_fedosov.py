@@ -25,7 +25,7 @@ from akstar.fedosov import (
 )
 from akstar.wick import WickElement
 
-from _configs import exact, make_bundle, replace_fields, sample_points, z_var
+from _configs import exact, make_bundle, probe_fields, replace_fields, sample_points, z_var
 
 ALPHAS_FRACTIONAL = (0.3, 0.45, 0.9)
 
@@ -675,11 +675,11 @@ def test_tau_lift_pole_names_the_lift_degree():
 
 
 def test_tau_lift_failures_are_not_memoised():
-    # a lift through Deg 5 first solves r_6, which exists here, then fails
+    # a lift through Deg 6 first solves r_6, which exists here, then fails
     # at the same Deg-4 lift component as the lift through Deg 4
     m = machine("flat", 1, 0.45).solve_r(3)
     x = Signomial.coordinate(2, 0)
-    for order in (4, 5, 4, 5):
+    for order in (4, 6, 4, 6):
         with pytest.raises(FractionalDomainError) as info:
             tau_lift(x, m, order)
         assert info.value.degree == 4
@@ -687,11 +687,11 @@ def test_tau_lift_failures_are_not_memoised():
 
 
 def test_tau_lift_solves_the_r_degrees_it_reads():
-    # the lift through Deg k reads r through Deg k + 1, and solves it there
+    # the lift through Deg k reads r through Deg k, and solves it there
     # with the bits of the eager recursion
     m = solved("x2y3", 1, 2)
     x = Signomial.coordinate(2, 0)
-    lift = tau_lift(x, m, 6)
+    lift = tau_lift(x, m, 7)
     assert sorted(m.r_components) == list(range(2, 8))
     eager = solved("x2y3", 1, 5)
     assert [exact(c) for c in m.r_components.values()] == [
@@ -699,7 +699,35 @@ def test_tau_lift_solves_the_r_degrees_it_reads():
     ]
     assert m.residuals == eager.residuals and m.gauge == eager.gauge
     assert exact(m.r_total) == exact(eager.r_total)
-    assert exact(lift) == exact(tau_lift(x, eager, 6))
+    assert exact(lift) == exact(tau_lift(x, eager, 7))
+
+
+# every config kind at alpha = 1, and at alpha = 0.45 each one whose geometry
+# builds there (cross and w4 meet a Gamma pole at every fractional alpha);
+# a fractional lift through Deg 4 meets one too, so the lifts stop at Deg 3
+TAU_ZERO_CASES = [
+    pytest.param(kind, n, alpha, id=f"{kind}{n}-{alpha}")
+    for kind, n in [("flat", 1), ("coupled", 1), ("coupled", 2), ("cross", 2), ("y4", 1),
+                    ("x2y3", 1), ("w4", 2), ("w4p", 2)]
+    for alpha in (1.0, 0.45)
+    if alpha == 1.0 or kind not in ("cross", "w4")
+]
+
+
+@pytest.mark.parametrize("kind,n,alpha", TAU_ZERO_CASES)
+def test_tau_lift_skips_the_bracket_with_tau_zero(kind, n, alpha):
+    # tau_0 = f carries no z, so (i/v)[r_m, tau_0] is the zero element for
+    # every r_m, and the lift through Deg k reads r only through Deg k
+    eager = machine(kind, n, alpha).solve_r(2)
+    fields = probe_fields(n)
+    for f in fields:
+        for r_m in eager.r_components.values():
+            assert eager.algebra.commutator(r_m, WickElement.from_signomial(f)).terms == {}
+    for k in (1, 2, 3):
+        fresh = machine(kind, n, alpha)
+        lifts = [exact(tau_lift(f, fresh, k)) for f in fields]
+        assert sorted(fresh.r_components) == list(range(2, k + 1))
+        assert lifts == [exact(tau_lift(f, eager, k)) for f in fields]
 
 
 # -- star product --------------------------------------------------------------------------
@@ -823,7 +851,7 @@ def test_star_through_v2_is_a_prefix():
 
 @pytest.mark.parametrize("kind", ["coupled", "x2y3"])
 def test_star_deeper_than_k_equals_the_eager_recursion(kind):
-    # through v^3 the lifts read r through Deg 7, past the K + 2 = 5 that
+    # through v^3 the lifts read r through Deg 6, past the K + 2 = 5 that
     # solve_r(3) holds; star solves the rest and matches solve_r(5) bit for bit
     m = solved(kind, 1, 3)
     eager = solved(kind, 1, 5)
@@ -833,7 +861,7 @@ def test_star_deeper_than_k_equals_the_eager_recursion(kind):
         got = star(f, g, m, 3)
         assert not got[3].is_zero
         assert [exact(c) for c in got] == [exact(c) for c in star(f, g, eager, 3)]
-    assert sorted(m.r_components) == list(range(2, 8))
+    assert sorted(m.r_components) == list(range(2, 7))
 
 
 @pytest.mark.parametrize("kind", ["coupled", "x2y3"])
@@ -852,7 +880,7 @@ def test_deep_star_leaves_the_d_hat_squared_read(kind):
 
     before = reads()
     star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), m, 3)
-    assert sorted(m.r_components) == list(range(2, 8))
+    assert sorted(m.r_components) == list(range(2, 7))
     assert reads() == before
 
 

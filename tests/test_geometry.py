@@ -40,6 +40,12 @@ def test_hessian_coupled_classical():
     assert dict(b.g_lower[0][0].sorted_terms()) == {(2.0, 0.0): pytest.approx(2.0 * 0.5)}
 
 
+def test_spec_rejects_a_dimension_mismatch():
+    L = Signomial.from_terms(2, [(1.0, [0, 2])])
+    with pytest.raises(ExpressionClassError, match="dimension 2 != context dimension 4"):
+        geo.LagrangianSpec(L=L, ctx=AlphaContext(alpha=1.0, n=2))
+
+
 def test_hessian_rejects_off_diagonal():
     ctx = AlphaContext(alpha=1.0, n=2)
     L = Signomial.from_terms(4, [(1.0, [0, 0, 1, 1])])  # y1*y2

@@ -69,8 +69,8 @@ def test_invocations_include_the_full_n4_run_in_strict_mode(tmp_path):
 
 
 def test_invocations_include_w4_star_at_k5(tmp_path):
-    # star solves r only through Deg 2 * order + 1, so reading all of the
-    # K + 2 = 7 that K = 5 names takes order 3
+    # star solves r only through Deg 2 * order whatever K is, so order 3
+    # reads Deg 6 of the K + 2 = 7 that K = 5 names
     root = TOOL.parent.parent
     invs = same_outputs.invocations(root, tmp_path)
     runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "w4 K5: star --order 3"]

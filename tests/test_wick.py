@@ -76,6 +76,11 @@ def test_from_terms_rejects_malformed_keys(v, z):
         WickElement.from_terms(2, [(0, (1, 0), (), one), (v, z, (), one)])
 
 
+def test_sum_rejects_a_dimension_mismatch():
+    with pytest.raises(MalformedInputError, match="dimension mismatch"):
+        WickElement.zero(2) + WickElement.zero(3)
+
+
 def test_from_terms_signs_words_and_drops_repeats():
     one = Signomial.constant(2, 1.0)
     w = WickElement.from_terms(2, [(0, (1, 0), (1, 0), one), (0, (0, 1), (1, 1), one)])

@@ -13,9 +13,11 @@ a process.  The invocations are read from CHANGE_ROOT:
 * the full ``run`` of ``N3`` and of ``N4`` below (n = 3 and 4, K = 3) in
   strict mode, the only invocations at n = 3 and n = 4;
 * ``star --order 3`` on that file's ``W4`` Lagrangian at K = 5, whose lifts
-  read r through Deg 7, the deepest recursion of any invocation; its Wick
-  products contract r >= 3 times and raise a twist entry to a power k >= 2
-  about 70 and 28 times as often as those of ``w4_star`` do.
+  read r through Deg 6, the deepest recursion at n > 1; its Wick products
+  make 6,470 contributions that contract r >= 3 times, where those of
+  ``w4_star`` make none, and 8,090 that raise a twist entry to a power
+  k >= 2, about 53 times as many as ``w4_star``'s 153.  ``--order 4``
+  would read Deg 8 at about 14 times the cost.
 
 The full strict ``run`` of ``W4`` at K = 3 is the golden ``w4_a1``.
 
