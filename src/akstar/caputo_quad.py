@@ -27,6 +27,7 @@ shares no Gamma code with the power rule it checks.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import MalformedInputError, QuadratureFailureError
 from .expr import power_rule_factor
@@ -37,14 +38,11 @@ REL_TOL = 1e-8
 MAX_INTERVALS = 1 << 20
 
 
-class QuadResult:
-    """A quadrature value and its error estimate; immutable by use."""
+class QuadResult(NamedTuple):
+    """A quadrature value and its error estimate."""
 
-    __slots__ = ("value", "error")
-
-    def __init__(self, value: float, error: float):
-        self.value = value
-        self.error = error
+    value: float
+    error: float
 
 
 def caputo_quad(p: float, x: float, alpha: float) -> QuadResult:

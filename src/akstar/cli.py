@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 from . import __version__, checks as checklib, report as reportlib
 from .errors import ConfigError, EngineError
@@ -40,29 +41,19 @@ EXIT_COMPUTE_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 
 
-class RunSpec:
-    """Validated run configuration; immutable by use."""
+class RunSpec(NamedTuple):
+    """Validated run configuration."""
 
-    __slots__ = (
-        "ctx", "lagrangian", "truncation_order", "observable_f", "observable_g",
-        "sample_points", "mode", "tolerances", "seed", "canonical",
-    )
-
-    def __init__(
-        self, ctx: AlphaContext, lagrangian: Signomial, truncation_order: int,
-        observable_f: Signomial, observable_g: Signomial, sample_points: tuple, mode: str,
-        tolerances: dict, seed: int, canonical: dict,
-    ):
-        self.ctx = ctx
-        self.lagrangian = lagrangian
-        self.truncation_order = truncation_order
-        self.observable_f = observable_f
-        self.observable_g = observable_g
-        self.sample_points = sample_points
-        self.mode = mode
-        self.tolerances = tolerances
-        self.seed = seed
-        self.canonical = canonical
+    ctx: AlphaContext
+    lagrangian: Signomial
+    truncation_order: int
+    observable_f: Signomial
+    observable_g: Signomial
+    sample_points: tuple
+    mode: str
+    tolerances: dict
+    seed: int
+    canonical: dict
 
 
 def _fail(pointer: str, message: str):
@@ -322,7 +313,7 @@ class Pipeline:
         self.scalar_probes = [Signomial.constant(ctx.dim, 1.0)] + [
             Signomial.coordinate(ctx.dim, i) for i in range(ctx.dim)
         ] + [spec.observable_f, spec.observable_g]
-        self.suite = checklib.Suite(ctx.alpha, spec.mode, spec.tolerances)
+        self.suite = checklib.Suite(ctx.classical, spec.mode, spec.tolerances)
         self.stage = None
         self.report = {
             "engine": {"name": "akstar", "version": __version__},
@@ -362,8 +353,8 @@ class Pipeline:
         return self.report
 
     def _caputo(self):
-        if self.spec.ctx.alpha < 1.0:
-            checklib.caputo_checks(self.suite)
+        if not self.spec.ctx.classical:
+            checklib.caputo_checks(self.suite, self.spec.ctx.alpha)
 
     def _geometry(self):
         spec = self.spec
@@ -494,7 +485,7 @@ def main(argv=None, stream=None) -> int:
                 _fail("--out", f"cannot write the report: {err}")
         if args.command == "star" and args.order is not None and args.order < 0:
             _fail("--order", "order must be nonnegative")
-        if args.command == "check" and args.group == "caputo" and spec.ctx.alpha >= 1.0:
+        if args.command == "check" and args.group == "caputo" and spec.ctx.classical:
             _fail("/alpha", "the caputo check needs a fractional alpha")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -425,7 +425,7 @@ class Signomial:
         Term-wise generalized power rule; other factors of each monomial
         pass through unchanged.  Delegates to :meth:`partial` at alpha = 1.
         """
-        if ctx.alpha == 1.0:
+        if ctx.classical:
             return self.partial(coord)
         alpha = ctx.alpha
         return self._lower(coord, ctx._step_count, lambda p: power_rule_factor(p, alpha))

@@ -21,21 +21,19 @@ derives, in order:
   theta(X, Y) = g(JX, Y), its inverse, and Lambda = theta^{-1} - i g^{-1}.
 
 :func:`build_geometry` stores each of them once, as plain nested lists, in
-one :class:`GeometryBundle` with the fields ``spec``, ``ctx``, ``G``,
-``N``, ``gamma``, ``anholonomy``, ``torsion``, ``curvature``, ``J``,
-``theta_lower``, ``theta_upper``, ``g_lower``, ``g_upper`` and ``lam``; its
-docstring gives the index conventions.  The diagnostics below compare those
-tensors, among them the Nijenhuis tensor with four times the
-J-anti-invariant torsion.
+one :class:`GeometryBundle`, whose docstring gives the index conventions.
+The diagnostics below compare those tensors, among them the Nijenhuis
+tensor with four times the J-anti-invariant torsion.
 
 Everything is exact term-level signomial arithmetic; the only tolerance in
-this module is the coefficient dead zone.  All objects are immutable by use:
-no code assigns to a built record (and the nested lists are read-only).
+this module is the coefficient dead zone.  A built :class:`GeometryBundle`
+is a named tuple, so its fields cannot be reassigned; no code assigns to a
+built :class:`LagrangianSpec` or writes into the nested lists.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ExpressionClassError, RegularityError
 from .expr import AlphaContext, Signomial
@@ -66,7 +64,7 @@ class LagrangianSpec:
         self.regularity_points = tuple(tuple(p) for p in points)
 
 
-class GeometryBundle:
+class GeometryBundle(NamedTuple):
     """Every derived geometric object for one configuration.
 
     Frame indices run over 0..2n-1: h-labels 0..n-1 (base, e_j = D_j -
@@ -100,33 +98,24 @@ class GeometryBundle:
       pair +1; ``theta_upper`` is its inverse; ``lam[a][b]`` is Lambda^{ab}
       = theta^{ab} - i g^{ab}.
 
-    Immutable by use; treat every nested list as read-only.
+    A named tuple, so no field can be reassigned; treat every nested list
+    as read-only.
     """
 
-    __slots__ = (
-        "spec", "ctx", "G", "N", "gamma", "anholonomy", "torsion", "curvature", "J",
-        "theta_lower", "theta_upper", "g_lower", "g_upper", "lam",
-    )
-
-    def __init__(
-        self, spec: LagrangianSpec, ctx: AlphaContext, G: list, N: Matrix, gamma: list,
-        anholonomy: list, torsion: list, curvature: list, J: list, theta_lower: Matrix,
-        theta_upper: Matrix, g_lower: Matrix, g_upper: Matrix, lam: Matrix,
-    ):
-        self.spec = spec
-        self.ctx = ctx
-        self.G = G
-        self.N = N
-        self.gamma = gamma
-        self.anholonomy = anholonomy
-        self.torsion = torsion
-        self.curvature = curvature
-        self.J = J
-        self.theta_lower = theta_lower
-        self.theta_upper = theta_upper
-        self.g_lower = g_lower
-        self.g_upper = g_upper
-        self.lam = lam
+    spec: LagrangianSpec
+    ctx: AlphaContext
+    G: list
+    N: Matrix
+    gamma: list
+    anholonomy: list
+    torsion: list
+    curvature: list
+    J: list
+    theta_lower: Matrix
+    theta_upper: Matrix
+    g_lower: Matrix
+    g_upper: Matrix
+    lam: Matrix
 
     def e(self, f: Signomial, idx: int) -> Signomial:
         return adapted_derivative(f, idx, self.N, self.ctx)

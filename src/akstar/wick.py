@@ -262,19 +262,16 @@ class WickAlgebra:
             for b in range(self.dim)
             if not lam[a][b].is_zero
         ]
-        self._pow_cache: dict = {}
         self._table: dict = {}
         # one copy of each output fiber-degree tuple and each tuple of
         # Lambda powers, shared by all table entries
         self._shared: dict = {}
 
     def _lam_power(self, a: int, b: int, k: int) -> Signomial:
-        if k == 1:
-            return self.lam[a][b]
-        key = (a, b, k)
-        if key not in self._pow_cache:
-            self._pow_cache[key] = self._lam_power(a, b, k - 1) * self.lam[a][b]
-        return self._pow_cache[key]
+        power = lam = self.lam[a][b]
+        for _ in range(k - 1):
+            power = power * lam
+        return power
 
     def _contractions(self, z1, z2) -> tuple:
         """Table entry ``(patterns, any_odd)`` for fiber degrees (z1, z2),

@@ -117,12 +117,6 @@ def make_bundle(kind, n, alpha) -> GeometryBundle:
     return _cache[key]
 
 
-def replace_fields(bundle: GeometryBundle, **changes) -> GeometryBundle:
-    """A copy of ``bundle`` with the named fields replaced."""
-    fields = {name: getattr(bundle, name) for name in GeometryBundle.__slots__}
-    return GeometryBundle(**{**fields, **changes})
-
-
 def probe_fields(n):
     """Small scalar probe set: coordinates and two mixed monomials."""
     dim = 2 * n

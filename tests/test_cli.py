@@ -60,6 +60,12 @@ def test_minimal_config_is_valid():
     assert all(all(v > 0 for v in p) for p in spec.sample_points)
 
 
+def test_a_parsed_spec_cannot_be_reassigned():
+    spec = parse_config_dict(flat_config())
+    with pytest.raises(AttributeError):
+        spec.mode = spec.mode
+
+
 def test_alpha_out_of_range_rejected():
     with pytest.raises(ConfigError, match="/alpha"):
         parse_config_dict(flat_config(alpha=1.5))

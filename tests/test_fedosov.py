@@ -25,7 +25,7 @@ from akstar.fedosov import (
 )
 from akstar.wick import WickElement
 
-from _configs import exact, make_bundle, probe_fields, replace_fields, sample_points, z_var
+from _configs import exact, make_bundle, probe_fields, sample_points, z_var
 
 ALPHAS_FRACTIONAL = (0.3, 0.45, 0.9)
 
@@ -290,7 +290,7 @@ def test_curvature_element_grading_on_asymmetric_blocks():
              for f in range(2)] for t in range(2)]
     full[1][1][0][1] = full[1][1][0][1].scale(2.0)
     full[1][1][1][0] = full[1][1][1][0].scale(2.0)
-    doctored = replace_fields(b, curvature=full)
+    doctored = b._replace(curvature=full)
     m = FedosovMachine(doctored)
     assert not m.r_hat.is_zero
     assert m.r_hat.total_degrees() == {2}
@@ -524,7 +524,7 @@ def _certificate(bundle):
     """The generator D-hat^2 defect and the D-check Leibniz defect, as the suite reports them."""
     m = FedosovMachine(bundle)
     probes = make_probes(bundle, seed=7, count=8)
-    suite = Suite(bundle.ctx.alpha, "diagnostic", {})
+    suite = Suite(bundle.ctx.classical, "diagnostic", {})
     fedosov_checks(suite, m.solve_r(3), 3, sample_points(1), probes)
     values = {entry["name"]: entry["value"] for entry in suite.entries}
     return values["fedosov_dsq_probe"], values["fedosov_dconn_derivation"]
@@ -546,7 +546,7 @@ def test_planted_connection_defect_fails_the_certificate():
     for t, d, s in entries:
         gamma = [[list(row) for row in block] for block in bundle.gamma]
         gamma[t][d][s] = gamma[t][d][s].scale(-1.0)
-        planted = replace_fields(bundle, gamma=gamma)
+        planted = bundle._replace(gamma=gamma)
         assert max(_certificate(planted)) > 1e-8, (t, d, s)
 
 

@@ -14,7 +14,6 @@ from _configs import (
     make_bundle,
     make_spec,
     probe_fields,
-    replace_fields,
     sample_points,
 )
 
@@ -44,6 +43,12 @@ def test_spec_rejects_a_dimension_mismatch():
     L = Signomial.from_terms(2, [(1.0, [0, 2])])
     with pytest.raises(ExpressionClassError, match="dimension 2 != context dimension 4"):
         geo.LagrangianSpec(L=L, ctx=AlphaContext(alpha=1.0, n=2))
+
+
+def test_a_built_bundle_cannot_be_reassigned():
+    b = make_bundle("coupled", 1, 1.0)
+    with pytest.raises(AttributeError):
+        b.J = b.J
 
 
 def test_hessian_rejects_off_diagonal():
@@ -542,7 +547,7 @@ def test_nijenhuis_reads_j_from_the_bundle():
     assert (np.array(J2) @ np.array(J2) == -np.eye(4)).all()
     assert J2 != b.J and J2 != [[-v for v in row] for row in b.J]
     pts = sample_points(2)
-    other = geo.nijenhuis_residual(replace_fields(b, J=J2), pts)
+    other = geo.nijenhuis_residual(b._replace(J=J2), pts)
     assert other != geo.nijenhuis_residual(b, pts)
 
 

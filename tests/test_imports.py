@@ -11,10 +11,10 @@ akstar.cli`` loads is paid on every launch.  ``dataclasses`` imports
 ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``: 9-14 ms
 per launch under ``python -X importtime`` on a 2-vCPU VM (Python 3.11),
 before each ``@dataclass`` spends about 1-1.5 ms building its methods from
-generated source.  The engine's records are plain ``__slots__`` classes
-instead, and a fresh interpreter checks that the import adds neither
-module to what a bare interpreter already holds (``site`` may preload
-modules).
+generated source.  The engine's records are ``typing.NamedTuple`` or
+``__slots__`` classes instead, and a fresh interpreter checks that the
+import adds neither module to what a bare interpreter already holds
+(``site`` may preload modules).
 """
 
 import ast

@@ -47,38 +47,31 @@ def test_describe_moves_caps_the_lines_and_skips_non_json():
     assert same_outputs.describe_moves(b"\xff", b"{}") == []
 
 
-def _full_run(tmp_path, n):
-    """The Lagrangian of the one full strict ``run`` at n, K = 3."""
+def _full_run(tmp_path, name, n, order):
+    """The Lagrangian of the one full strict ``run`` labelled ``name``."""
     invs = same_outputs.invocations(TOOL.parent.parent, tmp_path)
-    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == f"n{n} full: run"]
+    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == f"{name}: run"]
     assert len(runs) == 1
     command, config = runs[0]
     assert command == ("run",)
     assert (config["mode"], config["n"], config["alpha"]) == ("strict", n, 1.0)
-    assert config["truncation_order"] == 3
+    assert config["truncation_order"] == order
     assert all(len(term["exp"]) == 2 * n for term in config["lagrangian"])
     return config["lagrangian"]
 
 
 def test_invocations_include_the_full_n3_run_in_strict_mode(tmp_path):
-    assert _full_run(tmp_path, 3) == same_outputs.N3
+    assert _full_run(tmp_path, "n3 full", 3, 3) == same_outputs.N3
 
 
 def test_invocations_include_the_full_n4_run_in_strict_mode(tmp_path):
-    assert _full_run(tmp_path, 4) == same_outputs.N4
+    assert _full_run(tmp_path, "n4 full", 4, 3) == same_outputs.N4
 
 
-def test_invocations_include_w4_star_at_k5(tmp_path):
-    # star solves r only through Deg 2 * order whatever K is, so order 3
-    # reads Deg 6 of the K + 2 = 7 that K = 5 names
-    root = TOOL.parent.parent
-    invs = same_outputs.invocations(root, tmp_path)
-    runs = [(cmd, json.loads(p.read_text())) for label, cmd, p in invs if label == "w4 K5: star --order 3"]
-    assert len(runs) == 1
-    command, config = runs[0]
-    assert command == ("star", "--order", "3")
-    assert (config["n"], config["alpha"], config["truncation_order"]) == (2, 1.0, 5)
-    assert config["lagrangian"] == same_outputs._workloads(root).W4
+def test_invocations_include_the_strict_w4_run_at_k5(tmp_path):
+    # K = 5 solves r through Deg K + 2 = 7, the deepest recursion at n > 1
+    w4 = same_outputs._workloads(TOOL.parent.parent).W4
+    assert _full_run(tmp_path, "w4 K5", 2, 5) == w4
 
 
 def test_round_off_only_uses_the_golden_tolerance():

@@ -88,6 +88,14 @@ def test_from_terms_signs_words_and_drops_repeats():
     assert w.terms == {(0, (1, 0), (0, 1)): -one}
 
 
+@pytest.mark.parametrize("factor", [0, 0j])
+def test_scale_by_zero_is_the_zero_element(factor):
+    one = Signomial.constant(2, 1.0)
+    x = WickElement.from_terms(2, [(0, (1, 0), (), one), (1, (0, 2), (0,), one.scale(2.0))])
+    got = x.scale(factor)
+    assert got.dim == 2 and got.terms == {}
+
+
 def test_from_terms_equals_chained_sums():
     rng = np.random.default_rng(17)
     one = Signomial.constant(2, 1.0)

@@ -10,14 +10,14 @@ a process.  The invocations are read from CHANGE_ROOT:
   ``check algebra|geometry|fedosov|caputo`` and ``star --order 1``;
 * every invocation of every workload in ``perfbench/workloads.py`` at seed 7,
   that file loaded by path and only read;
-* the full ``run`` of ``N3`` and of ``N4`` below (n = 3 and 4, K = 3) in
-  strict mode, the only invocations at n = 3 and n = 4;
-* ``star --order 3`` on that file's ``W4`` Lagrangian at K = 5, whose lifts
-  read r through Deg 6, the deepest recursion at n > 1; its Wick products
-  make 6,470 contributions that contract r >= 3 times, where those of
-  ``w4_star`` make none, and 8,090 that raise a twist entry to a power
-  k >= 2, about 53 times as many as ``w4_star``'s 153.  ``--order 4``
-  would read Deg 8 at about 14 times the cost.
+* the full strict ``run`` of ``N3`` and of ``N4`` below (n = 3 and 4,
+  K = 3), the only invocations at n = 3 and n = 4;
+* the full strict ``run`` of that file's ``W4`` Lagrangian at K = 5, which
+  solves r through Deg 7, the deepest recursion at n > 1, and lifts for
+  the star of order 3.  Its Wick products make 42,643 contributions that
+  contract r >= 3 times, where those of ``w4_star`` make none, and 40,302
+  that raise a twist entry to a power k >= 2, against ``w4_star``'s 153.
+  At K = 4 the counts are 5,694 and 7,737.
 
 The full strict ``run`` of ``W4`` at K = 3 is the golden ``w4_a1``.
 
@@ -104,14 +104,12 @@ def invocations(root: Path, work: Path) -> list:
             path = work / f"{workload}.{inv.name}.config.json"
             path.write_text(json.dumps(inv.config))
             out.append((f"{workload} {inv.name}: {' '.join(inv.command)}", inv.command, path))
-    for n, lagrangian in ((3, N3), (4, N4)):
-        config = dict(workloads._config(1.0, n, lagrangian, 3, SEED), mode="strict")
-        path = work / f"n{n}_run.config.json"
+    for name, n, lagrangian, order in (("n3 full", 3, N3, 3), ("n4 full", 4, N4, 3),
+                                       ("w4 K5", 2, workloads.W4, 5)):
+        config = dict(workloads._config(1.0, n, lagrangian, order, SEED), mode="strict")
+        path = work / f"{name.replace(' ', '_')}_run.config.json"
         path.write_text(json.dumps(config))
-        out.append((f"n{n} full: run", ("run",), path))
-    path = work / "w4_k5_star.config.json"
-    path.write_text(json.dumps(workloads._config(1.0, 2, workloads.W4, 5, SEED)))
-    out.append(("w4 K5: star --order 3", ("star", "--order", "3"), path))
+        out.append((f"{name}: run", ("run",), path))
     return out
 
 
