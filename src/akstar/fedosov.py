@@ -9,9 +9,11 @@ The graded operators on Wick-algebra-valued forms:
   coefficients, linear transport on fiber variables, anholonomic exterior
   action on the form factor.
 
-``delta`` and ``dconn_apply`` put the new co-frame index in front of the
-word and leave its wedge sign to ``WickElement.from_terms``; a term whose
-new index repeats one in the word is skipped before its coefficient is built.
+``delta`` puts the new co-frame index in front of the word and leaves its
+wedge sign to ``WickElement.from_terms``; ``dconn_apply`` inserts e^al
+into the sorted word itself and folds that sign into the one scale of each
+coefficient.  A term whose new index repeats one in the word is skipped
+before its coefficient is built.
 
 ``delta_inv`` uses the interior product and carries no imaginary unit: that
 is the unique normalization under which
@@ -41,6 +43,7 @@ obstruction; the ``fedosov_r_residual`` check gates them at every alpha.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import combinations
 
 from .errors import FractionalDomainError, MalformedInputError
@@ -194,15 +197,19 @@ class FedosovMachine:
                 for al in range(self.dim):
                     if al in forms:
                         continue
-                    word = (al,) + forms
-                    yield v, z, word, self.bundle.e(c, al)
+                    # e^al, put in front, moves past the ``below`` smaller indices
+                    below = bisect_left(forms, al)
+                    word = forms[:below] + (al,) + forms[below:]
+                    sign = -1 if below % 2 else 1
+                    ec = self.bundle.e(c, al)
+                    yield v, z, word, ec.scale(-1) if sign < 0 else ec
                     for tgt, src, gam in self.gamma_by_dir[al]:
                         if z[tgt] == 0:
                             continue
                         nz = list(z)
                         nz[tgt] -= 1
                         nz[src] += 1
-                        yield v, nz, word, (gam * c).scale(-z[tgt])
+                        yield v, nz, word, (gam * c).scale(-z[tgt] * sign)
                 for m, g in enumerate(forms):
                     rest = forms[:m] + forms[m + 1:]
                     msign = -1.0 if m % 2 else 1.0
@@ -332,8 +339,10 @@ def tau_components(f: Signomial, machine: FedosovMachine, order: int) -> list:
     ``order``: a prefix of the field's list in the machine's tau memo, which
     is extended on demand, since component k + 1 needs only 0 through k and
     r through Deg k + 1.  The bracket with r_{k+2} is left out: tau_0 = f
-    carries no z, so (i/v)[r, tau_0] = 0.  A pole met in r carries the
-    recursion's degree."""
+    carries no z, so (i/v)[r, tau_0] = 0.  Every component past tau_0 is a
+    ``delta_inv`` output, so each of its terms carries z; that is why
+    ``star`` of order p lifts through Deg 2p - 1 only.  A pole met in r
+    carries the recursion's degree."""
     machine.solve_through(order)
     # repr tells -0.0 from 0.0 apart, which reports serialize differently
     comps = machine._tau_memo.setdefault(repr(list(f.terms.items())), [WickElement.from_signomial(f)])
@@ -366,17 +375,21 @@ def star(f: Signomial, g: Signomial, machine: FedosovMachine, order: int) -> tup
 
     Returns the coefficients (C_0, ..., C_order) of f * g = sum_r C_r v^r.
 
-    Exactness through the requested order needs lifts through Deg 2*order,
-    which solve r through Deg 2*order if the machine does not hold it yet:
-    tau_0 = f carries no z, so (i/v)[r, tau_0] = 0 and no lift reads the
-    r one Deg deeper.  At order 0 the lifts are the fields themselves.
+    The product is capped at Deg 2*order, the Deg of v^order, and its lifts
+    go through Deg 2*order - 1, which solves r through Deg 2*order - 1 if
+    the machine does not hold it yet.  tau_{2*order} would add nothing: a
+    sigma key is reached only by fully contracting two 0-form terms of
+    equal deg_s, every term of a tau_k with k >= 1 is a ``delta_inv``
+    output and carries z, and the cap pairs tau_{2*order} only with
+    tau_0 = f, which carries none.  At order 0 the lifts are the fields
+    themselves.
     """
     if order < 0:
         raise MalformedInputError("order must be nonnegative")
-    lift_deg = 2 * order
+    lift_deg = max(2 * order - 1, 0)
     tf = tau_lift(f, machine, lift_deg)
     tg = tau_lift(g, machine, lift_deg)
-    prod = machine.algebra.product(tf, tg, max_deg=lift_deg, sigma_only=True)
+    prod = machine.algebra.product(tf, tg, max_deg=2 * order, sigma_only=True)
     series = sigma_series(prod)
     return tuple(series.get(r, Signomial.zero(machine.dim)) for r in range(order + 1))
 

@@ -23,15 +23,16 @@ Elements are canonical in and canonical out.  The contract is checked
 where data enters and trusted after that.  Raw terms enter only through
 ``WickElement.from_terms`` (``from_term`` is its one-term form), which
 validates each key and that each coefficient is over ``dim`` coordinates,
-sorts the co-frame word with its permutation sign (the one place the
-linear operators of :mod:`akstar.fedosov` get their wedge sign) and merges
-like keys.  ``WickAlgebra`` takes only a ``dim`` x ``dim`` Lambda whose
-entries are zero or one term over ``dim`` coordinates, as every twist of
-``build_geometry`` is (its Hessian is diagonal and single-monomial), and
-``product`` and ``commutator`` check once per call that both operands
-have the algebra's ``dim``.  Past those checks, ``+``, ``-``, ``scale`` and
-the product trust canonical operands and build canonical results; the
-bare constructor is for those internal results only.
+sorts the co-frame word with its permutation sign (where ``delta`` and
+the anholonomy terms of ``dconn_apply`` in :mod:`akstar.fedosov` get their
+wedge sign) and merges like keys.  ``WickAlgebra`` takes only a ``dim`` x
+``dim`` Lambda whose entries are zero or one term over ``dim`` coordinates,
+as every twist of ``build_geometry`` is (its Hessian is diagonal and
+single-monomial), and ``product`` and ``commutator`` check once per call
+that both operands have the algebra's ``dim``.  Past those checks, ``+``,
+``-``, ``scale`` and the product trust canonical operands and build
+canonical results; the bare constructor is for those internal results
+only.
 
 The combinatorics of a term pair depend only on its fiber degrees, so
 ``WickAlgebra`` keeps one contraction table entry per (z1, z2), filled on

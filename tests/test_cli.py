@@ -340,9 +340,10 @@ def test_abort_names_degree_coordinate_and_exponents():
 
 
 def test_star_meets_a_pole_in_r_under_its_own_stage():
-    # the order-2 lifts read r through Deg 5, so the star stage solves the
-    # recursion into the Deg-4 pole that aborts run on this config
-    pipeline = Pipeline(parse_config(str(GOLDEN / "x2y2_a0.6.config.json")), star_order=2)
+    # the order-3 lifts go through Deg 5 and read r that deep, so the star
+    # stage solves the recursion into the Deg-4 pole that aborts run on
+    # this config
+    pipeline = Pipeline(parse_config(str(GOLDEN / "x2y2_a0.6.config.json")), star_order=3)
     with pytest.raises(FractionalDomainError) as info:
         pipeline.run(STAR_STAGES)
     assert info.value.degree == 4
@@ -351,8 +352,8 @@ def test_star_meets_a_pole_in_r_under_its_own_stage():
 
 
 def test_star_order_one_reads_below_the_pole(tmp_path):
-    # the order-1 lifts read r through Deg 3, below that pole, so star
-    # prints what it prints for the same config at K = 2
+    # the order-1 lifts go through Deg 1 and read no r, so star prints what
+    # it prints for the same config at K = 2
     golden = GOLDEN / "x2y2_a0.6.config.json"
     cfg = dict(json.loads(golden.read_text()), truncation_order=2)
     outs = [io.StringIO(), io.StringIO()]
@@ -361,8 +362,24 @@ def test_star_order_one_reads_below_the_pole(tmp_path):
     assert outs[0].getvalue() == outs[1].getvalue() != ""
 
 
+def test_star_order_two_reads_below_the_pole():
+    # the order-2 lifts go through Deg 3 and read r through Deg 3, below the
+    # Deg-4 pole: the sigma-projection never reads tau_4, so star exits 0
+    # and its v^0 and v^1 coefficients are those of the order-1 star
+    config = str(GOLDEN / "x2y2_a0.6.config.json")
+    payloads = []
+    for order in ("1", "2"):
+        out = io.StringIO()
+        assert main(["star", "--order", order, "--config", config], stream=out) == EXIT_OK
+        payloads.append(json.loads(out.getvalue()))
+    first, second = (p["coefficients"] for p in payloads)
+    assert [c["r"] for c in second] == [0, 1, 2] and second[2]["terms"]
+    # JSON text tells -0.0 from 0.0 apart
+    assert json.dumps(second[:2]) == json.dumps(first)
+
+
 def test_star_solves_r_only_as_deep_as_it_reads(tmp_path):
-    # star --order 2 reads r through Deg 4 whatever K is
+    # star --order 2 lifts through Deg 3 and reads r through Deg 3 whatever K is
     cfg = flat_config(lagrangian=[{"c": 1, "exp": [2, 3]}], mode="diagnostic")
     outs = []
     for k in (3, 7):
@@ -372,7 +389,7 @@ def test_star_solves_r_only_as_deep_as_it_reads(tmp_path):
         outs.append(out.getvalue())
         pipeline = Pipeline(parse_config(path), star_order=2)
         pipeline.run(STAR_STAGES)
-        assert sorted(pipeline.machine.r_components) == [2, 3, 4]
+        assert sorted(pipeline.machine.r_components) == [2, 3]
     assert outs[0] == outs[1]
 
 

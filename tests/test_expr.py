@@ -134,6 +134,13 @@ def test_dim_mismatch_rejected():
         Signomial.coordinate(2, 0) + Signomial.coordinate(4, 0)
 
 
+def test_repr_names_the_zero_field():
+    # pytest prints fields this way when an assertion fails
+    x = Signomial.coordinate(2, 0)
+    assert repr(x.scale(2)) == "<signomial (2+0j)*u0^1>"
+    assert repr(Signomial.zero(2)) == repr(x - x) == "<signomial 0>"
+
+
 def test_constructor_validation():
     with pytest.raises(MalformedInputError, match="dimension must be >= 1"):
         Signomial(0)

@@ -1,9 +1,12 @@
 """Grading-shift operators, flatness recursion, lift, and star product."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from akstar.checks import Suite, fedosov_checks
+from akstar.cli import Pipeline, parse_config
 from akstar.errors import FractionalDomainError, MalformedInputError
 from akstar.expr import Signomial, coeff_distance
 from akstar.geometry import poisson_bracket
@@ -28,6 +31,7 @@ from akstar.wick import WickElement
 from _configs import exact, make_bundle, probe_fields, sample_points, z_var
 
 ALPHAS_FRACTIONAL = (0.3, 0.45, 0.9)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def machine(kind, n, alpha):
@@ -730,6 +734,51 @@ def test_tau_lift_skips_the_bracket_with_tau_zero(kind, n, alpha):
         assert lifts == [exact(tau_lift(f, eager, k)) for f in fields]
 
 
+def _lift_case(name):
+    """(machine, fields, lift depth): W4 and x^2 y^3 at alpha = 1 through
+    the Deg 2p of their benchmark and golden stars, and the fractional
+    golden x2y3_a0.7 through Deg 3, below the poles of its deeper lifts."""
+    if name == "x2y3_a0.7":
+        spec = parse_config(str(GOLDEN / "x2y3_a0.7.config.json"))
+        pipeline = Pipeline(spec)
+        pipeline.run(("geometry",))
+        fields = [spec.observable_f, spec.observable_g] + probe_fields(1)
+        return pipeline.machine, fields, 3
+    n, depth = {"w4": (2, 4), "x2y3": (1, 6)}[name]
+    return machine(name, n, 1.0), probe_fields(n), depth
+
+
+@pytest.mark.parametrize("name", ["w4", "x2y3", "x2y3_a0.7"])
+def test_lift_components_past_tau_zero_carry_z(name):
+    # every tau_k with k >= 1 is a delta_inv output, so none of its terms
+    # has deg_s = 0 and only tau_0 = f can pair with a z-free term
+    m, fields, depth = _lift_case(name)
+    for f in fields:
+        comps = tau_components(f, m, depth)
+        assert len(comps) == depth + 1 and not comps[depth].is_zero
+        assert all(sum(z) > 0 for comp in comps[1:] for _, z, _ in comp.terms)
+
+
+@pytest.mark.parametrize("kind,n,order", [("w4", 2, 2), ("x2y3", 1, 3)])
+def test_star_leaves_out_the_top_lift_component(kind, n, order):
+    # under the Deg 2p cap tau_2p pairs only with tau_0 = f, which carries no
+    # z, so star's lifts through Deg 2p - 1 give the bits of lifts through 2p
+    m = machine(kind, n, 1.0)
+    fields = probe_fields(n)
+    got = [exact(c) for f in fields for g in fields for c in star(f, g, m, order)]
+    assert sorted(m.r_components) == list(range(2, 2 * order))
+    deep = 2 * order
+    expect = []
+    for f in fields:
+        for g in fields:
+            prod = m.algebra.product(
+                tau_lift(f, m, deep), tau_lift(g, m, deep), max_deg=deep, sigma_only=True
+            )
+            series = sigma_series(prod)
+            expect += [exact(series.get(r, Signomial.zero(m.dim))) for r in range(order + 1)]
+    assert got == expect
+
+
 # -- star product --------------------------------------------------------------------------
 
 
@@ -851,17 +900,18 @@ def test_star_through_v2_is_a_prefix():
 
 @pytest.mark.parametrize("kind", ["coupled", "x2y3"])
 def test_star_deeper_than_k_equals_the_eager_recursion(kind):
-    # through v^3 the lifts read r through Deg 6, past the K + 2 = 5 that
-    # solve_r(3) holds; star solves the rest and matches solve_r(5) bit for bit
+    # through v^4 the lifts go through Deg 7 and read r that deep, past the
+    # K + 2 = 5 that solve_r(3) holds; star solves the rest and matches
+    # solve_r(5) bit for bit
     m = solved(kind, 1, 3)
     eager = solved(kind, 1, 5)
     x = Signomial.coordinate(2, 0)
     y = Signomial.coordinate(2, 1)
     for f, g in ((x, y), (y, x)):
-        got = star(f, g, m, 3)
-        assert not got[3].is_zero
-        assert [exact(c) for c in got] == [exact(c) for c in star(f, g, eager, 3)]
-    assert sorted(m.r_components) == list(range(2, 7))
+        got = star(f, g, m, 4)
+        assert not got[4].is_zero
+        assert [exact(c) for c in got] == [exact(c) for c in star(f, g, eager, 4)]
+    assert sorted(m.r_components) == list(range(2, 8))
 
 
 @pytest.mark.parametrize("kind", ["coupled", "x2y3"])
@@ -879,8 +929,8 @@ def test_deep_star_leaves_the_d_hat_squared_read(kind):
         ]
 
     before = reads()
-    star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), m, 3)
-    assert sorted(m.r_components) == list(range(2, 7))
+    star(Signomial.coordinate(2, 0), Signomial.coordinate(2, 1), m, 4)
+    assert sorted(m.r_components) == list(range(2, 8))
     assert reads() == before
 
 

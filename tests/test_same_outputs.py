@@ -74,6 +74,19 @@ def test_invocations_include_the_strict_w4_run_at_k5(tmp_path):
     assert _full_run(tmp_path, "w4 K5", 2, 5) == w4
 
 
+def test_invocations_run_every_golden_star_at_orders_one_and_two(tmp_path):
+    # star --order p lifts through Deg 2p - 1: --order 1 reads no r, and
+    # --order 2 reads r through Deg 3 on every golden
+    root = TOOL.parent.parent
+    configs = (root / "tests" / "golden").glob("*.config.json")
+    goldens = sorted(p.name[: -len(".config.json")] for p in configs)
+    invs = same_outputs.invocations(root, tmp_path)
+    for order in ("1", "2"):
+        names = [label[len("golden "):].split(":")[0] for label, command, _ in invs
+                 if label.startswith("golden ") and command == ("star", "--order", order)]
+        assert sorted(names) == goldens
+
+
 def test_round_off_only_uses_the_golden_tolerance():
     def dump(value):
         return json.dumps({"checks": [{"status": "pass", "value": value}], "n": 3}).encode()

@@ -656,6 +656,19 @@ def test_product_drops_a_key_whose_contributions_cancel():
     assert got.terms[(0, (0, 0), ())] == -a
 
 
+def test_repr_lists_the_terms_in_key_order():
+    # pytest prints elements this way when an assertion fails; e^1 e^0
+    # sorts to e^0 e^1 with sign -1
+    one = Signomial.constant(2, 1.0)
+    x = Signomial.coordinate(2, 0)
+    w = WickElement.from_terms(2, [(1, (0, 1), (), one), (0, (1, 0), (1, 0), x)])
+    assert repr(w) == (
+        "<wick v^0 z[1, 0] e[0, 1] * <signomial (-1+0j)*u0^1>"
+        " + v^1 z[0, 1] e[] * <signomial (1+0j)>>"
+    )
+    assert repr(WickElement.zero(2)) == repr(w - w) == "<wick 0>"
+
+
 def test_single_contribution_key_keeps_its_operand():
     # e^1 e^0 sorts with sign -1, and (-1) * (-1 + 0j) leaves an imaginary
     # -0.0 that 0j + c would turn into 0.0

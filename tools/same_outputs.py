@@ -7,7 +7,10 @@ whose ``PYTHONPATH`` is the root's ``src``, so the two checkouts never share
 a process.  The invocations are read from CHANGE_ROOT:
 
 * every ``tests/golden/*.config.json`` under ``run``, ``run --format text``,
-  ``check algebra|geometry|fedosov|caputo`` and ``star --order 1``;
+  ``check algebra|geometry|fedosov|caputo``, ``star --order 1`` and
+  ``star --order 2``.  The star of order p lifts through Deg 2p - 1 and
+  reads r only that deep, so ``--order 1`` reads no r at all (its tau_1 is
+  ``delta_inv`` of D-check f) and ``--order 2`` reads r through Deg 3;
 * every invocation of every workload in ``perfbench/workloads.py`` at seed 7,
   that file loaded by path and only read;
 * the full strict ``run`` of ``N3`` and of ``N4`` below (n = 3 and 4,
@@ -77,6 +80,7 @@ GOLDEN_COMMANDS = (
     ("check", "fedosov"),
     ("check", "caputo"),
     ("star", "--order", "1"),
+    ("star", "--order", "2"),
 )
 
 
